@@ -35,7 +35,6 @@ cuntz             nat-add over scalars with branching k: fibers are words
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -189,14 +188,6 @@ class LMatrix:
             return NotImplemented
         return self.shape == other.shape and self.entries == other.entries
 
-    def trace(self) -> CoefficientElement:
-        out = CoefficientElement.zero(self.engine)
-        for j in range(min(self.shape)):
-            e = self.entries.get((j, j))
-            if e is not None:
-                out = out + e
-        return out
-
 
 @dataclass
 class CheckResult:
@@ -257,11 +248,6 @@ class ProductSystem:
     def weight(self, q: int) -> float:
         """N_q as a float, for series weights."""
         return float(self.basis_count(q))
-
-    def weight_array(self, q):
-        import numpy as np
-
-        return np.asarray([self.weight(int(x)) for x in q], dtype=float)
 
     def transfer_monomial(self, s: int, mon: tuple) -> Optional[tuple]:
         """The scalar transfer on a monomial where the instance has one."""

@@ -13,6 +13,10 @@ elements have a join and a meet and these satisfy glb(s, r) * lub(s, r)
 == s * r.  Elements of the enveloping group are never materialised;
 everything downstream works with pairs of cone elements instead.
 
+Elements are plain ``int`` values; a :class:`Semigroup` instance supplies
+the operations on them.  Truncation windows are the intervals from the
+identity up to a bound.
+
 Scaling homomorphisms N : P -> (0, oo) drive the dynamics.  The default
 one attached to each product system sends a fiber to its basis count, and
 carries a profile tag so that series tails admit closed-form bounds.
@@ -21,12 +25,12 @@ carries a profile tag so that series tails admit closed-form bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 __all__ = [
     "Semigroup",
-    "SemigroupElement",
     "TruncationSet",
     "ScalingHomomorphism",
     "TailBound",
@@ -36,15 +40,10 @@ __all__ = [
 ]
 
 
-class SemigroupMismatch(ValueError):
-    """Raised when elements of different instances are combined."""
-
-
 class Semigroup:
     """One of the two built-in lattice-ordered positive cones.
 
-    Operations act on plain ``int`` values; :class:`SemigroupElement`
-    wraps a value together with its instance for the user-facing API.
+    Operations act on plain ``int`` values.
     """
 
     def __init__(self, name: str):
@@ -66,15 +65,6 @@ class Semigroup:
         elif v < 0:
             raise ValueError(f"{v} is not a nonnegative integer")
         return v
-
-    def element(self, v: int) -> "SemigroupElement":
-        return SemigroupElement(self, self.check_value(v))
-
-    @property
-    def identity(self) -> "SemigroupElement":
-        return SemigroupElement(self, self.identity_value)
-
-    # int-level operations; all downstream hot paths use these directly.
 
     def mul(self, s: int, r: int) -> int:
         return s * r if self.is_multiplicative else s + r
@@ -100,24 +90,9 @@ class Semigroup:
         The result is divisor-complete: it contains every element below
         any of its members, and it contains the identity.
         """
-        if self.is_multiplicative:
-            if bound < 1:
-                raise ValueError("bound must be >= 1")
-            return tuple(range(1, bound + 1))
-        if bound < 0:
-            raise ValueError("bound must be >= 0")
-        return tuple(range(0, bound + 1))
-
-    @property
-    def has_minimal_elements(self) -> bool:
-        """Whether P has minimal elements strictly above the identity.
-
-        True for both built-in cones (the primes, respectively 1).  Parts
-        of the trace-reconstruction theory are stated for cones without
-        such elements; callers get this flag so reports can record that
-        the hypothesis fails here even when the checks themselves pass.
-        """
-        return True
+        if bound < self.identity_value:
+            raise ValueError(f"bound must be >= {self.identity_value}")
+        return tuple(range(self.identity_value, bound + 1))
 
 
 NAT_MULT = Semigroup("nat-mult")
@@ -125,92 +100,44 @@ NAT_ADD = Semigroup("nat-add")
 
 
 @dataclass(frozen=True)
-class SemigroupElement:
-    """A cone element tagged with its instance."""
-
-    semigroup: Semigroup
-    value: int
-
-    def _same(self, other: "SemigroupElement") -> None:
-        if self.semigroup is not other.semigroup:
-            raise SemigroupMismatch(
-                f"cannot combine {self.semigroup.name} with {other.semigroup.name}"
-            )
-
-    def __mul__(self, other: "SemigroupElement") -> "SemigroupElement":
-        self._same(other)
-        return SemigroupElement(self.semigroup, self.semigroup.mul(self.value, other.value))
-
-    def lub(self, other: "SemigroupElement") -> "SemigroupElement":
-        self._same(other)
-        return SemigroupElement(self.semigroup, self.semigroup.lub(self.value, other.value))
-
-    def glb(self, other: "SemigroupElement") -> "SemigroupElement":
-        self._same(other)
-        return SemigroupElement(self.semigroup, self.semigroup.glb(self.value, other.value))
-
-    def __le__(self, other: "SemigroupElement") -> bool:
-        self._same(other)
-        return self.semigroup.leq(self.value, other.value)
-
-    def quotient(self, other: "SemigroupElement") -> "SemigroupElement":
-        """self = other * q; returns q.  Requires other <= self."""
-        self._same(other)
-        return SemigroupElement(
-            self.semigroup, self.semigroup.quotient(self.value, other.value)
-        )
-
-    def is_identity(self) -> bool:
-        return self.value == self.semigroup.identity_value
-
-    def __repr__(self):
-        return f"<{self.value} in {self.semigroup.name}>"
-
-
-@dataclass(frozen=True)
 class TruncationSet:
-    """A finite, divisor-complete window of the cone, kept ascending."""
+    """The window {e, ..., bound} of the cone: an interval, so divisor-complete.
+
+    Membership and size are arithmetic; the ascending tuple of members is
+    built on first use only.
+    """
 
     semigroup: Semigroup
     bound: int
-    values: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if not self.values:
-            object.__setattr__(
-                self, "values", self.semigroup.enumerate_values(self.bound)
-            )
-        if self.values[0] != self.semigroup.identity_value:
-            raise ValueError("truncation set must contain the identity first")
+        if self.bound < self.semigroup.identity_value:
+            raise ValueError(f"bound must be >= {self.semigroup.identity_value}")
+
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        return tuple(self)
 
     def __len__(self):
-        return len(self.values)
+        return self.bound - self.semigroup.identity_value + 1
 
     def __iter__(self):
-        return iter(self.values)
+        return iter(range(self.semigroup.identity_value, self.bound + 1))
 
     def __contains__(self, v: int) -> bool:
-        sg = self.semigroup
-        if sg.is_multiplicative:
-            return 1 <= v <= self.bound
-        return 0 <= v <= self.bound
+        return self.semigroup.identity_value <= v <= self.bound
 
     def closure_violations(self, limit: int = 512) -> list[tuple[int, int, str]]:
-        """Meet/join closure violations among members, for validation.
+        """Meet/join closure violations among the first ``limit`` members.
 
         Meets must always land back in the set; joins only when they stay
-        within the bound.  Interval windows satisfy this by construction,
-        so the quadratic scan is capped at ``limit`` elements and the
-        interval structure is checked directly beyond that.
+        within the bound.
         """
         sg = self.semigroup
-        vals = self.values
-        expected = sg.enumerate_values(self.bound)
-        if vals != expected:
-            return [(self.bound, len(vals), "not the full interval below the bound")]
+        vals = range(sg.identity_value, self.bound + 1)[:limit]
         out: list[tuple[int, int, str]] = []
-        for s in vals[:limit]:
-            for r in vals[:limit]:
+        for s in vals:
+            for r in vals:
                 if sg.glb(s, r) not in self:
                     out.append((s, r, "meet escapes the set"))
                 j = sg.lub(s, r)
@@ -226,8 +153,10 @@ class ScalingHomomorphism:
     ``profile`` tags the closed-form family the map belongs to:
 
     * ``("power", d)`` on nat-mult: N(s) = s**d,
-    * ``("geometric", k)`` on nat-add: N(n) = k**n,
-    * ``("custom", 0)`` otherwise (generic, non-rigorous tail bounds).
+    * ``("geometric", k)`` on nat-add: N(n) = k**n.
+
+    Series code handles only these two; :meth:`validate` checks the
+    homomorphism laws of any map.
     """
 
     semigroup: Semigroup
@@ -266,13 +195,6 @@ class ScalingHomomorphism:
             seen[x] = s
         return out
 
-    @property
-    def injective_on_window(self) -> bool:
-        # validated over a default window; recorded for reports
-        return not any(
-            "injective" in v for v in self.validate(TruncationSet(self.semigroup, 64))
-        )
-
 
 def power_scaling(d: int = 1) -> ScalingHomomorphism:
     return ScalingHomomorphism(NAT_MULT, lambda s: float(s) ** d, ("power", d), f"s^{d}")
@@ -286,8 +208,8 @@ def geometric_scaling(k: int) -> ScalingHomomorphism:
 class TailBound:
     """An over-estimate of a dropped series tail.
 
-    ``rigorous`` is False when the generic windowed fallback produced the
-    number; the closed forms for the built-in profiles are rigorous.
+    :func:`tail_bound` only returns closed forms, which are rigorous;
+    ``rigorous`` records that on every value derived from the bound.
     """
 
     value: float
@@ -295,15 +217,6 @@ class TailBound:
 
     def __float__(self):
         return self.value
-
-
-def critical_exponent(profile: tuple[str, int]) -> float:
-    kind, p = profile
-    if kind == "power":
-        return 1.0 + 1.0 / p
-    if kind == "geometric":
-        return 1.0
-    return float("nan")
 
 
 def tail_bound(
@@ -319,8 +232,8 @@ def tail_bound(
     profile (weights k**n on nat-add) the geometric series starting at
     ``bound`` gives k**((1-beta)*bound) / (1 - k**(1-beta)); starting at
     the bound rather than just past it keeps the estimate an over-count.
-    Anything else falls back to a doubled window sum which is labeled
-    non-rigorous.
+    Both closed forms take ``weights`` to be the profile's own N_s; any
+    other profile is a ``ValueError``.
     """
     kind, p = scaling.profile
     if kind == "power":
@@ -336,8 +249,4 @@ def tail_bound(
         if ratio >= 1.0:
             raise ValueError(f"beta = {beta} is at or below the critical exponent 1")
         return TailBound(ratio**bound / (1.0 - ratio), True)
-    sg = scaling.semigroup
-    inner = TruncationSet(sg, bound)
-    window = [v for v in sg.enumerate_values(4 * bound) if v not in inner]
-    est = 2.0 * sum(scaling.of(v) ** (-beta) * weights(v) for v in window)
-    return TailBound(est, False)
+    raise ValueError(f"no closed-form tail bound for the scaling profile {scaling.profile!r}")

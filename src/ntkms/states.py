@@ -19,16 +19,21 @@ and on the built-in systems tau(W_q(mon)) = N_q * c(deg(mon) / q) when q
 divides the degree componentwise and 0 otherwise, where c is the moment
 function of tau.  Evaluation therefore loops over divisors of the degree
 instead of the whole window; the window enters only through cached
-partial sums Z_r = sum_(r <= s) N(s)^(-beta) N_(s/r).  A literal
-evaluator that walks every fiber basis vector symbolically is kept as a
-slow cross-check.
+partial sums Z_r = sum_(r <= s) N(s)^(-beta) N_(s/r).  Writing s = r q
+and using N(r q) = N(r) N(q),
+
+    Z_r = N(r)^(-beta) * sum_(q in T(B/r)) N(q)^(-beta) N_q,
+
+a prefix of the zeta terms: the first floor(B/r) of them on nat-mult and
+the first B - r + 1 on nat-add.  A literal evaluator that walks every
+fiber basis vector symbolically is kept as a slow cross-check.
 
 Dropped tails are bounded rigorously: each term beyond the window
 contributes at most N(s)^(-beta) N_s times the coordinate one-norm, so
 the reported tail is the zeta tail bound scaled by the total one-norm
-over zeta.  The zero-degree moment is pinned to exactly 1.0 and the
-identity partial sum is cached as zeta itself, so the state of the unit
-is exactly 1.0, not 1.0 up to rounding.
+over zeta.  The zero-degree moment is pinned to exactly 1.0, and the
+identity partial sum is the same summation over the same array as zeta,
+so the state of the unit is exactly 1.0, not 1.0 up to rounding.
 """
 
 from __future__ import annotations
@@ -79,14 +84,15 @@ class StateValue:
         return complex(self.value)
 
 
-def _profile_zeta_terms(profile: tuple[str, int], beta: float, svals: np.ndarray) -> np.ndarray:
-    """N(s)^(-beta) * N_s elementwise, in overflow-safe closed form."""
-    kind, p = profile
+def _zeta_terms(system: ProductSystem, beta: float, bound: int) -> np.ndarray:
+    """N(s)^(-beta) * N_s for s = e, ..., bound, in overflow-safe closed form."""
+    kind, p = system.scaling.profile
+    svals = np.arange(system.identity_fiber(), bound + 1, dtype=np.int64).astype(float)
     if kind == "power":
-        return svals.astype(float) ** (p * (1.0 - beta))
+        return svals ** (p * (1.0 - beta))
     if kind == "geometric":
-        return np.exp((1.0 - beta) * math.log(p) * svals.astype(float))
-    return None  # caller falls back to direct arrays
+        return np.exp((1.0 - beta) * math.log(p) * svals)
+    raise ValueError(f"no closed-form series for the scaling profile {system.scaling.profile!r}")
 
 
 class KMSContext:
@@ -104,21 +110,12 @@ class KMSContext:
         self.beta = float(beta)
         self.bound = int(bound)
         self.trunc = TruncationSet(system.semigroup, self.bound)
-        self._svals = np.asarray(self.trunc.values, dtype=np.int64)
-
-        terms = _profile_zeta_terms(system.scaling.profile, self.beta, self._svals)
-        if terms is None:
-            nvals = np.asarray([system.scaling.of(int(v)) for v in self._svals])
-            terms = nvals ** (-self.beta) * system.weight_array(self._svals)
-        self._zeta_terms = terms
-        self.zeta = float(np.sum(terms))
+        self._zeta_terms = _zeta_terms(system, self.beta, self.bound)
+        self.zeta = float(np.sum(self._zeta_terms))
         self.zeta_tail: TailBound = tail_bound(
             system.scaling, system.weight, self.beta, self.bound
         )
-        e = system.identity_fiber()
-        # the identity partial sum IS zeta; caching it keeps the state of
-        # the unit exactly 1.0
-        self._z_cache: dict[int, float] = {e: self.zeta}
+        self._z_cache: dict[int, float] = {}
 
     # -- series building blocks ------------------------------------------
 
@@ -127,50 +124,21 @@ class KMSContext:
         kind, p = self.system.scaling.profile
         if kind == "power":
             return float(v) ** (-self.beta * p)
-        if kind == "geometric":
-            return math.exp(-self.beta * math.log(p) * v)
-        return self.system.scaling.of(v) ** (-self.beta)
+        return math.exp(-self.beta * math.log(p) * v)
 
     def z_value(self, r: int) -> float:
-        """Z_r = sum over window elements above r of N(s)^(-beta) N_(s\\r)."""
-        cached = self._z_cache.get(r)
-        if cached is not None:
-            return cached
-        sg = self.system.semigroup
-        kind, p = self.system.scaling.profile
-        vals = self._svals
-        if sg.name == "nat-mult":
-            mask = (vals % r) == 0
-            qvals = vals[mask] // r
-            if kind == "power":
-                terms = vals[mask].astype(float) ** (-self.beta * p) * qvals.astype(float) ** p
-            else:
-                terms = np.asarray(
-                    [self.weight_pow(int(s)) * self.system.weight(int(q))
-                     for s, q in zip(vals[mask], qvals)]
-                )
-        elif sg.name == "nat-add":
-            mask = vals >= r
-            qvals = vals[mask] - r
-            if kind == "geometric":
-                lk = math.log(p)
-                terms = np.exp(lk * (qvals.astype(float) - self.beta * vals[mask].astype(float)))
-            else:
-                terms = np.asarray(
-                    [self.weight_pow(int(s)) * self.system.weight(int(q))
-                     for s, q in zip(vals[mask], qvals)]
-                )
-        else:
-            pairs = [
-                (s, sg.quotient(s, r))
-                for s in self.trunc.values
-                if sg.leq(r, s)
-            ]
-            terms = np.asarray(
-                [self.weight_pow(s) * self.system.weight(q) for s, q in pairs]
-            )
-        out = float(np.sum(terms)) if len(terms) else 0.0
-        self._z_cache[r] = out
+        """Z_r = sum over window elements s = r q of N(s)^(-beta) N_q.
+
+        N(r)^(-beta) times a prefix of the zeta terms (see the module
+        docstring); 0.0 when r lies beyond the window.  A plain sum over
+        a slice, not a cumulative sum, so Z_e is bitwise zeta.
+        """
+        out = self._z_cache.get(r)
+        if out is None:
+            sg = self.system.semigroup
+            n = self.bound // r if sg.is_multiplicative else self.bound - r + 1
+            out = self.weight_pow(r) * float(np.sum(self._zeta_terms[: max(n, 0)]))
+            self._z_cache[r] = out
         return out
 
     # -- evaluation ----------------------------------------------------------
@@ -228,7 +196,7 @@ class KMSContext:
                     "omega is defined on the core; use kms() for general elements"
                 )
             mass += vec.coords[l].one_norm()
-        for i, s in enumerate(self.trunc.values):
+        for i, s in enumerate(self.trunc):
             w_s = float(self._zeta_terms[i]) / sys.weight(s)  # N(s)^(-beta)
             for j in range(sys.basis_count(s)):
                 probe = sys.basis_vector(s, j)
@@ -278,12 +246,7 @@ def zeta_series(system: ProductSystem, beta: float, bound: int) -> StateValue:
     """
     if not beta > system.beta_c:
         raise ValueError(f"beta = {beta} must exceed the critical exponent {system.beta_c}")
-    lo = system.semigroup.identity_value
-    svals = np.arange(lo, bound + 1, dtype=np.int64)
-    terms = _profile_zeta_terms(system.scaling.profile, beta, svals)
-    if terms is None:
-        nvals = np.asarray([system.scaling.of(int(v)) for v in svals])
-        terms = nvals ** (-beta) * system.weight_array(svals)
+    terms = _zeta_terms(system, beta, bound)
     tb = tail_bound(system.scaling, system.weight, beta, bound)
     return StateValue(complex(float(np.sum(terms))), float(tb), bound, rigorous=tb.rigorous)
 

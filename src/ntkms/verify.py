@@ -996,7 +996,7 @@ def run_suites(
 
     tasks: list[Callable[[], CheckReport]] = []
     if "structure" in wanted:
-        tasks.append(lambda: _flat(structure_reports(system)))
+        tasks.append(lambda: structure_reports(system))
         tasks.append(lambda: check_projection_covariance(system))
         tasks.append(lambda: check_corner_center(system))
         if system.engine.tag == "scalar":
@@ -1039,10 +1039,6 @@ def run_suites(
         else:
             out.append(item)
     return out
-
-
-def _flat(reports: list[CheckReport]) -> list[CheckReport]:
-    return reports
 
 
 def _timed_flat(fn):

@@ -22,9 +22,11 @@ import json
 import pytest
 
 from ntkms.cli import main
+from ntkms.coeff import haar_trace
 from ntkms.dsl import format_element
 from ntkms.nt import get_term_budget, set_term_budget, unit_projection
 from ntkms.product_system import AffineToeplitzSystem
+from ntkms.states import KMSContext
 
 AFFINE = AffineToeplitzSystem()
 
@@ -101,6 +103,19 @@ def test_eval_rejects_beta_at_or_below_critical(capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_window_below_the_identity_is_a_usage_error(capsys):
+    for system, bound, expr in (("affine-toeplitz", "0", "i[1](1@0)"),
+                                ("cuntz", "-1", "i[0](1@0)")):
+        code, out, err = run(
+            capsys, "eval", "--system", system, "--expr", expr, "--bound", bound
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+    with pytest.raises(ValueError):
+        KMSContext(AFFINE, haar_trace(AFFINE.engine), 3.0, bound=0)
 
 
 def test_eval_bad_expression_reports_the_column(capsys):

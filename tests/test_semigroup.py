@@ -104,11 +104,6 @@ def test_truncation_set_window():
     assert ta.closure_violations() == []
 
 
-def test_truncation_set_must_start_at_identity():
-    with pytest.raises(ValueError):
-        TruncationSet(NAT_MULT, 5, values=(2, 3, 4, 5))
-
-
 def test_scaling_validate_clean():
     assert power_scaling(2).validate(TruncationSet(NAT_MULT, 32)) == []
     assert geometric_scaling(3).validate(TruncationSet(NAT_ADD, 16)) == []
@@ -168,9 +163,3 @@ def test_tail_bound_rejects_subcritical_beta():
         tail_bound(power_scaling(1), lambda s: float(s), 2.0, 100)
     with pytest.raises(ValueError):
         tail_bound(geometric_scaling(2), lambda n: 2.0**n, 1.0, 100)
-
-
-def test_custom_profile_is_marked_nonrigorous():
-    sc = ScalingHomomorphism(NAT_MULT, lambda s: float(s), ("custom", 0), "custom")
-    tb = tail_bound(sc, lambda s: float(s), 4.0, 16)
-    assert not tb.rigorous and float(tb) > 0.0

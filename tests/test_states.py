@@ -96,14 +96,17 @@ def brute_z(ctx, r):
 @pytest.mark.parametrize("system", [AFFINE, TORUS2, CUNTZ], ids=lambda s: s.name)
 def test_z_value_matches_direct_sum(system):
     ctx = context(system, beta=3.0, bound=60)
-    fibers = (1, 2, 3, 5) if system.semigroup.is_multiplicative else (0, 1, 2, 5)
+    # 61 lies beyond the window, where Z_r is an empty sum
+    fibers = (1, 2, 3, 5, 61) if system.semigroup.is_multiplicative else (0, 1, 2, 5, 61)
     for r in fibers:
         assert abs(ctx.z_value(r) - brute_z(ctx, r)) < 1e-12
+    assert ctx.z_value(61) == brute_z(ctx, 61) == 0.0
 
 
 def test_z_value_at_identity_is_zeta_bitwise():
-    ctx = context(AFFINE)
-    assert ctx.z_value(1) == ctx.zeta
+    for system in (AFFINE, CUNTZ):
+        ctx = context(system)
+        assert ctx.z_value(system.identity_fiber()) == ctx.zeta
 
 
 # -- the state itself --------------------------------------------------------------
