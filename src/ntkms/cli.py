@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .coeff import TraceSpec, haar_trace, identity_trace, point_mass_trace
@@ -51,7 +50,6 @@ ALLOWED_CONFIG_KEYS = frozenset(
         "betas",
         "bound",
         "seed",
-        "threads",
         "term_budget",
         "suite",
         "state",
@@ -198,20 +196,6 @@ def _apply_term_budget(args, config) -> None:
         set_term_budget(budget)
 
 
-def _thread_count(args, config) -> int:
-    req = int(_opt(args, config, "threads", 1))
-    if req < 1:
-        raise UsageError("threads must be >= 1")
-    cap = os.environ.get("NTKMS_THREADS")
-    if cap is not None:
-        try:
-            capn = int(cap)
-        except ValueError:
-            raise UsageError("NTKMS_THREADS must be an integer") from None
-        req = min(req, max(1, capn))
-    return req
-
-
 def _parse_expression(expr: str, system: ProductSystem) -> NTElement:
     if expr is None:
         raise UsageError("an expression is required (--expr)")
@@ -319,14 +303,12 @@ def _cmd_verify(args, config) -> int:
     beta = float(_opt(args, config, "beta", 3.0))
     bound = int(_opt(args, config, "bound", 1000))
     seed = int(_opt(args, config, "seed", 7))
-    threads = _thread_count(args, config)
     traces = None
     if _opt(args, config, "trace") is not None:
         traces = [_make_trace(args, config, system)]
     try:
         reports = run_suites(
-            system, list(suites), beta=beta, bound=bound, seed=seed,
-            threads=threads, traces=traces,
+            system, list(suites), beta=beta, bound=bound, seed=seed, traces=traces
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -417,8 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="inverse temperature for the checks")
     p.add_argument("--bound", type=int, help="series truncation window")
     p.add_argument("--seed", type=int, help="sampling seed")
-    p.add_argument("--threads", type=int,
-                   help="thread pool size (capped by NTKMS_THREADS)")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("systems", parents=[common], help="list built-in systems")

@@ -246,6 +246,7 @@ def zeta_series(system: ProductSystem, beta: float, bound: int) -> StateValue:
     """
     if not beta > system.beta_c:
         raise ValueError(f"beta = {beta} must exceed the critical exponent {system.beta_c}")
+    TruncationSet(system.semigroup, bound)  # rejects a bound below the identity
     terms = _zeta_terms(system, beta, bound)
     tb = tail_bound(system.scaling, system.weight, beta, bound)
     return StateValue(complex(float(np.sum(terms))), float(tb), bound, rigorous=tb.rigorous)

@@ -171,17 +171,14 @@ def structure_reports(system: ProductSystem, bound: Optional[int] = None) -> lis
     trunc = TruncationSet(system.semigroup, bound)
     out: list[CheckReport] = []
 
-    t0 = time.perf_counter()
-    report = system.validate(trunc)
-    elapsed = time.perf_counter() - t0
-    for c in report.checks:
+    for c in system.validate(trunc).checks:
         out.append(
             CheckReport(
                 name=f"structure:{c.name}",
                 passed=c.passed,
                 metrics={"bound": bound, **({"witness": c.witness} if c.witness else {})},
                 detail=c.detail,
-                seconds=elapsed / max(1, len(report.checks)),
+                seconds=c.seconds,
             )
         )
 
@@ -978,14 +975,9 @@ def run_suites(
     beta: float = 3.0,
     bound: int = 1000,
     seed: int = 7,
-    threads: int = 1,
     traces: Optional[list[TraceSpec]] = None,
 ) -> list[CheckReport]:
-    """Assemble and run the named suites, in a stable order.
-
-    With threads > 1 the checks run on a thread pool but the report
-    order stays the submission order.
-    """
+    """Assemble and run the named suites, in a stable order."""
     wanted = set(suites)
     if "all" in wanted:
         wanted = set(SUITE_NAMES) - {"all"}
@@ -1024,29 +1016,14 @@ def run_suites(
     if "euler" in wanted:
         tasks.append(lambda: check_euler(system, beta=max(beta, 3.0)))
 
-    if threads <= 1:
-        results = [_timed_flat(fn) for fn in tasks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_timed_flat, fn) for fn in tasks]
-            results = [f.result() for f in futures]
-    out: list[CheckReport] = []
-    for item in results:
-        if isinstance(item, list):
-            out.extend(item)
-        else:
-            out.append(item)
-    return out
+    return [rep for fn in tasks for rep in _timed_flat(fn)]
 
 
-def _timed_flat(fn):
+def _timed_flat(fn) -> list[CheckReport]:
+    """Run one task; a single report gets the task's time, a list keeps its own."""
     t0 = time.perf_counter()
     item = fn()
-    elapsed = time.perf_counter() - t0
     if isinstance(item, list):
         return item
-    if item.seconds == 0.0:
-        item.seconds = elapsed
-    return item
+    item.seconds = time.perf_counter() - t0
+    return [item]

@@ -9,8 +9,7 @@ The contract pinned here:
 * exit 0 on success, 1 when a verification check fails, 2 for usage
   errors of any flavour (bad flags, bad config, bad expressions), 3
   when the symbolic term budget trips.
-* repeated runs with the same arguments emit byte-identical stdout,
-  including ``verify`` under different thread counts.
+* repeated runs with the same arguments emit byte-identical stdout.
 
 Everything runs in process through ``main(argv)``; ``--term-budget``
 mutates a module global that the CLI never restores (a real process
@@ -25,8 +24,8 @@ from ntkms.cli import main
 from ntkms.coeff import haar_trace
 from ntkms.dsl import format_element
 from ntkms.nt import get_term_budget, set_term_budget, unit_projection
-from ntkms.product_system import AffineToeplitzSystem
-from ntkms.states import KMSContext
+from ntkms.product_system import AffineToeplitzSystem, CuntzSystem
+from ntkms.states import KMSContext, zeta_series
 
 AFFINE = AffineToeplitzSystem()
 
@@ -116,6 +115,10 @@ def test_window_below_the_identity_is_a_usage_error(capsys):
         assert err.startswith("error:")
     with pytest.raises(ValueError):
         KMSContext(AFFINE, haar_trace(AFFINE.engine), 3.0, bound=0)
+    with pytest.raises(ValueError):
+        zeta_series(AFFINE, 3.0, 0)
+    with pytest.raises(ValueError):
+        zeta_series(CuntzSystem(2), 3.0, -1)
 
 
 def test_eval_bad_expression_reports_the_column(capsys):
@@ -270,29 +273,14 @@ def test_verify_stdout_is_deterministic_across_runs_and_threads(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
-    _, threaded, _ = run(capsys, *argv, "--threads", "2")
-    assert threaded == first
-
-
-def test_verify_thread_count_is_capped_by_the_environment(capsys, monkeypatch):
-    argv = ("verify", "--system", "affine-toeplitz", "--suite", "structure",
-            "--corrupt", "2,2,0,1,1,0")
-    _, plain, _ = run(capsys, *argv)
-    monkeypatch.setenv("NTKMS_THREADS", "1")
-    code, capped, _ = run(capsys, *argv, "--threads", "8")
-    assert code == 1 and capped == plain
-
-    monkeypatch.setenv("NTKMS_THREADS", "soup")
-    code, _, err = run(capsys, *argv)
-    assert code == 2 and "NTKMS_THREADS must be an integer" in err
 
 
 def test_verify_rejects_bad_thread_and_suite_requests(capsys, tmp_path):
-    code, _, err = run(
-        capsys, "verify", "--system", "affine-toeplitz",
-        "--suite", "structure", "--threads", "0",
-    )
-    assert code == 2 and "threads must be >= 1" in err
+    # "threads" is not a config key
+    cfg = tmp_path / "threads.json"
+    cfg.write_text(json.dumps({"system": "affine-toeplitz", "threads": 2}))
+    code, _, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and "unknown config keys" in err
 
     # argparse screens --suite, so a bogus suite can only arrive via config
     cfg = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +78,18 @@ def test_index_map_bijective_and_split_inverse(system):
                     seen.add(i)
                     assert system.index_split(s, r, i) == (j, k)
             assert len(seen) == system.basis_count(sr)
+            # the maps act elementwise on index grids and leave them alone
+            grid = np.indices((system.basis_count(s), system.basis_count(r)))
+            j, k = grid.copy()
+            i = system.index_map(s, r, j, k)
+            assert (j == grid[0]).all() and (k == grid[1]).all()
+            scalar = [[system.index_map(s, r, a, b) for b in range(k.shape[1])]
+                      for a in range(j.shape[0])]
+            assert i.tolist() == scalar
+            before = i.copy()
+            sj, sk = system.index_split(s, r, i)
+            assert (i == before).all()
+            assert (sj == j).all() and (sk == k).all()
 
 
 @pytest.mark.parametrize("system", ALL, ids=lambda s: s.name)
@@ -236,7 +249,43 @@ def test_corrupted_system_fails_associativity_with_witness():
     assert by_name["index-map-bijective"].passed
     failure = by_name["index-map-associative"]
     assert not failure.passed
-    assert failure.witness is not None
+    assert failure.witness == {"s": 2, "r": 2, "q": 2, "j": 0, "k": 0, "l": 1,
+                               "lhs": 4, "rhs": 2}
+    assert by_name["left-action-coherent"].witness == {
+        "s": 2, "r": 2, "a": "(1+0j)*S", "nu": 0, "j": 0, "u": 1, "k": 0}
+    # the coherence scan runs over (j, nu, k, u); this swap breaks two cells
+    other = AFFINE.corrupted(2, 2, (0, 0), (0, 1))
+    report = other.validate(TruncationSet(other.semigroup, 4))
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["left-action-coherent"].witness == {
+        "s": 2, "r": 2, "a": "(1+0j)*S", "nu": 1, "j": 0, "u": 0, "k": 0}
+
+
+class _AddedIndices(AffineToeplitzSystem):
+    def index_map(self, s, r, j, k):
+        return j + k
+
+
+class _FoldedIndices(AffineToeplitzSystem):
+    def index_map(self, s, r, j, k):
+        return j + s * (k % 2) if r > 2 else j + s * k
+
+
+class _ShiftedIndices(AffineToeplitzSystem):
+    def index_map(self, s, r, j, k):
+        return j + s * k + 1
+
+
+@pytest.mark.parametrize("system, witness", [
+    (_AddedIndices(), {"s": 2, "r": 2, "j": 0, "k": 1, "split": (1, 0)}),
+    (_FoldedIndices(), {"s": 1, "r": 3, "j": 0, "k": 2, "value": 0, "clash": (0, 0)}),
+    (_ShiftedIndices(), {"s": 1, "r": 1, "j": 0, "k": 0, "value": 1, "clash": None}),
+], ids=["split", "clash", "out-of-range"])
+def test_non_bijective_index_map_names_the_first_bad_pair(system, witness):
+    report = system.validate(TruncationSet(system.semigroup, 6))
+    check = next(c for c in report.checks if c.name == "index-map-bijective")
+    assert not check.passed
+    assert check.witness == witness
 
 
 def test_corrupted_split_still_inverts_map():
