@@ -56,7 +56,6 @@ from .semigroup import (
     NAT_MULT,
     ScalingHomomorphism,
     Semigroup,
-    TailBound,
     TruncationSet,
     tail_bound,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "Semigroup",
     "StateValue",
     "TOEPLITZ",
-    "TailBound",
     "TermBudgetExceeded",
     "ToeplitzEngine",
     "TorusDilationSystem",

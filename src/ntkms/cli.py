@@ -288,7 +288,7 @@ def _cmd_sweep(args, config) -> int:
     print(",".join(header))
     for beta in betas:
         ctx = KMSContext(system, trace, beta, bound)
-        row = [_g(beta), _g(ctx.zeta), _g(float(ctx.zeta_tail))]
+        row = [_g(beta), _g(ctx.zeta), _g(ctx.zeta_tail)]
         for _, y in observables:
             row.append(_complex_csv(ctx.kms(y).value))
         print(",".join(row))

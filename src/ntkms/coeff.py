@@ -272,9 +272,11 @@ class CoefficientElement:
         return CoefficientElement(self.engine, {m: w * c for m, c in self.terms.items()})
 
     def adjoint(self):
+        # conjugating a real weight gives it a -0.0 imaginary part; 0.0 +
+        # clears it, as products and sums do, so printed forms keep "+0i"
         eng = self.engine
         return CoefficientElement(
-            eng, {eng.adjoint(m): w.conjugate() for m, w in self.terms.items()}
+            eng, {eng.adjoint(m): 0.0 + w.conjugate() for m, w in self.terms.items()}
         )
 
     def one_norm(self) -> float:

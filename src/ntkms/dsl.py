@@ -250,7 +250,8 @@ class _Parser:
 
     def parse_coords(self, fiber: int) -> ModuleVector:
         n = self.system.basis_count(fiber)
-        coords = [CoefficientElement.zero(self.system.engine) for _ in range(n)]
+        coords: dict[int, CoefficientElement] = {}
+        zero = CoefficientElement.zero(self.system.engine)
         while True:
             coeff = self.parse_coeff_sum()
             self.expect_sym("@")
@@ -260,12 +261,12 @@ class _Parser:
                 raise DSLError(
                     f"basis index {idx} out of range for fiber {fiber} (rank {n})", tok.pos
                 )
-            coords[idx] = coords[idx] + coeff
+            coords[idx] = coords.get(idx, zero) + coeff
             if self.peek().kind == "SYM" and self.peek().text == ",":
                 self.take()
                 continue
             break
-        return ModuleVector(self.system, fiber, tuple(coords))
+        return ModuleVector(self.system, fiber, coords)
 
     # scalar level ----------------------------------------------------------
 
@@ -425,11 +426,7 @@ def _format_coeff(c: CoefficientElement) -> str:
 
 
 def _format_vector(vec: ModuleVector) -> str:
-    bits = []
-    for j, c in enumerate(vec.coords):
-        if not c.is_zero():
-            bits.append(f"({_format_coeff(c)})@{j}")
-    return ", ".join(bits)
+    return ", ".join(f"({_format_coeff(c)})@{j}" for j, c in vec.entries.items())
 
 
 def format_element(y: NTElement) -> str:

@@ -88,7 +88,7 @@ class TruncatedFock:
 
     def creation_vector(self, xi: ModuleVector) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for j, c in enumerate(xi.coords):
+        for j, c in xi.entries.items():
             w = _scalar(c)
             if w != 0:
                 out += w * self.creation(xi.fiber, j)
@@ -147,11 +147,11 @@ class TruncatedFock:
         s = xi.fiber
         n = self.system.basis_count(s)
         block = np.zeros((n, n), dtype=complex)
-        for j, c in enumerate(xi.coords):
+        for j, c in xi.entries.items():
             wj = _scalar(c)
             if wj == 0:
                 continue
-            for i, c2 in enumerate(eta.coords):
+            for i, c2 in eta.entries.items():
                 wi = _scalar(c2)
                 if wi != 0:
                     block[j, i] += wj * wi.conjugate()

@@ -117,7 +117,7 @@ class NTElement:
     def embed_coeff(cls, system: ProductSystem, a: CoefficientElement) -> "NTElement":
         """i_e(a), the copy of the coefficient algebra."""
         e = system.identity_fiber()
-        return cls.embed(system, e, ModuleVector(system, e, (a,)))
+        return cls.embed(system, e, ModuleVector(system, e, {0: a}))
 
     @classmethod
     def from_monomial(
@@ -127,11 +127,8 @@ class NTElement:
         if xi.fiber != s or eta.fiber != r:
             raise ValueError("vectors not in the stated fibers")
         out: dict[tuple[int, int, int], ModuleVector] = {}
-        for l, c in enumerate(eta.coords):
-            if c.is_zero():
-                continue
-            vec = xi.right_mul(c.adjoint())
-            _accumulate(out, (s, r, l), vec)
+        for l, c in eta.entries.items():
+            _accumulate(out, (s, r, l), xi.right_mul(c.adjoint()))
         return cls(system, out)
 
     # -- linear structure ---------------------------------------------------
@@ -169,12 +166,15 @@ class NTElement:
     # -- star algebra ---------------------------------------------------------
 
     def adjoint(self) -> "NTElement":
-        """Termwise [i_s(xi) i_r(1_l)*]* = i_r(1_l) i_s(xi)*."""
-        sys = self.system
-        out = NTElement.zero(sys)
+        """Termwise [i_s(xi) i_r(1_l)*]* = i_r(1_l) i_s(xi)* =
+        sum_k i_r(1_l xi_k*) i_s(1_k)*, gathered in one pass: the entry
+        (k, c) of xi puts c* at index l of the vector keyed (r, s, k)."""
+        acc: dict[tuple[int, int, int], dict[int, CoefficientElement]] = {}
         for (s, r, l), vec in self.terms.items():
-            out = out + NTElement.from_monomial(sys, r, sys.basis_vector(r, l), s, vec)
-        return out
+            for k, c in vec.entries.items():
+                acc.setdefault((r, s, k), {})[l] = c.adjoint()
+        sys = self.system
+        return NTElement(sys, {key: ModuleVector(sys, key[0], x) for key, x in acc.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -194,13 +194,15 @@ class NTElement:
                 for u in range(sys.basis_count(gg)):
                     i = sys.index_map(r, gg, l, u)
                     ig, irr = sys.index_split(g, rr, i)
-                    b = zeta.coords[ig]
-                    if b.is_zero():
+                    b = zeta.entries.get(ig)
+                    if b is None:
                         continue
                     emitted += 1
                     if emitted > _budget:
                         raise TermBudgetExceeded(
-                            f"product exceeded the raw-term cap ({_budget}); "
+                            f"product of {len(self.terms)} x {len(other.terms)} terms "
+                            f"exceeded the raw-term cap ({_budget}) while reducing the "
+                            f"fiber pair (r, g) = ({r}, {g}); "
                             "raise the budget or shrink the operands"
                         )
                     left = sys.module_product(xi, sys.basis_vector(gg, u))
@@ -208,9 +210,7 @@ class NTElement:
                         sys.basis_vector(h, m, coeff=b.adjoint()),
                         sys.basis_vector(rr, irr),
                     )
-                    for lr, c in enumerate(right.coords):
-                        if c.is_zero():
-                            continue
+                    for lr, c in right.entries.items():
                         _accumulate(out, (sgg, hrr, lr), left.right_mul(c.adjoint()))
         return NTElement(sys, out)
 
@@ -223,15 +223,23 @@ class NTElement:
         )
 
     def alpha(self, s: int) -> "NTElement":
-        """alpha_s(y) = sum_j i_s(1_j) y i_s(1_j)*."""
+        """alpha_s(y) = sum_j i_s(1_j) y i_s(1_j)*, written termwise.
+
+        Since L_g(1) is the identity, i_s(1_j) i_g(zeta) i_h(1_m)* i_s(1_j)*
+        = i_(sg)(1_j zeta) i_(sh)(1_(m(s, h; j, m)))*, where 1_j zeta has
+        the entry zeta_v at index m(s, g; j, v).  Distinct (j, term) give
+        distinct keys, so alpha_s only reindexes and does no arithmetic.
+        """
         sys = self.system
-        e = sys.identity_fiber()
-        out = NTElement.zero(sys)
+        sg = sys.semigroup
+        im = sys.index_map
+        out: dict[tuple[int, int, int], ModuleVector] = {}
         for j in range(sys.basis_count(s)):
-            pj = NTElement(sys, {(s, e, 0): sys.basis_vector(s, j)})
-            qj = NTElement(sys, {(e, s, j): sys.basis_vector(e, 0)})
-            out = out + pj * self * qj
-        return out
+            for (g, h, m), zeta in self.terms.items():
+                x = {im(s, g, j, v): c for v, c in zeta.entries.items()}
+                out[(sg.mul(s, g), sg.mul(s, h), im(s, h, j, m))] = ModuleVector(
+                    sys, sg.mul(s, g), x)
+        return NTElement(sys, out)
 
     def dynamics(self, z: complex) -> "NTElement":
         """Scale each term by (N(s)/N(r))^(iz); z = i*beta gives the

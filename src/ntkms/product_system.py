@@ -12,9 +12,11 @@ a coefficient engine A:
   *-homomorphism into N_s by N_s matrices and coherent with the index
   maps: L_(sr)(a)[m(v, u), m(j, k)] = L_r(L_s(a)[v, j])[u, k].
 
-Vectors in a fiber are coordinate tuples over A relative to the
-orthonormal basis, so the inner product is <x, y> = sum_j x_j* y_j and
-the bimodule structure is exact symbolic arithmetic.
+Vectors in a fiber are sparse: only their nonzero coordinates over A
+relative to the orthonormal basis are stored, keyed by basis index, so
+a vector in a huge fiber costs only its support.  The inner product is
+<x, y> = sum_j x_j* y_j and the bimodule structure is exact symbolic
+arithmetic.
 
 Built-in instances
 ------------------
@@ -36,6 +38,7 @@ cuntz             nat-add over scalars with branching k: fibers are words
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -71,55 +74,73 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ModuleVector:
-    """A vector in one fiber, as coordinates over the coefficient engine."""
+    """A vector in one fiber: its nonzero coordinates over the engine.
 
-    system: "ProductSystem"
-    fiber: int
-    coords: tuple[CoefficientElement, ...]
+    ``entries`` maps basis indices to nonzero coefficients in ascending
+    index order.  The constructor takes such a mapping, or a dense
+    sequence of exactly N_s coordinates.
+    """
 
-    def __post_init__(self):
-        n = self.system.basis_count(self.fiber)
-        if len(self.coords) != n:
-            raise ValueError(
-                f"fiber {self.fiber} needs {n} coordinates, got {len(self.coords)}"
-            )
+    __slots__ = ("system", "fiber", "entries")
+
+    def __init__(self, system: "ProductSystem", fiber: int, x):
+        n = system.basis_count(fiber)
+        if not isinstance(x, Mapping):
+            if len(x) != n:
+                raise ValueError(f"fiber {fiber} needs {n} coordinates, got {len(x)}")
+            x = dict(enumerate(x))
+        keys = sorted(x)
+        for j in keys[:1] + keys[-1:]:
+            if not 0 <= j < n:
+                raise ValueError(f"basis index {j} out of range for fiber {fiber}")
+        self.system, self.fiber = system, fiber
+        self.entries = {j: x[j] for j in keys if not x[j].is_zero()}
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not self.entries
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         if self.system is not other.system or self.fiber != other.fiber:
             raise ValueError("vectors live in different fibers")
-        return ModuleVector(
-            self.system,
-            self.fiber,
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
-        )
+        out = dict(self.entries)
+        zero = CoefficientElement.zero(self.system.engine)
+        for j, c in other.entries.items():
+            out[j] = out.get(j, zero) + c
+        return ModuleVector(self.system, self.fiber, out)
 
     def scale(self, w: complex) -> "ModuleVector":
-        return ModuleVector(self.system, self.fiber, tuple(c.scale(w) for c in self.coords))
+        scaled = {j: c.scale(w) for j, c in self.entries.items()}
+        return ModuleVector(self.system, self.fiber, scaled)
 
     def right_mul(self, a: CoefficientElement) -> "ModuleVector":
         """The right module action, coordinatewise on the right."""
-        return ModuleVector(self.system, self.fiber, tuple(c * a for c in self.coords))
+        return ModuleVector(self.system, self.fiber, {j: c * a for j, c in self.entries.items()})
 
     def inner(self, other: "ModuleVector") -> CoefficientElement:
         """<x, y> = sum_j x_j* y_j, conjugate linear in the first slot."""
         if self.system is not other.system or self.fiber != other.fiber:
             raise ValueError("vectors live in different fibers")
         out = CoefficientElement.zero(self.system.engine)
-        for a, b in zip(self.coords, other.coords):
-            if not a.is_zero() and not b.is_zero():
-                out = out + a.adjoint() * b
+        for j, a in self.entries.items():
+            if j in other.entries:
+                out = out + a.adjoint() * other.entries[j]
         return out
 
     def one_norm(self) -> float:
-        return sum(c.one_norm() for c in self.coords)
+        return sum(c.one_norm() for c in self.entries.values())
+
+    def __eq__(self, other):
+        if not isinstance(other, ModuleVector):
+            return NotImplemented
+        return (self.system is other.system and self.fiber == other.fiber
+                and self.entries == other.entries)
+
+    def __hash__(self):
+        return hash((self.fiber, frozenset(self.entries.items())))
 
     def __repr__(self):
-        bits = [f"{c!r}@{j}" for j, c in enumerate(self.coords) if not c.is_zero()]
+        bits = [f"{c!r}@{j}" for j, c in self.entries.items()]
         return f"<fiber {self.fiber}: {', '.join(bits) or '0'}>"
 
 
@@ -175,12 +196,12 @@ class LMatrix:
             {(j, i): v.adjoint() for (i, j), v in self.entries.items()},
         )
 
-    def apply(self, coords: tuple[CoefficientElement, ...]) -> list[CoefficientElement]:
-        out = [CoefficientElement.zero(self.engine) for _ in range(self.shape[0])]
+    def apply(self, x: dict[int, CoefficientElement]) -> dict[int, CoefficientElement]:
+        """The matrix times a sparse coordinate dict, as a sparse dict."""
+        out: dict[int, CoefficientElement] = {}
         for (i, j), v in self.entries.items():
-            c = coords[j]
-            if not c.is_zero():
-                out[i] = out[i] + v * c
+            if j in x:
+                out[i] = out[i] + v * x[j] if i in out else v * x[j]
         return out
 
     def __eq__(self, other):
@@ -299,20 +320,12 @@ class ProductSystem:
         """a . xi via the stored matrices; entries multiply on the left."""
         if xi.fiber != s:
             raise ValueError("vector not in the requested fiber")
-        mat = self.left_matrix(s, a)
-        return ModuleVector(self, s, tuple(mat.apply(xi.coords)))
+        return ModuleVector(self, s, self.left_matrix(s, a).apply(xi.entries))
 
     def basis_vector(self, s: int, j: int, coeff: CoefficientElement | None = None) -> ModuleVector:
-        n = self.basis_count(s)
-        if not (0 <= j < n):
-            raise ValueError(f"basis index {j} out of range for fiber {s}")
-        coeff = coeff if coeff is not None else CoefficientElement.unit(self.engine)
-        zero = CoefficientElement.zero(self.engine)
-        return ModuleVector(self, s, tuple(coeff if i == j else zero for i in range(n)))
-
-    def zero_vector(self, s: int) -> ModuleVector:
-        zero = CoefficientElement.zero(self.engine)
-        return ModuleVector(self, s, tuple(zero for _ in range(self.basis_count(s))))
+        """coeff (default the unit) at basis index j of the fiber at s."""
+        c = CoefficientElement.unit(self.engine) if coeff is None else coeff
+        return ModuleVector(self, s, {j: c})
 
     def module_product(self, xi: ModuleVector, eta: ModuleVector) -> ModuleVector:
         """The multiplication X_s x X_r -> X_(sr) in coordinates.
@@ -321,18 +334,12 @@ class ProductSystem:
         bilinear extension of 1_j a . 1_k b = 1_(m(j, v)) L_r(a)[v, k] b.
         """
         s, r = xi.fiber, eta.fiber
-        sg = self.semigroup
-        sr = sg.mul(s, r)
-        out = [CoefficientElement.zero(self.engine) for _ in range(self.basis_count(sr))]
-        for j, xc in enumerate(xi.coords):
-            if xc.is_zero():
-                continue
-            acted = self.left_matrix(r, xc).apply(eta.coords)
-            for v, val in enumerate(acted):
-                if not val.is_zero():
-                    idx = self.index_map(s, r, j, v)
-                    out[idx] = out[idx] + val
-        return ModuleVector(self, sr, tuple(out))
+        out: dict[int, CoefficientElement] = {}
+        for j, xc in xi.entries.items():
+            for v, val in self.left_matrix(r, xc).apply(eta.entries).items():
+                i = self.index_map(s, r, j, v)
+                out[i] = out[i] + val if i in out else val
+        return ModuleVector(self, self.semigroup.mul(s, r), out)
 
     def fiber_trace(self, s: int, a: CoefficientElement) -> CoefficientElement:
         """sum_j <1_j, a . 1_j>, the unnormalised trace of L_s(a)."""
@@ -495,7 +502,10 @@ class ProductSystem:
         For glb(s, r) = e the same product index must never arise from
         two different (right factor) choices on either side:
         m(s,r; j, m) = m(r,s; l, g) and m(s,r; j, n) = m(r,s; l, h)
-        forces m = n and g = h.
+        forces m = n and g = h.  Both maps are evaluated on index grids;
+        for each j, every value m(r,s; l, g) is looked up in the row
+        m(s,r; j, .), the last m winning where the row repeats a value,
+        and the first (j, l) with two hits fails with its first two.
         """
         sg = self.semigroup
         e = sg.identity_value
@@ -506,17 +516,18 @@ class ProductSystem:
                     continue
                 pairs += 1
                 ns, nr = self.basis_count(s), self.basis_count(r)
-                for j in range(ns):
-                    row_j = {self.index_map(s, r, j, m_): m_ for m_ in range(nr)}
-                    for l in range(nr):
-                        hits = []
-                        for g in range(ns):
-                            i = self.index_map(r, s, l, g)
-                            if i in row_j:
-                                hits.append((row_j[i], g))
-                        if len(hits) > 1:
-                            return False, {"s": s, "r": r, "j": j, "l": l,
-                                           "collisions": hits[:2]}, pairs
+                rows = self.index_map(s, r, *np.indices((ns, nr)))
+                other = self.index_map(r, s, *np.indices((nr, ns)))
+                for j, row in enumerate(rows):
+                    order = np.argsort(row, kind="stable")
+                    ranked = row[order]
+                    # the last position of each value, so the last m wins
+                    pos = np.searchsorted(ranked, other, side="right") - 1
+                    hit = (pos >= 0) & (ranked[pos] == other)
+                    for l in np.flatnonzero(hit.sum(axis=1) > 1)[:1]:
+                        hits = [(int(order[pos[l, g]]), int(g)) for g in np.flatnonzero(hit[l])]
+                        return False, {"s": s, "r": r, "j": j, "l": int(l),
+                                       "collisions": hits[:2]}, pairs
         return True, None, pairs
 
     def corrupted(self, s: int, r: int, pair_a: tuple[int, int], pair_b: tuple[int, int]):

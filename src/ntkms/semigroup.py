@@ -33,7 +33,6 @@ __all__ = [
     "Semigroup",
     "TruncationSet",
     "ScalingHomomorphism",
-    "TailBound",
     "NAT_MULT",
     "NAT_ADD",
     "tail_bound",
@@ -204,36 +203,16 @@ def geometric_scaling(k: int) -> ScalingHomomorphism:
     return ScalingHomomorphism(NAT_ADD, lambda n: float(k) ** n, ("geometric", k), f"{k}^n")
 
 
-@dataclass(frozen=True)
-class TailBound:
-    """An over-estimate of a dropped series tail.
-
-    :func:`tail_bound` only returns closed forms, which are rigorous;
-    ``rigorous`` records that on every value derived from the bound.
-    """
-
-    value: float
-    rigorous: bool
-
-    def __float__(self):
-        return self.value
-
-
-def tail_bound(
-    scaling: ScalingHomomorphism,
-    weights: Callable[[int], float],
-    beta: float,
-    bound: int,
-) -> TailBound:
-    """Bound sum of N(s)**(-beta) * weight(s) over elements beyond ``bound``.
+def tail_bound(scaling: ScalingHomomorphism, beta: float, bound: int) -> float:
+    """Bound sum of N(s)**(-beta) * N_s over elements beyond ``bound``.
 
     For the power profile (weights s**d on nat-mult) the integral test
     gives bound**(d*(1-beta)+1) / (d*(beta-1)-1).  For the geometric
     profile (weights k**n on nat-add) the geometric series starting at
     ``bound`` gives k**((1-beta)*bound) / (1 - k**(1-beta)); starting at
     the bound rather than just past it keeps the estimate an over-count.
-    Both closed forms take ``weights`` to be the profile's own N_s; any
-    other profile is a ``ValueError``.
+    Both closed forms take N_s to be the profile's own weight; any other
+    profile is a ``ValueError``.
     """
     kind, p = scaling.profile
     if kind == "power":
@@ -242,11 +221,11 @@ def tail_bound(
             raise ValueError(
                 f"beta = {beta} is at or below the critical exponent {1 + 1 / d}"
             )
-        return TailBound(bound ** (d * (1.0 - beta) + 1.0) / (d * (beta - 1.0) - 1.0), True)
+        return bound ** (d * (1.0 - beta) + 1.0) / (d * (beta - 1.0) - 1.0)
     if kind == "geometric":
         k = p
         ratio = float(k) ** (1.0 - beta)
         if ratio >= 1.0:
             raise ValueError(f"beta = {beta} is at or below the critical exponent 1")
-        return TailBound(ratio**bound / (1.0 - ratio), True)
+        return ratio**bound / (1.0 - ratio)
     raise ValueError(f"no closed-form tail bound for the scaling profile {scaling.profile!r}")

@@ -28,10 +28,10 @@ a prefix of the zeta terms: the first floor(B/r) of them on nat-mult and
 the first B - r + 1 on nat-add.  A literal evaluator that walks every
 fiber basis vector symbolically is kept as a slow cross-check.
 
-Dropped tails are bounded rigorously: each term beyond the window
-contributes at most N(s)^(-beta) N_s times the coordinate one-norm, so
-the reported tail is the zeta tail bound scaled by the total one-norm
-over zeta.  The zero-degree moment is pinned to exactly 1.0, and the
+Dropped series tails are bounded in closed form: each term beyond the
+window contributes at most N(s)^(-beta) N_s times the coordinate
+one-norm, so the reported tail is the zeta tail bound scaled by the
+total one-norm over zeta.  The zero-degree moment is pinned to exactly 1.0, and the
 identity partial sum is the same summation over the same array as zeta,
 so the state of the unit is exactly 1.0, not 1.0 up to rounding.
 """
@@ -47,7 +47,7 @@ import numpy as np
 from .coeff import TraceSpec
 from .nt import NTElement
 from .product_system import ProductSystem
-from .semigroup import TailBound, TruncationSet, tail_bound
+from .semigroup import TruncationSet, tail_bound
 
 __all__ = [
     "StateValue",
@@ -64,14 +64,12 @@ __all__ = [
 class StateValue:
     """A state evaluation with its truncation certificate.
 
-    ``tail`` bounds the modulus of the dropped series remainder;
-    ``rigorous`` records whether the bound came from a closed form.
+    ``tail`` bounds the modulus of the dropped series remainder.
     """
 
     value: complex
     tail: float
     truncation: int
-    rigorous: bool = True
 
     def as_dict(self) -> dict:
         return {
@@ -112,9 +110,7 @@ class KMSContext:
         self.trunc = TruncationSet(system.semigroup, self.bound)
         self._zeta_terms = _zeta_terms(system, self.beta, self.bound)
         self.zeta = float(np.sum(self._zeta_terms))
-        self.zeta_tail: TailBound = tail_bound(
-            system.scaling, system.weight, self.beta, self.bound
-        )
+        self.zeta_tail = tail_bound(system.scaling, self.beta, self.bound)
         self._z_cache: dict[int, float] = {}
 
     # -- series building blocks ------------------------------------------
@@ -156,7 +152,9 @@ class KMSContext:
                 raise ValueError(
                     "omega is defined on the core; use kms() for general elements"
                 )
-            a = vec.coords[l]
+            a = vec.entries.get(l)
+            if a is None:
+                continue
             mass += a.one_norm()
             for mon, w in a.sorted_terms():
                 deg = eng.degree(mon)
@@ -175,8 +173,7 @@ class KMSContext:
                         * self.trace.moment(tuple(c // q for c in deg))
                     )
         value = total / self.zeta
-        tail = float(self.zeta_tail) * mass / self.zeta
-        return StateValue(value, tail, self.bound, rigorous=self.zeta_tail.rigorous)
+        return StateValue(value, self.zeta_tail * mass / self.zeta, self.bound)
 
     def omega_literal(self, y: NTElement) -> StateValue:
         """The defining double sum, walking fiber bases symbolically.
@@ -195,7 +192,7 @@ class KMSContext:
                 raise ValueError(
                     "omega is defined on the core; use kms() for general elements"
                 )
-            mass += vec.coords[l].one_norm()
+            mass += vec.entries[l].one_norm() if l in vec.entries else 0.0
         for i, s in enumerate(self.trunc):
             w_s = float(self._zeta_terms[i]) / sys.weight(s)  # N(s)^(-beta)
             for j in range(sys.basis_count(s)):
@@ -212,8 +209,7 @@ class KMSContext:
                     acc += self.trace.eval(probe.inner(image))
                 total += w_s * acc
         value = total / self.zeta
-        tail = float(self.zeta_tail) * mass / self.zeta
-        return StateValue(value, tail, self.bound, rigorous=self.zeta_tail.rigorous)
+        return StateValue(value, self.zeta_tail * mass / self.zeta, self.bound)
 
     def kms(self, y: NTElement) -> StateValue:
         """The KMS_beta state on a general element: omega after the core
@@ -234,7 +230,7 @@ def ground_state(system: ProductSystem, trace: TraceSpec, y: NTElement) -> State
     """
     e = system.identity_fiber()
     vec = y.terms.get((e, e, 0))
-    value = 0.0 + 0.0j if vec is None else trace.eval(vec.coords[0])
+    value = 0.0 + 0.0j if vec is None else trace.eval(vec.entries[0])
     return StateValue(value, 0.0, 0)
 
 
@@ -248,8 +244,8 @@ def zeta_series(system: ProductSystem, beta: float, bound: int) -> StateValue:
         raise ValueError(f"beta = {beta} must exceed the critical exponent {system.beta_c}")
     TruncationSet(system.semigroup, bound)  # rejects a bound below the identity
     terms = _zeta_terms(system, beta, bound)
-    tb = tail_bound(system.scaling, system.weight, beta, bound)
-    return StateValue(complex(float(np.sum(terms))), float(tb), bound, rigorous=tb.rigorous)
+    tail = tail_bound(system.scaling, beta, bound)
+    return StateValue(complex(float(np.sum(terms))), tail, bound)
 
 
 @lru_cache(maxsize=8)

@@ -133,10 +133,8 @@ def sample_coeff(rng: Random, engine, terms: int = 2, max_exp: int = 3) -> Coeff
 
 def sample_vector(rng: Random, system: ProductSystem, fiber: int, spread: int = 2) -> ModuleVector:
     n = system.basis_count(fiber)
-    coords = [CoefficientElement.zero(system.engine) for _ in range(n)]
-    for j in rng.sample(range(n), min(n, rng.randint(1, spread))):
-        coords[j] = sample_coeff(rng, system.engine)
-    return ModuleVector(system, fiber, tuple(coords))
+    picks = rng.sample(range(n), min(n, rng.randint(1, spread)))
+    return ModuleVector(system, fiber, {j: sample_coeff(rng, system.engine) for j in picks})
 
 
 def sample_element(
@@ -421,9 +419,8 @@ def check_ground(
             # product almost never reaches
             a = sample_coeff(rng, system.engine)
             m = rng.randrange(system.basis_count(s))
-            coords = list(sample_vector(rng, system, s).coords)
-            coords[m] = a.adjoint()
-            y2 = NTElement(system, {(s, r, 0): ModuleVector(system, s, tuple(coords))})
+            coords = {**sample_vector(rng, system, s).entries, m: a.adjoint()}
+            y2 = NTElement(system, {(s, r, 0): ModuleVector(system, s, coords)})
             left = NTElement(system, {(e, s, m): ModuleVector(system, e, (a,))})
         else:
             y2 = NTElement(

@@ -419,6 +419,8 @@ def test_term_budget_trips_with_exit_three(capsys):
     )
     assert code == 3
     assert "raw-term cap (10)" in err
+    assert "product of 16 x 16 terms" in err
+    assert "fiber pair (r, g) = (4, 4)" in err
 
     code, out, _ = run(
         capsys, "eval", "--system", "cuntz",
@@ -428,6 +430,16 @@ def test_term_budget_trips_with_exit_three(capsys):
     assert code == 0
     # Gibbs weight of the fiber-4 projection at beta = 3 is 4^-4
     assert json.loads(out)["value"] == pytest.approx([4.0 ** -4, 0.0])
+
+
+def test_huge_fiber_product_evaluates_without_densifying(capsys):
+    # fiber 3000000 has 3000000 basis vectors; the product touches one
+    code, out, err = run(
+        capsys, "eval", "--system", "affine-toeplitz",
+        "--expr", "i[3000000](1@0) * adj(i[3000000](1@0))",
+    )
+    assert code == 0, err
+    assert json.loads(out)["value"] == [0.0, 0.0]
 
 
 def test_term_budget_must_be_positive(capsys):

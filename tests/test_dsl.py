@@ -115,6 +115,14 @@ def test_repeated_indices_accumulate():
     assert got == NTElement.embed(AFFINE, 2, ModuleVector(AFFINE, 2, coords))
 
 
+def test_huge_fiber_vector_stays_sparse():
+    # N_40 = 2^40 on cuntz(2): only the one written coordinate is stored
+    got = parse_element("i[40](1@5)", CUNTZ)
+    ((key, vec),) = got.terms.items()
+    assert key == (40, 0, 0) and list(vec.entries) == [5]
+    assert parse_element(format_element(got), CUNTZ) == got
+
+
 def test_zero_prints_and_parses():
     assert format_element(NTElement.zero(AFFINE)) == "0 * i[1](1@0)"
     assert format_element(NTElement.zero(CUNTZ)) == "0 * i[0](1@0)"

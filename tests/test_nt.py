@@ -188,6 +188,38 @@ def test_alpha_of_unit_is_projection(system):
         assert one.alpha(s) == unit_projection(system, s)
 
 
+def alpha_by_products(y, s):
+    """The defining sum sum_j i_s(1_j) y i_s(1_j)*, through products."""
+    system = y.system
+    out = NTElement.zero(system)
+    for j in range(system.basis_count(s)):
+        iso = NTElement.embed(system, s, system.basis_vector(s, j))
+        out = out + iso * y * iso.adjoint()
+    return out
+
+
+@pytest.mark.parametrize("system", [TorusDilationSystem(2), CUNTZ, AFFINE], ids=lambda s: s.name)
+def test_termwise_alpha_is_the_defining_sum(system):
+    fibers = fibers_for(system)
+    ys = elements(system, 119, 4, terms=3) + [unit_projection(system, fibers[1])]
+    for y in ys:
+        for s in fibers[1:]:
+            assert y.alpha(s) == alpha_by_products(y, s)
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
+def test_adjoint_is_the_sum_of_termwise_adjoints(system):
+    x = sum(elements(system, 120, 8, terms=6), NTElement.zero(system))
+    assert x.term_count >= 10
+    termwise = NTElement.zero(system)
+    for (s, r, l), vec in x.terms.items():
+        termwise = termwise + NTElement.from_monomial(
+            system, r, system.basis_vector(r, l), s, vec
+        )
+    assert x.adjoint() == termwise
+    assert x.adjoint().adjoint() == x
+
+
 # -- core expectation -------------------------------------------------------------
 
 
@@ -224,7 +256,7 @@ def test_dynamics_fixes_core_and_scales_offdiagonal():
     import cmath
 
     want = cmath.exp(1j * z * cmath.log(3.0 / 2.0))
-    got = vec.coords[1].terms[AFFINE.engine.unit()]
+    got = vec.entries[1].terms[AFFINE.engine.unit()]
     assert abs(got - want) < 1e-12
     core = unit_projection(AFFINE, 2)
     assert core.dynamics(z) == core

@@ -14,7 +14,7 @@ from ntkms.product_system import (
     TorusDilationSystem,
     get_system,
 )
-from ntkms.semigroup import TruncationSet
+from ntkms.semigroup import NAT_MULT, TruncationSet
 
 AFFINE = AffineToeplitzSystem()
 TORUS2 = TorusDilationSystem(2)
@@ -294,6 +294,75 @@ def test_corrupted_split_still_inverts_map():
         for k in range(3):
             i = bad.index_map(2, 3, j, k)
             assert bad.index_split(2, 3, i) == (j, k)
+
+
+@pytest.mark.parametrize("pair_b, witness", [
+    ((1, 0), {"j": 0, "l": 1, "collisions": [(0, 0), (2, 1)]}),
+    ((1, 2), {"j": 0, "l": 2, "collisions": [(1, 0), (0, 1)]}),
+])
+def test_coprime_scan_names_the_first_collision(pair_b, witness):
+    window = TruncationSet(NAT_MULT, 12)
+    bad = AFFINE.corrupted(2, 3, (0, 0), pair_b)
+    assert bad.check_coprime_pairs(window) == (False, {"s": 2, "r": 3, **witness}, 1)
+    assert AFFINE.check_coprime_pairs(window) == (True, None, 68)
+
+
+class _TabledIndices(AffineToeplitzSystem):
+    """Row 0 of m(2, 3; ., .) repeats the value 3, at m = 1 and m = 2,
+    and two values of m(3, 2; 0, .) hit it, so the last m must win."""
+
+    TABLES = {(2, 3): np.array([[5, 3, 3], [1, 1, 0]]),
+              (3, 2): np.array([[3, 5], [1, 4], [4, 0]])}
+
+    def index_map(self, s, r, j, k):
+        table = self.TABLES.get((s, r))
+        return super().index_map(s, r, j, k) if table is None else table[j, k]
+
+
+def coprime_scan_by_loops(system, window):
+    """The scalar scan the grid version must reproduce, witness included."""
+    sg = system.semigroup
+    pairs = 0
+    for s in window.values:
+        for r in window.values:
+            if sg.identity_value in (s, r) or sg.glb(s, r) != sg.identity_value:
+                continue
+            pairs += 1
+            for j in range(system.basis_count(s)):
+                row_j = {system.index_map(s, r, j, m): m for m in range(system.basis_count(r))}
+                for l in range(system.basis_count(r)):
+                    hits = [(row_j[i], g) for g in range(system.basis_count(s))
+                            if (i := system.index_map(r, s, l, g)) in row_j]
+                    if len(hits) > 1:
+                        return False, {"s": s, "r": r, "j": j, "l": l,
+                                       "collisions": hits[:2]}, pairs
+    return True, None, pairs
+
+
+def test_coprime_scan_matches_the_scalar_loop():
+    window = TruncationSet(NAT_MULT, 6)
+    systems = [_TabledIndices(), _AddedIndices(), _FoldedIndices(), TORUS2]
+    for base in (AFFINE, TorusDilationSystem(1)):
+        for s, r in ((2, 3), (3, 2), (2, 5), (3, 4)):
+            cells = [(j, k) for j in range(min(s, 3)) for k in range(min(r, 3))]
+            systems += [base.corrupted(s, r, a, b) for a in cells for b in cells if a < b]
+    for system in systems:
+        assert system.check_coprime_pairs(window) == coprime_scan_by_loops(system, window)
+
+
+def test_vector_is_sparse_and_checks_its_indices():
+    unit = CoefficientElement.unit(AFFINE.engine)
+    zero = CoefficientElement.zero(AFFINE.engine)
+    vec = ModuleVector(AFFINE, 3, {2: unit, 1: zero, 0: unit.scale(2.0)})
+    assert list(vec.entries) == [0, 2]
+    assert vec == ModuleVector(AFFINE, 3, (unit.scale(2.0), zero, unit))
+    assert hash(vec) == hash(ModuleVector(AFFINE, 3, (unit.scale(2.0), zero, unit)))
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            ModuleVector(AFFINE, 3, {bad: unit})
+    with pytest.raises(ValueError, match="needs 3 coordinates"):
+        ModuleVector(AFFINE, 3, (unit, unit))
+    assert CUNTZ.basis_vector(60, 7).entries == {7: CoefficientElement.unit(CUNTZ.engine)}
 
 
 def test_coprime_pair_scan_clean_on_builtins():
