@@ -26,7 +26,7 @@ import sys
 
 from .coeff import TraceSpec, haar_trace, identity_trace, point_mass_trace
 from .dsl import DSLError, format_element, parse_element
-from .nt import NTElement, TermBudgetExceeded, set_term_budget
+from .nt import NTElement, TermBudgetExceeded, get_term_budget, term_budget
 from .product_system import BUILTIN_SYSTEMS, ProductSystem, get_system
 from .states import KMSContext, ground_state
 from .verify import SUITE_NAMES, run_suites
@@ -187,13 +187,12 @@ def _make_trace(args, config, system: ProductSystem) -> TraceSpec:
     raise UsageError(f"unknown trace {name!r}; use haar, point-mass or identity")
 
 
-def _apply_term_budget(args, config) -> None:
+def _term_budget(args, config) -> int:
     budget = _opt(args, config, "term_budget")
-    if budget is not None:
-        budget = int(budget)
-        if budget < 1:
-            raise UsageError("term_budget must be positive")
-        set_term_budget(budget)
+    budget = get_term_budget() if budget is None else int(budget)
+    if budget < 1:
+        raise UsageError("term_budget must be positive")
+    return budget
 
 
 def _parse_expression(expr: str, system: ProductSystem) -> NTElement:
@@ -416,8 +415,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config) if args.config else {}
-        _apply_term_budget(args, config)
-        return args.fn(args, config)
+        with term_budget(_term_budget(args, config)):
+            return args.fn(args, config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .coeff import CoefficientElement
 from .product_system import ModuleVector, ProductSystem
@@ -46,7 +47,8 @@ __all__ = [
 
 DEFAULT_TERM_BUDGET = 1_000_000
 
-_budget = DEFAULT_TERM_BUDGET
+# context-local, so a budget set in one thread or task leaves the others alone
+_budget: ContextVar[int] = ContextVar("term_budget", default=DEFAULT_TERM_BUDGET)
 
 
 class TermBudgetExceeded(RuntimeError):
@@ -54,26 +56,31 @@ class TermBudgetExceeded(RuntimeError):
 
 
 def get_term_budget() -> int:
-    return _budget
+    return _budget.get()
+
+
+def _positive(n: int) -> int:
+    if n < 1:
+        raise ValueError("term budget must be positive")
+    return int(n)
 
 
 def set_term_budget(n: int) -> int:
-    """Set the raw-term cap for products; returns the previous value."""
-    global _budget
-    if n < 1:
-        raise ValueError("term budget must be positive")
-    old = _budget
-    _budget = int(n)
+    """Set the raw-term cap for products in the current context; returns
+    the previous value."""
+    old = _budget.get()
+    _budget.set(_positive(n))
     return old
 
 
 @contextmanager
 def term_budget(n: int):
-    old = set_term_budget(n)
+    """The raw-term cap n within the block, restored on exit."""
+    token = _budget.set(_positive(n))
     try:
         yield
     finally:
-        set_term_budget(old)
+        _budget.reset(token)
 
 
 class NTElement:
@@ -184,6 +191,7 @@ class NTElement:
         sg = sys.semigroup
         out: dict[tuple[int, int, int], ModuleVector] = {}
         emitted = 0
+        budget = _budget.get()
         for (s, r, l), xi in self.terms.items():
             for (g, h, m), zeta in other.terms.items():
                 w = sg.lub(r, g)
@@ -198,10 +206,10 @@ class NTElement:
                     if b is None:
                         continue
                     emitted += 1
-                    if emitted > _budget:
+                    if emitted > budget:
                         raise TermBudgetExceeded(
                             f"product of {len(self.terms)} x {len(other.terms)} terms "
-                            f"exceeded the raw-term cap ({_budget}) while reducing the "
+                            f"exceeded the raw-term cap ({budget}) while reducing the "
                             f"fiber pair (r, g) = ({r}, {g}); "
                             "raise the budget or shrink the operands"
                         )

@@ -7,10 +7,13 @@ a coefficient engine A:
 * index maps m(s, r; j, k) identifying the basis of the fiber product
   X_s x X_r with the basis of X_(sr), bijective in (j, k) and associative
   across triples;
-* a left action of A on each fiber, stored as the matrix entries
+* a left action of A on each fiber, given by the matrix entries
   L_s(a)[v, j] = <1_v, a . 1_j> over A, which must be a unital
   *-homomorphism into N_s by N_s matrices and coherent with the index
-  maps: L_(sr)(a)[m(v, u), m(j, k)] = L_r(L_s(a)[v, j])[u, k].
+  maps: L_(sr)(a)[m(v, u), m(j, k)] = L_r(L_s(a)[v, j])[u, k].  On every
+  builtin a monomial acts as a weighted partial permutation, so an
+  instance gives each column j of L_s(mon) as its one nonzero entry
+  (v, monomial), or None; matrices and products are built from columns.
 
 Vectors in a fiber are sparse: only their nonzero coordinates over A
 relative to the orthonormal basis are stored, keyed by basis index, so
@@ -196,14 +199,6 @@ class LMatrix:
             {(j, i): v.adjoint() for (i, j), v in self.entries.items()},
         )
 
-    def apply(self, x: dict[int, CoefficientElement]) -> dict[int, CoefficientElement]:
-        """The matrix times a sparse coordinate dict, as a sparse dict."""
-        out: dict[int, CoefficientElement] = {}
-        for (i, j), v in self.entries.items():
-            if j in x:
-                out[i] = out[i] + v * x[j] if i in out else v * x[j]
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, LMatrix):
             return NotImplemented
@@ -245,7 +240,6 @@ class ProductSystem:
     beta_c: float
 
     def __init__(self):
-        self._left_memo: dict[tuple[int, tuple], LMatrix] = {}
         self._trace_memo: dict[tuple[int, tuple], CoefficientElement] = {}
 
     # -- structure data ------------------------------------------------
@@ -269,9 +263,15 @@ class ProductSystem:
         """
         raise NotImplementedError
 
+    def left_column(self, s: int, mon: tuple, j: int) -> Optional[tuple[int, tuple]]:
+        """The one nonzero entry of column j of L_s(mon) as (nu, monomial),
+        or None when the column is zero."""
+        raise NotImplementedError
+
     def left_entry(self, s: int, mon: tuple, nu: int, j: int) -> Optional[tuple]:
         """Matrix entry L_s(mon)[nu, j] as a single monomial, or None."""
-        raise NotImplementedError
+        col = self.left_column(s, mon, j)
+        return col[1] if col is not None and col[0] == nu else None
 
     def generator_monomials(self) -> list[tuple]:
         raise NotImplementedError
@@ -293,34 +293,34 @@ class ProductSystem:
     def identity_fiber(self) -> int:
         return self.semigroup.identity_value
 
-    def left_matrix(self, s: int, a: CoefficientElement) -> LMatrix:
-        """L_s(a) with memoisation per monomial.
+    def _column(self, s: int, a: CoefficientElement, j: int) -> dict[int, CoefficientElement]:
+        """Column j of L_s(a) as {nu: entry}, nonzero entries only.
 
-        Cache fills are idempotent, so concurrent readers are safe under
-        the usual dict atomicity.
+        Each entry sums monomial.scale(w) over the monomials of a in
+        order; a sum that cancels to zero is absent, so a later monomial
+        starts it afresh.
         """
-        n = self.basis_count(s)
-        out = LMatrix(self.engine, (n, n))
+        cells: dict[int, CoefficientElement] = {}
         for mon, w in a.terms.items():
-            key = (s, mon)
-            mat = self._left_memo.get(key)
-            if mat is None:
-                entries = {}
-                for j in range(n):
-                    for nu in range(n):
-                        res = self.left_entry(s, mon, nu, j)
-                        if res is not None:
-                            entries[(nu, j)] = CoefficientElement.monomial(self.engine, res)
-                mat = LMatrix(self.engine, (n, n), entries)
-                self._left_memo[key] = mat
-            out = out + mat.scale(w)
-        return out
+            col = self.left_column(s, mon, j)
+            if col is not None:
+                v = CoefficientElement.monomial(self.engine, col[1]).scale(w)
+                c = cells.get(col[0])
+                cells[col[0]] = v if c is None or c.is_zero() else c + v
+        return {nu: c for nu, c in cells.items() if not c.is_zero()}
+
+    def left_matrix(self, s: int, a: CoefficientElement) -> LMatrix:
+        """L_s(a), assembled column by column in O(N_s) per monomial."""
+        n = self.basis_count(s)
+        return LMatrix(self.engine, (n, n), {
+            (nu, j): c for j in range(n) for nu, c in self._column(s, a, j).items()
+        })
 
     def left_act(self, s: int, a: CoefficientElement, xi: ModuleVector) -> ModuleVector:
-        """a . xi via the stored matrices; entries multiply on the left."""
+        """a . xi, the module product of a in the identity fiber with xi."""
         if xi.fiber != s:
             raise ValueError("vector not in the requested fiber")
-        return ModuleVector(self, s, self.left_matrix(s, a).apply(xi.entries))
+        return self.module_product(self.basis_vector(self.identity_fiber(), 0, a), xi)
 
     def basis_vector(self, s: int, j: int, coeff: CoefficientElement | None = None) -> ModuleVector:
         """coeff (default the unit) at basis index j of the fiber at s."""
@@ -332,13 +332,16 @@ class ProductSystem:
 
         (xi eta)[m(j, v)] = sum_k L_r(x_j)[v, k] y_k, which is the unique
         bilinear extension of 1_j a . 1_k b = 1_(m(j, v)) L_r(a)[v, k] b.
+        Only the columns k in the support of eta are read, so the cost
+        does not depend on N_r.
         """
         s, r = xi.fiber, eta.fiber
         out: dict[int, CoefficientElement] = {}
         for j, xc in xi.entries.items():
-            for v, val in self.left_matrix(r, xc).apply(eta.entries).items():
-                i = self.index_map(s, r, j, v)
-                out[i] = out[i] + val if i in out else val
+            for k, y in eta.entries.items():
+                for nu, c in self._column(r, xc, k).items():
+                    i = self.index_map(s, r, j, nu)
+                    out[i] = out[i] + c * y if i in out else c * y
         return ModuleVector(self, self.semigroup.mul(s, r), out)
 
     def fiber_trace(self, s: int, a: CoefficientElement) -> CoefficientElement:
@@ -570,8 +573,8 @@ class _CorruptedSystem(ProductSystem):
     def index_split(self, s, r, i):
         return self.base.index_split(s, r, self._swap(s, r, i))
 
-    def left_entry(self, s, mon, nu, j):
-        return self.base.left_entry(s, mon, nu, j)
+    def left_column(self, s, mon, j):
+        return self.base.left_column(s, mon, j)
 
     def generator_monomials(self):
         return self.base.generator_monomials()
@@ -627,11 +630,12 @@ class AffineToeplitzSystem(ProductSystem):
             return None
         return (_ceil_div(a, s), _ceil_div(b, s))
 
-    def left_entry(self, s, mon, nu, j):
-        # reduce S*^nu (S^m S*^n) S^j to one monomial, then transfer
+    def left_column(self, s, mon, j):
+        # S*^nu (S^m S*^n) S^j has degree m - n + j - nu, and the transfer
+        # keeps it exactly when that degree is divisible by s
         eng = self.engine
-        t = eng.mul(eng.mul((0, nu), mon), (j, 0))
-        return self.transfer_monomial(s, t)
+        nu = (mon[0] - mon[1] + j) % s
+        return nu, self.transfer_monomial(s, eng.mul(eng.mul((0, nu), mon), (j, 0)))
 
     def generator_monomials(self):
         return [(1, 0), (0, 1)]
@@ -693,10 +697,10 @@ class TorusDilationSystem(ProductSystem):
             return None
         return tuple(g // s for g in mon)
 
-    def left_entry(self, s, mon, nu, j):
-        gj, gn = self._digits(s, j), self._digits(s, nu)
-        shifted = tuple(g + a - b for g, a, b in zip(mon, gj, gn))
-        return self.transfer_monomial(s, shifted)
+    def left_column(self, s, mon, j):
+        # mon + digits(j) - digits(nu) must vanish mod s digitwise
+        shifted = tuple(g + a for g, a in zip(mon, self._digits(s, j)))
+        return self._undigits(s, (x % s for x in shifted)), tuple(x // s for x in shifted)
 
     def generator_monomials(self):
         gens = []
@@ -747,8 +751,8 @@ class CuntzSystem(ProductSystem):
     def transfer_monomial(self, s, mon):
         return ()
 
-    def left_entry(self, s, mon, nu, j):
-        return () if nu == j else None
+    def left_column(self, s, mon, j):
+        return j, ()
 
     def generator_monomials(self):
         return [()]

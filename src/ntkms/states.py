@@ -162,10 +162,10 @@ class KMSContext:
                     total += w * self.z_value(r)
                     continue
                 g = math.gcd(*(abs(c) for c in deg))
-                for q in _divisors(g):
+                # only the divisors q with r*q in the window contribute
+                limit = self.bound // r if sg.is_multiplicative else self.bound - r
+                for q in _divisors(g, limit):
                     rq = sg.mul(r, q)
-                    if rq not in self.trunc:
-                        continue
                     total += (
                         w
                         * self.weight_pow(rq)
@@ -290,14 +290,12 @@ def euler_truncation_gap(exponent: float, prime_bound: int, series_bound: int) -
     return series_tail + product * (math.exp(2.0 * prime_tail) - 1.0)
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    out.sort()
-    return out
+def _divisors(n: int, limit: int) -> list[int]:
+    """The divisors of n >= 1 that are at most limit, ascending.
+
+    Trial division runs to min(limit, isqrt(n)): past isqrt(n) only the
+    cofactors n // d of smaller divisors d remain.
+    """
+    low = [d for d in range(1, min(limit, math.isqrt(n)) + 1) if n % d == 0]
+    high = [n // d for d in reversed(low) if d * d != n and n // d <= limit]
+    return low + high

@@ -23,18 +23,11 @@ import pytest
 from ntkms.cli import main
 from ntkms.coeff import haar_trace
 from ntkms.dsl import format_element
-from ntkms.nt import get_term_budget, set_term_budget, unit_projection
+from ntkms.nt import get_term_budget, unit_projection
 from ntkms.product_system import AffineToeplitzSystem, CuntzSystem
 from ntkms.states import KMSContext, zeta_series
 
 AFFINE = AffineToeplitzSystem()
-
-
-@pytest.fixture(autouse=True)
-def _restore_term_budget():
-    old = get_term_budget()
-    yield
-    set_term_budget(old)
 
 
 def run(capsys, *argv):
@@ -437,6 +430,38 @@ def test_huge_fiber_product_evaluates_without_densifying(capsys):
     code, out, err = run(
         capsys, "eval", "--system", "affine-toeplitz",
         "--expr", "i[3000000](1@0) * adj(i[3000000](1@0))",
+    )
+    assert code == 0, err
+    assert json.loads(out)["value"] == [0.0, 0.0]
+
+
+def test_term_budget_lasts_for_the_call_only(capsys):
+    before = get_term_budget()
+    for budget, want in (("10", 3), ("1000", 0)):
+        code, _, _ = run(
+            capsys, "eval", "--system", "cuntz",
+            "--expr", "alpha[4](i[0](1@0)) * alpha[4](i[0](1@0))",
+            "--term-budget", budget,
+        )
+        assert code == want
+        assert get_term_budget() == before
+
+
+def test_coefficient_times_huge_fiber_reads_one_column(capsys):
+    # S acts on fiber 300000 through one column of its left matrix
+    code, out, err = run(
+        capsys, "parse", "--system", "affine-toeplitz",
+        "--expr", "i[1](S@0) * i[300000](1@0)",
+    )
+    assert code == 0, err
+    assert out.strip() == "i[300000](((1+0i))@1) * adj(i[1](1@0))"
+
+
+def test_hostile_exponent_evaluates_fast(capsys):
+    # only divisors of 10^18 up to the window bound are visited
+    code, out, err = run(
+        capsys, "eval", "--system", "affine-toeplitz",
+        "--expr", "i[1](S^1000000000000000000@0)", "--beta", "3",
     )
     assert code == 0, err
     assert json.loads(out)["value"] == [0.0, 0.0]

@@ -1,3 +1,4 @@
+import threading
 from random import Random
 
 import pytest
@@ -295,6 +296,21 @@ def test_set_term_budget_round_trip():
     assert prev == old and get_term_budget() == 123
     set_term_budget(old)
     assert get_term_budget() == old
+
+
+def test_term_budget_is_local_to_its_thread():
+    before = get_term_budget()
+    seen = []
+
+    def worker():
+        set_term_budget(7)
+        seen.append(get_term_budget())
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive() and seen == [7]
+    assert get_term_budget() == before
 
 
 def test_budget_must_be_positive():

@@ -166,6 +166,76 @@ def test_cuntz_left_action_is_diagonal():
                 assert got == (() if nu == j else None)
 
 
+def left_entry_by_reduction(system, s, mon, nu, j):
+    """L_s(mon)[nu, j] from the defining reduction, one cell at a time."""
+    system = getattr(system, "base", system)
+    if isinstance(system, AffineToeplitzSystem):
+        eng = system.engine
+        return system.transfer_monomial(s, eng.mul(eng.mul((0, nu), mon), (j, 0)))
+    if isinstance(system, TorusDilationSystem):
+        gj, gn = system._digits(s, j), system._digits(s, nu)
+        return system.transfer_monomial(s, tuple(g + a - b for g, a, b in zip(mon, gj, gn)))
+    return () if nu == j else None
+
+
+def sample_monomials(rng, system, count=3):
+    eng = system.engine
+    if eng.tag == "toeplitz":
+        return [(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(count)]
+    if eng.tag == "laurent":
+        return [tuple(rng.randint(-9, 9) for _ in range(eng.d)) for _ in range(count)]
+    return []
+
+
+@pytest.mark.parametrize("system", ALL + [AFFINE.corrupted(2, 2, (0, 1), (1, 0))],
+                         ids=lambda s: s.name)
+def test_left_column_is_the_one_nonzero_of_the_exhaustive_scan(system):
+    rng = Random(17)
+    mons = system.generator_monomials() + sample_monomials(rng, system)
+    bound = 12 if system.semigroup.is_multiplicative else 6
+    for s in TruncationSet(system.semigroup, bound):
+        n = system.basis_count(s)
+        for mon in mons:
+            for j in range(n):
+                hits = [(nu, res) for nu in range(n)
+                        if (res := left_entry_by_reduction(system, s, mon, nu, j)) is not None]
+                col = system.left_column(s, mon, j)
+                assert hits == ([] if col is None else [col]), (s, mon, j)
+
+
+def random_coeff(rng, system, terms=3):
+    mons = system.generator_monomials() + [system.engine.unit()] + sample_monomials(rng, system)
+    out = CoefficientElement.zero(system.engine)
+    for _ in range(terms):
+        w = complex(rng.randint(-3, 3), rng.randint(-3, 3))
+        out = out + CoefficientElement.monomial(system.engine, rng.choice(mons), w)
+    return out
+
+
+@pytest.mark.parametrize("system", ALL, ids=lambda s: s.name)
+def test_module_product_matches_the_dense_left_matrix(system):
+    """(xi eta)[m(j, v)] = sum_k L_r(x_j)[v, k] y_k, with the sum over the
+    whole matrix as reference and several entries in eta."""
+    rng = Random(23)
+    sg = system.semigroup
+    fibers = small_fibers(system)
+    for s in fibers:
+        for r in fibers:
+            n = system.basis_count(r)
+            xi = ModuleVector(system, s, {j: random_coeff(rng, system)
+                                          for j in range(system.basis_count(s))})
+            eta = ModuleVector(system, r, {k: random_coeff(rng, system) for k in range(n)})
+            want = {}
+            for j, xc in xi.entries.items():
+                for (v, k), c in system.left_matrix(r, xc).entries.items():
+                    if k in eta.entries:
+                        i, y = system.index_map(s, r, j, v), c * eta.entries[k]
+                        want[i] = want[i] + y if i in want else y
+            assert system.module_product(xi, eta) == ModuleVector(system, sg.mul(s, r), want)
+            if s == sg.identity_value and xi.entries:
+                assert system.left_act(r, xi.entries[0], eta) == system.module_product(xi, eta)
+
+
 # -- module products ------------------------------------------------------------
 
 

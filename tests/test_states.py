@@ -181,6 +181,29 @@ def test_omega_matches_literal_evaluator(system, bound):
             assert fast.tail == slow.tail
 
 
+@pytest.mark.parametrize("system", [AFFINE, TORUS2], ids=lambda s: s.name)
+def test_omega_visits_only_the_divisors_in_the_window(system):
+    """The fast path enumerates the divisors q of the degree gcd with r*q
+    in the window; summing over every divisor and dropping the others
+    afterwards must give the same bits."""
+    eng = system.engine
+    theta = 0.7 if eng.degree_dim == 1 else (0.4, 0.8)
+    ctx = KMSContext(system, point_mass_trace(eng, theta), 3.0, 60)
+    w = 1.5 - 0.5j
+    for r in (1, 2, 5, 7, 60, 61):
+        for g in list(range(1, 40)) + [360, 720, 5040]:
+            mon = (g + 2, 2) if eng.tag == "toeplitz" else (2 * g, -g)
+            deg = eng.degree(mon)
+            a = CoefficientElement.monomial(eng, mon, w)
+            y = NTElement(system, {(r, r, 0): system.basis_vector(r, 0, coeff=a)})
+            total = 0.0 + 0.0j
+            for q in range(1, g + 1):
+                if g % q == 0 and r * q in ctx.trunc:
+                    total += (w * ctx.weight_pow(r * q) * system.weight(q)
+                              * ctx.trace.moment(tuple(c // q for c in deg)))
+            assert ctx.omega(y).value == total / ctx.zeta, (r, g)
+
+
 def test_kms_condition_spot_samples():
     """omega(y1 sigma_(i beta)(y2)) = omega(y2 y1) inside summed tails."""
     rng = Random(73)
