@@ -304,22 +304,25 @@ def _zero_degree(dim: int) -> tuple[int, ...]:
     return (0,) * dim
 
 
+# degrees per axis on which TraceSpec checks its moments
+MOMENT_WINDOW = 8
+
+
 @dataclass
 class TraceSpec:
     """Moment data defining a state on a coefficient engine.
 
     ``moment`` maps a degree in Z^d to a complex number.  Construction
     validates c(0) = 1, hermitian symmetry and positive semidefiniteness
-    of the Gram matrix over a finite degree window (default size 8 per
-    axis); violations raise ValueError.  The stored moment function is
-    wrapped so the zero degree returns exactly 1.0, which downstream
-    normalisation relies on.
+    of the Gram matrix over the degrees {0..MOMENT_WINDOW-1}^d, which
+    caps the torus rank d at 4; violations raise ValueError.  The stored
+    moment function is wrapped so the zero degree returns exactly 1.0,
+    which downstream normalisation relies on.
     """
 
     engine: Engine
     moment_fn: Callable[[tuple[int, ...]], complex]
     name: str = "trace"
-    window: int = 8
     _moment: Callable[[tuple[int, ...]], complex] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -343,9 +346,10 @@ class TraceSpec:
             raise ValueError(f"moment at degree zero is {raw0}, must be 1")
         if dim == 0:
             return
-        w = self.window
+        w = MOMENT_WINDOW
         if w**dim > 4096:
-            raise ValueError(f"moment window {w}^{dim} too large, lower window")
+            raise ValueError(f"cannot check moments on torus rank d = {dim}: "
+                             f"window {w}^{dim} exceeds 4096 degrees")
         grid = list(iter_product(range(w), repeat=dim))
         for g in grid:
             k = tuple(g)
@@ -377,7 +381,7 @@ class TraceSpec:
         return f"TraceSpec({self.name!r} on {self.engine.tag})"
 
 
-def haar_trace(engine: Engine, window: int = 8) -> TraceSpec:
+def haar_trace(engine: Engine) -> TraceSpec:
     """Moments of normalised arc length: 1 at degree zero, else 0."""
     dim = engine.degree_dim
     zero = _zero_degree(dim)
@@ -385,10 +389,10 @@ def haar_trace(engine: Engine, window: int = 8) -> TraceSpec:
     def moment(k):
         return 1.0 if k == zero else 0.0
 
-    return TraceSpec(engine, moment, name="haar", window=window)
+    return TraceSpec(engine, moment, name="haar")
 
 
-def point_mass_trace(engine: Engine, theta, window: int = 8) -> TraceSpec:
+def point_mass_trace(engine: Engine, theta) -> TraceSpec:
     """Moments of a point evaluation at angle(s) theta: c(k) = exp(i k.theta)."""
     dim = engine.degree_dim
     if dim == 0:
@@ -406,10 +410,10 @@ def point_mass_trace(engine: Engine, theta, window: int = 8) -> TraceSpec:
         return cmath.exp(1j * sum(ki * ti for ki, ti in zip(k, thetas)))
 
     label = "point_mass(" + ",".join(f"{t:g}" for t in thetas) + ")"
-    return TraceSpec(engine, moment, name=label, window=window)
+    return TraceSpec(engine, moment, name=label)
 
 
-def mixture_trace(components: Iterable[tuple[float, TraceSpec]], window: int = 8) -> TraceSpec:
+def mixture_trace(components: Iterable[tuple[float, TraceSpec]]) -> TraceSpec:
     """Convex combination of trace specs over a common engine."""
     comps = [(float(w), t) for w, t in components]
     if not comps:
@@ -428,9 +432,9 @@ def mixture_trace(components: Iterable[tuple[float, TraceSpec]], window: int = 8
         return sum(w * t.moment(k) for w, t in comps)
 
     label = "mixture(" + ",".join(f"{w:g}*{t.name}" for w, t in comps) + ")"
-    return TraceSpec(engine, moment, name=label, window=window)
+    return TraceSpec(engine, moment, name=label)
 
 
-def identity_trace(window: int = 8) -> TraceSpec:
+def identity_trace() -> TraceSpec:
     """The unique state on the scalar engine."""
-    return TraceSpec(SCALAR, lambda k: 1.0, name="identity", window=window)
+    return TraceSpec(SCALAR, lambda k: 1.0, name="identity")

@@ -269,9 +269,6 @@ class NTElement:
     def one_norm(self) -> float:
         return sum(v.one_norm() for v in self.terms.values())
 
-    def fiber_pairs(self) -> set[tuple[int, int]]:
-        return {(s, r) for (s, r, _) in self.terms}
-
     def __eq__(self, other):
         if not isinstance(other, NTElement):
             return NotImplemented

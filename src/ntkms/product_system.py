@@ -12,8 +12,10 @@ a coefficient engine A:
   *-homomorphism into N_s by N_s matrices and coherent with the index
   maps: L_(sr)(a)[m(v, u), m(j, k)] = L_r(L_s(a)[v, j])[u, k].  On every
   builtin a monomial acts as a weighted partial permutation, so an
-  instance gives each column j of L_s(mon) as its one nonzero entry
-  (v, monomial), or None; matrices and products are built from columns.
+  instance gives the left action only by columns: column j of L_s(mon)
+  as its one nonzero entry (v, monomial), or None.  Module products,
+  fiber traces and the left-action laws read columns; ``left_matrix``
+  gathers them into a plain {(v, j): entry} dict.
 
 Vectors in a fiber are sparse: only their nonzero coordinates over A
 relative to the orthonormal basis are stored, keyed by basis index, so
@@ -67,7 +69,6 @@ from .semigroup import (
 __all__ = [
     "ModuleVector",
     "ProductSystem",
-    "LMatrix",
     "AffineToeplitzSystem",
     "TorusDilationSystem",
     "CuntzSystem",
@@ -147,64 +148,6 @@ class ModuleVector:
         return f"<fiber {self.fiber}: {', '.join(bits) or '0'}>"
 
 
-class LMatrix:
-    """A sparse matrix over a coefficient engine, keyed by (row, col)."""
-
-    __slots__ = ("engine", "shape", "entries")
-
-    def __init__(self, engine: Engine, shape: tuple[int, int], entries=None):
-        self.engine = engine
-        self.shape = shape
-        self.entries: dict[tuple[int, int], CoefficientElement] = {}
-        for key, val in (entries or {}).items():
-            if not val.is_zero():
-                self.entries[key] = val
-
-    @classmethod
-    def identity(cls, engine: Engine, n: int):
-        one = CoefficientElement.unit(engine)
-        return cls(engine, (n, n), {(j, j): one for j in range(n)})
-
-    def scale(self, w: complex) -> "LMatrix":
-        return LMatrix(
-            self.engine, self.shape, {k: v.scale(w) for k, v in self.entries.items()}
-        )
-
-    def __add__(self, other: "LMatrix") -> "LMatrix":
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return LMatrix(self.engine, self.shape, out)
-
-    def matmul(self, other: "LMatrix") -> "LMatrix":
-        if self.shape[1] != other.shape[0]:
-            raise ValueError("shape mismatch")
-        by_row: dict[int, list[tuple[int, CoefficientElement]]] = {}
-        for (k, j), v in other.entries.items():
-            by_row.setdefault(k, []).append((j, v))
-        out: dict[tuple[int, int], CoefficientElement] = {}
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                key = (i, j)
-                prod = a * b
-                cur = out.get(key)
-                out[key] = prod if cur is None else cur + prod
-        return LMatrix(self.engine, (self.shape[0], other.shape[1]), out)
-
-    def adjoint(self) -> "LMatrix":
-        return LMatrix(
-            self.engine,
-            (self.shape[1], self.shape[0]),
-            {(j, i): v.adjoint() for (i, j), v in self.entries.items()},
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, LMatrix):
-            return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
-
-
 @dataclass
 class CheckResult:
     name: str
@@ -239,9 +182,6 @@ class ProductSystem:
     scaling: ScalingHomomorphism
     beta_c: float
 
-    def __init__(self):
-        self._trace_memo: dict[tuple[int, tuple], CoefficientElement] = {}
-
     # -- structure data ------------------------------------------------
 
     def basis_count(self, s: int) -> int:
@@ -267,11 +207,6 @@ class ProductSystem:
         """The one nonzero entry of column j of L_s(mon) as (nu, monomial),
         or None when the column is zero."""
         raise NotImplementedError
-
-    def left_entry(self, s: int, mon: tuple, nu: int, j: int) -> Optional[tuple]:
-        """Matrix entry L_s(mon)[nu, j] as a single monomial, or None."""
-        col = self.left_column(s, mon, j)
-        return col[1] if col is not None and col[0] == nu else None
 
     def generator_monomials(self) -> list[tuple]:
         raise NotImplementedError
@@ -309,12 +244,12 @@ class ProductSystem:
                 cells[col[0]] = v if c is None or c.is_zero() else c + v
         return {nu: c for nu, c in cells.items() if not c.is_zero()}
 
-    def left_matrix(self, s: int, a: CoefficientElement) -> LMatrix:
-        """L_s(a), assembled column by column in O(N_s) per monomial."""
-        n = self.basis_count(s)
-        return LMatrix(self.engine, (n, n), {
-            (nu, j): c for j in range(n) for nu, c in self._column(s, a, j).items()
-        })
+    def left_matrix(self, s: int,
+                    a: CoefficientElement) -> dict[tuple[int, int], CoefficientElement]:
+        """L_s(a) as a plain {(nu, j): entry} dict of its nonzero entries,
+        assembled column by column in O(N_s) per monomial."""
+        return {(nu, j): c for j in range(self.basis_count(s))
+                for nu, c in self._column(s, a, j).items()}
 
     def left_act(self, s: int, a: CoefficientElement, xi: ModuleVector) -> ModuleVector:
         """a . xi, the module product of a in the identity fiber with xi."""
@@ -347,18 +282,12 @@ class ProductSystem:
     def fiber_trace(self, s: int, a: CoefficientElement) -> CoefficientElement:
         """sum_j <1_j, a . 1_j>, the unnormalised trace of L_s(a)."""
         out = CoefficientElement.zero(self.engine)
-        n = self.basis_count(s)
         for mon, w in a.terms.items():
-            key = (s, mon)
-            diag = self._trace_memo.get(key)
-            if diag is None:
-                acc = CoefficientElement.zero(self.engine)
-                for j in range(n):
-                    res = self.left_entry(s, mon, j, j)
-                    if res is not None:
-                        acc = acc + CoefficientElement.monomial(self.engine, res)
-                diag = acc
-                self._trace_memo[key] = diag
+            diag = CoefficientElement.zero(self.engine)
+            for j in range(self.basis_count(s)):
+                col = self.left_column(s, mon, j)
+                if col is not None and col[0] == j:
+                    diag = diag + CoefficientElement.monomial(self.engine, col[1])
             out = out + diag.scale(w)
         return out
 
@@ -381,7 +310,7 @@ class ProductSystem:
         e = sg.identity_value
         vals = trunc.values
         n, im, split = self.basis_count, self.index_map, self.index_split
-        L = self.left_matrix
+        L, column = self.left_matrix, self._column
         gens = self.generator_elements()
 
         def law(name: str, witnesses: Iterable[dict], detail: str = "") -> Optional[dict]:
@@ -442,10 +371,10 @@ class ProductSystem:
                     for a in gens:
                         want = {
                             (im(s, r, nu, u), im(s, r, j, k)): v
-                            for (nu, j), c in L(s, a).entries.items()
-                            for (u, k), v in L(r, c).entries.items()
+                            for (nu, j), c in L(s, a).items()
+                            for (u, k), v in L(r, c).items()
                         }
-                        got = L(sg.mul(s, r), a).entries
+                        got = L(sg.mul(s, r), a)
                         diff = [key for key in want.keys() | got.keys()
                                 if want.get(key) != got.get(key)]
                         if diff:
@@ -455,6 +384,14 @@ class ProductSystem:
                             yield {"s": s, "r": r, "a": repr(a),
                                    "nu": nu, "j": j, "u": u, "k": k}
 
+        def product_column(s, a, b, j):
+            # column j of L_s(a) L_s(b): L_s(a) applied to column j of L_s(b)
+            out: dict[int, CoefficientElement] = {}
+            for nu, c in column(s, b, j).items():
+                for mu, x in column(s, a, nu).items():
+                    out[mu] = out[mu] + x * c if mu in out else x * c
+            return {mu: v for mu, v in out.items() if not v.is_zero()}
+
         law("identity-fiber-rank", [{}] if n(e) != 1 else [], f"N_e = {n(e)}")
         law("basis-count-multiplicative",
             ({"s": s, "r": r} for s in vals for r in vals
@@ -463,10 +400,10 @@ class ProductSystem:
         law("index-map-bijective", bijective_witnesses())
         law("index-map-associative", associative_witnesses())
 
-        unit = CoefficientElement.unit(self.engine)
+        one = self.engine.unit()
         unital = law("left-action-unital",
                      ({"s": s} for s in vals
-                      if L(s, unit) != LMatrix.identity(self.engine, n(s))))
+                      if any(self.left_column(s, one, j) != (j, one) for j in range(n(s)))))
 
         if self.engine.tag == "scalar":
             # Scalar actions are unit multiples of the identity, so the
@@ -479,13 +416,12 @@ class ProductSystem:
         else:
             law("left-action-homomorphism",
                 ({"s": s, "a": repr(a), "b": repr(b)} for s in vals for a in gens for b in gens
-                 if L(s, a * b) != L(s, a).matmul(L(s, b))))
+                 if any(column(s, a * b, j) != product_column(s, a, b, j) for j in range(n(s)))))
             law("left-action-star",
                 ({"s": s, "a": repr(a)} for s in vals for a in gens
-                 if L(s, a.adjoint()) != L(s, a).adjoint()))
+                 if L(s, a.adjoint()) != {(j, nu): c.adjoint() for (nu, j), c in L(s, a).items()}))
             law("left-action-coherent", coherent_witnesses())
 
-        one = self.engine.unit()
         if self.transfer_monomial(vals[-1], one) is not None:
             # orthonormality of the declared basis against the transfer
             law("basis-orthonormal-via-transfer",
@@ -545,7 +481,6 @@ class _CorruptedSystem(ProductSystem):
     """Delegating wrapper with one index-map transposition."""
 
     def __init__(self, base: ProductSystem, s: int, r: int, pair_a, pair_b):
-        super().__init__()
         self.base = base
         self.name = base.name + "-corrupted"
         self.semigroup = base.semigroup
@@ -609,7 +544,6 @@ class AffineToeplitzSystem(ProductSystem):
     name = "affine-toeplitz"
 
     def __init__(self):
-        super().__init__()
         self.semigroup = NAT_MULT
         self.engine = TOEPLITZ
         self.scaling = power_scaling(1)
@@ -651,7 +585,6 @@ class TorusDilationSystem(ProductSystem):
     """
 
     def __init__(self, d: int = 1, name: str | None = None):
-        super().__init__()
         if d < 1:
             raise ValueError("d must be >= 1")
         self.d = d
@@ -724,7 +657,6 @@ class CuntzSystem(ProductSystem):
     """
 
     def __init__(self, k: int = 2):
-        super().__init__()
         if k < 2:
             raise ValueError("branching k must be >= 2")
         self.k = k

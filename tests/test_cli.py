@@ -17,6 +17,7 @@ exits right after), so a fixture snapshots it around every test.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,7 @@ from ntkms.product_system import AffineToeplitzSystem, CuntzSystem
 from ntkms.states import KMSContext, zeta_series
 
 AFFINE = AffineToeplitzSystem()
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -268,6 +270,25 @@ def test_verify_stdout_is_deterministic_across_runs_and_threads(capsys):
     assert first == second
 
 
+STRUCTURE_RUNS = {
+    "affine-toeplitz": ("--system", "affine-toeplitz"),
+    "lattice-dilation": ("--system", "lattice-dilation"),
+    "cuntz": ("--system", "cuntz"),
+    "affine-toeplitz-corrupt": ("--system", "affine-toeplitz", "--corrupt", "2,2,0,1,1,0"),
+}
+
+
+@pytest.mark.parametrize("name", STRUCTURE_RUNS)
+def test_verify_structure_stdout_matches_the_golden_lines(capsys, name):
+    """The structure: and algebra: lines carry no floats, so they are
+    compared byte for byte with a recorded run; fock: lines are not."""
+    _, out, _ = run(capsys, "verify", "--seed", "7", "--suite", "structure",
+                    *STRUCTURE_RUNS[name])
+    kept = [line for line in out.splitlines(keepends=True)
+            if line.startswith(('{"check": "structure:', '{"check": "algebra:'))]
+    assert "".join(kept) == (DATA / f"structure-{name}.jsonl").read_text()
+
+
 def test_verify_rejects_bad_thread_and_suite_requests(capsys, tmp_path):
     # "threads" is not a config key
     cfg = tmp_path / "threads.json"
@@ -355,6 +376,15 @@ def test_system_parameters_are_checked(capsys):
         capsys, "eval", "--system", "cuntz", "--k", "3", "--expr", "i[0](1@0)"
     )
     assert code == 0 and json.loads(out)["value"] == [1.0, 0.0]
+
+
+def test_torus_rank_beyond_the_moment_window_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "eval", "--system", "lattice-dilation", "--d", "5",
+        "--expr", "i[1](1@0)",
+    )
+    assert code == 2 and out == ""
+    assert "torus rank d = 5" in err
 
 
 def test_trace_options_are_checked(capsys):

@@ -114,6 +114,12 @@ def test_index_map_associative(system):
 # -- left actions against the symbolic transfer oracle -------------------------
 
 
+def left_cell(system, s, mon, nu, j):
+    """L_s(mon)[nu, j] read off column j, as a monomial or None."""
+    col = system.left_column(s, mon, j)
+    return col[1] if col is not None and col[0] == nu else None
+
+
 def test_affine_left_action_matches_symbolic_reduction():
     """L_s(a)[nu, j] must be the transfer of S*^nu a S^j, computed here
     by shifting basis indices of the one-sided shift directly."""
@@ -125,7 +131,7 @@ def test_affine_left_action_matches_symbolic_reduction():
                     for j in range(s):
                         # S*^nu S^m S*^n S^j acting on e_(s p) lands on
                         # e_(j - n + m - nu + s p) when p clears the dips
-                        got = AFFINE.left_entry(s, (m, n), nu, j)
+                        got = left_cell(AFFINE, s, (m, n), nu, j)
                         if (m - n + j - nu) % s != 0:
                             assert got is None
                             continue
@@ -148,7 +154,7 @@ def test_torus_left_action_is_translation_of_digits():
     for s in (2, 3):
         for nu in range(TORUS2.basis_count(s)):
             for j in range(TORUS2.basis_count(s)):
-                got = TORUS2.left_entry(s, (1, -1), nu, j)
+                got = left_cell(TORUS2, s, (1, -1), nu, j)
                 gj, gn = TORUS2._digits(s, j), TORUS2._digits(s, nu)
                 shifted = (1 + gj[0] - gn[0], -1 + gj[1] - gn[1])
                 if all(x % s == 0 for x in shifted):
@@ -162,7 +168,7 @@ def test_cuntz_left_action_is_diagonal():
         n = CUNTZ.basis_count(s)
         for nu in range(n):
             for j in range(n):
-                got = CUNTZ.left_entry(s, (), nu, j)
+                got = left_cell(CUNTZ, s, (), nu, j)
                 assert got == (() if nu == j else None)
 
 
@@ -227,13 +233,27 @@ def test_module_product_matches_the_dense_left_matrix(system):
             eta = ModuleVector(system, r, {k: random_coeff(rng, system) for k in range(n)})
             want = {}
             for j, xc in xi.entries.items():
-                for (v, k), c in system.left_matrix(r, xc).entries.items():
+                for (v, k), c in system.left_matrix(r, xc).items():
                     if k in eta.entries:
                         i, y = system.index_map(s, r, j, v), c * eta.entries[k]
                         want[i] = want[i] + y if i in want else y
             assert system.module_product(xi, eta) == ModuleVector(system, sg.mul(s, r), want)
             if s == sg.identity_value and xi.entries:
                 assert system.left_act(r, xi.entries[0], eta) == system.module_product(xi, eta)
+
+
+@pytest.mark.parametrize("system", ALL, ids=lambda s: s.name)
+def test_fiber_trace_is_the_diagonal_sum_of_the_left_matrix(system):
+    rng = Random(29)
+    zero = CoefficientElement.zero(system.engine)
+    for s in small_fibers(system):
+        for _ in range(4):
+            a = random_coeff(rng, system, terms=4)
+            lm = system.left_matrix(s, a)
+            diag = sum((lm[j, j] for j in range(system.basis_count(s)) if (j, j) in lm), zero)
+            first = system.fiber_trace(s, a)
+            assert first == diag
+            assert system.fiber_trace(s, a) == first  # repeated calls agree
 
 
 # -- module products ------------------------------------------------------------
@@ -287,8 +307,15 @@ def test_left_action_is_star_homomorphism_spot():
     for s in (2, 3):
         la = AFFINE.left_matrix(s, a)
         lb = AFFINE.left_matrix(s, b)
-        assert la.matmul(lb) == AFFINE.left_matrix(s, a * b)
-        assert la.adjoint() == AFFINE.left_matrix(s, a.adjoint())
+        product = {}
+        for (i, k), x in la.items():
+            for (k2, j), y in lb.items():
+                if k2 == k:
+                    product[i, j] = product[i, j] + x * y if (i, j) in product else x * y
+        assert {key: c for key, c in product.items() if not c.is_zero()} == (
+            AFFINE.left_matrix(s, a * b))
+        assert {(j, i): c.adjoint() for (i, j), c in la.items()} == (
+            AFFINE.left_matrix(s, a.adjoint()))
 
 
 # -- validation -------------------------------------------------------------------
@@ -356,6 +383,63 @@ def test_non_bijective_index_map_names_the_first_bad_pair(system, witness):
     check = next(c for c in report.checks if c.name == "index-map-bijective")
     assert not check.passed
     assert check.witness == witness
+
+
+def broken_column(base, s0, mon0, change, *args, **kwargs):
+    """An instance of base whose column j of L_s0(mon0) is change(j, column)."""
+    class Broken(base):
+        def left_column(self, s, mon, j):
+            col = super().left_column(s, mon, j)
+            return change(j, col) if (s, mon) == (s0, mon0) else col
+    return Broken(*args, **kwargs)
+
+
+LAWS = ["identity-fiber-rank", "basis-count-multiplicative", "index-map-unit",
+        "index-map-bijective", "index-map-associative", "left-action-unital",
+        "left-action-homomorphism", "left-action-star", "left-action-coherent",
+        "basis-orthonormal-via-transfer"]
+
+
+@pytest.mark.parametrize("system, bound, failures", [
+    (broken_column(AffineToeplitzSystem, 3, (0, 0), lambda j, c: ((j + 1) % 3, c[1])), 12, {
+        "left-action-unital": {"s": 3},
+        "left-action-homomorphism": {"s": 3, "a": "(1+0j)*S*", "b": "(1+0j)*S"},
+        "left-action-coherent": {"s": 2, "r": 3, "a": "(1+0j)*S",
+                                 "nu": 1, "j": 0, "u": 0, "k": 0}}),
+    (broken_column(AffineToeplitzSystem, 4, (1, 0), lambda j, c: None if j == 2 else c), 12, {
+        "left-action-homomorphism": {"s": 4, "a": "(1+0j)*S", "b": "(1+0j)*S"},
+        "left-action-star": {"s": 4, "a": "(1+0j)*S"},
+        "left-action-coherent": {"s": 2, "r": 2, "a": "(1+0j)*S",
+                                 "nu": 1, "j": 0, "u": 1, "k": 1}}),
+    (broken_column(AffineToeplitzSystem, 2, (0, 1),
+                   lambda j, c: (c[0], (c[1][0] + 1, c[1][1]))), 12, {
+        "left-action-homomorphism": {"s": 2, "a": "(1+0j)*S", "b": "(1+0j)*S*"},
+        "left-action-star": {"s": 2, "a": "(1+0j)*S"},
+        "left-action-coherent": {"s": 2, "r": 2, "a": "(1+0j)*S*",
+                                 "nu": 1, "j": 0, "u": 0, "k": 0}}),
+    (broken_column(TorusDilationSystem, 3, (1,), lambda j, c: (c[0], (c[1][0] + 1,)) if j == 0
+                   else c, 1, name="additive-toeplitz"), 12, {
+        "left-action-homomorphism": {"s": 3, "a": "(1+0j)*z", "b": "(1+0j)*z"},
+        "left-action-star": {"s": 3, "a": "(1+0j)*z"},
+        "left-action-coherent": {"s": 2, "r": 3, "a": "(1+0j)*z",
+                                 "nu": 0, "j": 1, "u": 1, "k": 0}}),
+    (broken_column(TorusDilationSystem, 2, (0, 0), lambda j, c: (c[0] + 1, c[1]) if j == 1
+                   else c, 2), 6, {
+        "left-action-unital": {"s": 2},
+        "left-action-homomorphism": {"s": 2, "a": "(1+0j)*z1", "b": "(1+0j)*z1^-1"},
+        "left-action-coherent": {"s": 2, "r": 2, "a": "(1+0j)*z1",
+                                 "nu": 1, "j": 0, "u": 1, "k": 1}}),
+    (broken_column(TorusDilationSystem, 3, (0, -1), lambda j, c: None if j == 4 else c, 2), 6, {
+        "left-action-homomorphism": {"s": 3, "a": "(1+0j)*z1", "b": "(1+0j)*z2^-1"},
+        "left-action-star": {"s": 3, "a": "(1+0j)*z2"},
+        "left-action-coherent": {"s": 2, "r": 3, "a": "(1+0j)*z2^-1",
+                                 "nu": 2, "j": 0, "u": 1, "k": 4}}),
+], ids=["affine-unit-row-shifted", "affine-S-column-dropped", "affine-S*-exponent-raised",
+        "additive-z-exponent-raised", "torus-unit-row-shifted", "torus-column-dropped"])
+def test_broken_left_action_names_the_first_bad_law(system, bound, failures):
+    report = system.validate(TruncationSet(system.semigroup, bound))
+    assert [(c.name, c.passed, c.witness) for c in report.checks] == [
+        (name, name not in failures, failures.get(name)) for name in LAWS]
 
 
 def test_corrupted_split_still_inverts_map():
