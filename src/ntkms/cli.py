@@ -314,17 +314,18 @@ def _cmd_verify(args, config) -> int:
     for rep in reports:
         print(rep.json_line())
     width = max((len(r.name) for r in reports), default=4)
-    failed = 0
+    counts = {"pass": 0, "skip": 0, "FAIL": 0}
     for rep in reports:
-        mark = "pass" if rep.passed else "FAIL"
-        failed += 0 if rep.passed else 1
+        mark = "FAIL" if not rep.passed else "skip" if rep.metrics.get("skipped") else "pass"
+        counts[mark] += 1
         print(f"{rep.name:<{width}}  {mark}  {rep.seconds:8.3f}s", file=sys.stderr)
+    skipped = f"{counts['skip']} skipped, " if counts["skip"] else ""
     print(
         f"{len(reports)} checks on {system.name}: "
-        f"{len(reports) - failed} passed, {failed} failed",
+        f"{counts['pass']} passed, {skipped}{counts['FAIL']} failed",
         file=sys.stderr,
     )
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return EXIT_CHECK_FAILED if counts["FAIL"] else EXIT_OK
 
 
 def _cmd_systems(args, config) -> int:
@@ -426,7 +427,8 @@ def main(argv=None) -> int:
     except TermBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: a number too large for a float, such as --bound 1e400
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

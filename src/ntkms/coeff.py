@@ -308,6 +308,21 @@ def _zero_degree(dim: int) -> tuple[int, ...]:
 MOMENT_WINDOW = 8
 
 
+def _moment_gram(moment: Callable[[tuple[int, ...]], complex], dim: int, w: int) -> np.ndarray:
+    """The Gram matrix [c(g - h)] over the degrees g, h in {0..w-1}^d, in
+    ``iter_product`` order.
+
+    It is block Toeplitz, so c is called once per difference in
+    {1-w..w-1}^d and one gather fills the matrix.  Read in base 2w - 1
+    with digits shifted by w - 1, a difference g - h sits at
+    pos(g) - pos(h) + center in the table of differences.
+    """
+    table = np.array([moment(k) for k in iter_product(range(1 - w, w), repeat=dim)], dtype=complex)
+    strides = (2 * w - 1) ** np.arange(dim - 1, -1, -1)
+    pos = np.indices((w,) * dim).reshape(dim, -1).T @ strides
+    return table[np.subtract.outer(pos, pos) + (w - 1) * int(strides.sum())]
+
+
 @dataclass
 class TraceSpec:
     """Moment data defining a state on a coefficient engine.
@@ -350,17 +365,11 @@ class TraceSpec:
         if w**dim > 4096:
             raise ValueError(f"cannot check moments on torus rank d = {dim}: "
                              f"window {w}^{dim} exceeds 4096 degrees")
-        grid = list(iter_product(range(w), repeat=dim))
-        for g in grid:
-            k = tuple(g)
+        for k in iter_product(range(w), repeat=dim):
             mk = self._moment(tuple(-x for x in k))
             if abs(mk - self._moment(k).conjugate()) > 1e-9:
                 raise ValueError(f"moment not hermitian at degree {k}")
-        gram = np.empty((len(grid), len(grid)), dtype=complex)
-        for i, gi in enumerate(grid):
-            for j, gj in enumerate(grid):
-                gram[i, j] = self._moment(tuple(a - b for a, b in zip(gi, gj)))
-        low = float(np.linalg.eigvalsh(gram).min())
+        low = float(np.linalg.eigvalsh(_moment_gram(self._moment, dim, w)).min())
         if low < -1e-9:
             raise ValueError(
                 f"moment data not positive semidefinite on window {w}: min eig {low:.3e}"

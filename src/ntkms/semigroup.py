@@ -117,8 +117,13 @@ class TruncationSet:
     def values(self) -> tuple[int, ...]:
         return tuple(self)
 
-    def __len__(self):
+    @property
+    def size(self) -> int:
+        """The number of members; unlike len(), not capped at sys.maxsize."""
         return self.bound - self.semigroup.identity_value + 1
+
+    def __len__(self):
+        return self.size
 
     def __iter__(self):
         return iter(range(self.semigroup.identity_value, self.bound + 1))

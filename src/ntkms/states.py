@@ -24,16 +24,23 @@ and using N(r q) = N(r) N(q),
 
     Z_r = N(r)^(-beta) * sum_(q in T(B/r)) N(q)^(-beta) N_q,
 
-a prefix of the zeta terms: the first floor(B/r) of them on nat-mult and
-the first B - r + 1 on nat-add.  A literal evaluator that walks every
-fiber basis vector symbolically is kept as a slow cross-check.
+a partial sum of the zeta terms: the first floor(B/r) of them on nat-mult
+and the first B - r + 1 on nat-add.  At most PREFIX_TERMS = 2^20 terms are
+held.  A partial sum of n <= 2^20 terms is a slice sum over them; past the
+held prefix, the prefix sum is completed in closed form, by Euler-Maclaurin
+with six Bernoulli terms on the power profile (terms s^(-a), a = p(beta-1))
+and by the geometric sum on the geometric one (terms x^n, x = k^(1-beta)).
+So a window of any size costs the same time and memory.  A literal
+evaluator that walks every fiber basis vector symbolically, within the
+held prefix, is kept as a slow cross-check.
 
 Dropped series tails are bounded in closed form: each term beyond the
 window contributes at most N(s)^(-beta) N_s times the coordinate
-one-norm, so the reported tail is the zeta tail bound scaled by the
-total one-norm over zeta.  The zero-degree moment is pinned to exactly 1.0, and the
-identity partial sum is the same summation over the same array as zeta,
-so the state of the unit is exactly 1.0, not 1.0 up to rounding.
+one-norm, so the reported tail is the zeta tail bound, plus the
+Euler-Maclaurin remainder bound on windows past the prefix, scaled by
+the total one-norm over zeta.  The zero-degree moment is pinned to
+exactly 1.0, and the identity partial sum is the same computation as
+zeta, so the state of the unit is exactly 1.0, not 1.0 up to rounding.
 """
 
 from __future__ import annotations
@@ -82,15 +89,78 @@ class StateValue:
         return complex(self.value)
 
 
+# The zeta terms held in memory: the smallest power of two that keeps the
+# 10^6-term window of the euler-product check on the direct slice sums.
+PREFIX_TERMS = 2**20
+
+# B_2k / (2k)! for k = 1..6, and 2 zeta(12) / (2 pi)^12 = |B_12| / 12!,
+# which bounds the periodic Bernoulli function in the remainder integral.
+_EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+                    -691 / 1307674368000)
+_EULER_MACLAURIN_REMAINDER = abs(_EULER_MACLAURIN[-1])
+
+
 def _zeta_terms(system: ProductSystem, beta: float, bound: int) -> np.ndarray:
-    """N(s)^(-beta) * N_s for s = e, ..., bound, in overflow-safe closed form."""
+    """N(s)^(-beta) * N_s for the first min(PREFIX_TERMS, window size) elements
+    s = e, e + 1, ... up to bound, in overflow-safe closed form."""
     kind, p = system.scaling.profile
-    svals = np.arange(system.identity_fiber(), bound + 1, dtype=np.int64).astype(float)
+    e = system.identity_fiber()
+    last = min(bound, e + PREFIX_TERMS - 1)
+    svals = np.arange(e, last + 1, dtype=np.int64).astype(float)
     if kind == "power":
         return svals ** (p * (1.0 - beta))
     if kind == "geometric":
         return np.exp((1.0 - beta) * math.log(p) * svals)
     raise ValueError(f"no closed-form series for the scaling profile {system.scaling.profile!r}")
+
+
+def _closed_form_sum(profile: tuple[str, int], beta: float, m: int, n: int) -> tuple[float, float]:
+    """The zeta terms numbered m, ..., n - 1 from 0, summed in closed form,
+    and a bound on the error of that closed form.
+
+    Geometric profile: the terms are x^i with x = k^(1-beta), summing to
+    x^m (1 - x^(n-m)) / (1 - x), exactly.  Power profile: the terms are
+    f(s) = s^(-a) for s = m + 1, ..., n with a = p(beta - 1), summed by
+    Euler-Maclaurin with six Bernoulli terms (DLMF 2.10.1); the remainder
+    is at most 2 zeta(12) / (2 pi)^12 * |f^(11)(m)|, as f^(12) keeps one
+    sign.  The integral goes through expm1 so that it does not cancel
+    near the critical exponent, where a - 1 is small.
+    """
+    kind, p = profile
+    if kind == "geometric":
+        lx = (1.0 - beta) * math.log(p)
+        return math.exp(lx * m) * math.expm1(lx * (n - m)) / math.expm1(lx), 0.0
+    a = p * (beta - 1.0)
+    fm, fn = float(m) ** -a, float(n) ** -a
+    total = float(m) ** (1.0 - a) * math.expm1((1.0 - a) * math.log(n / m)) / (1.0 - a)
+    total += 0.5 * (fn - fm)
+    # f^(2k-1)(x) = -(a)_(2k-1) x^(-a-2k+1), with the rising factorial (a)_j
+    rising = a
+    for k, c in enumerate(_EULER_MACLAURIN, start=1):
+        total += c * rising * (fm * float(m) ** (1 - 2 * k) - fn * float(n) ** (1 - 2 * k))
+        rising *= (a + 2 * k - 1) * (a + 2 * k)
+    # rising is now (a)_13, and |f^(11)(m)| = (a)_11 m^(-a-11)
+    f11 = rising / ((a + 11) * (a + 12)) * fm * float(m) ** -11
+    return total, _EULER_MACLAURIN_REMAINDER * f11
+
+
+def _partial_sum(
+    profile: tuple[str, int], beta: float, prefix: np.ndarray, prefix_sum: float, n: int
+) -> tuple[float, float]:
+    """The sum of the first n zeta terms and a bound on its closed-form error.
+
+    Within the held prefix a plain sum over a slice, not a cumulative
+    sum, with no error term; the whole prefix is prefix_sum, its sum
+    computed once; beyond it the prefix sum plus the closed form of the
+    rest.
+    """
+    m = len(prefix)
+    if n < m:
+        return float(np.sum(prefix[: max(n, 0)])), 0.0
+    if n == m:
+        return prefix_sum, 0.0
+    rest, err = _closed_form_sum(profile, beta, m, n)
+    return prefix_sum + rest, err
 
 
 class KMSContext:
@@ -109,8 +179,11 @@ class KMSContext:
         self.bound = int(bound)
         self.trunc = TruncationSet(system.semigroup, self.bound)
         self._zeta_terms = _zeta_terms(system, self.beta, self.bound)
-        self.zeta = float(np.sum(self._zeta_terms))
-        self.zeta_tail = tail_bound(system.scaling, self.beta, self.bound)
+        self._prefix_sum = float(np.sum(self._zeta_terms))
+        self.zeta, err = _partial_sum(
+            system.scaling.profile, self.beta, self._zeta_terms, self._prefix_sum, self.trunc.size
+        )
+        self.zeta_tail = tail_bound(system.scaling, self.beta, self.bound) + err
         self._z_cache: dict[int, float] = {}
 
     # -- series building blocks ------------------------------------------
@@ -125,15 +198,20 @@ class KMSContext:
     def z_value(self, r: int) -> float:
         """Z_r = sum over window elements s = r q of N(s)^(-beta) N_q.
 
-        N(r)^(-beta) times a prefix of the zeta terms (see the module
-        docstring); 0.0 when r lies beyond the window.  A plain sum over
-        a slice, not a cumulative sum, so Z_e is bitwise zeta.
+        N(r)^(-beta) times the sum of the first n zeta terms (see the
+        module docstring): a slice sum over the held 2^20-term prefix
+        when n fits in it, else the prefix sum plus the closed-form rest.
+        0.0 when r lies beyond the window.  Z_e is computed exactly as
+        zeta is, so it is bitwise zeta.
         """
         out = self._z_cache.get(r)
         if out is None:
             sg = self.system.semigroup
             n = self.bound // r if sg.is_multiplicative else self.bound - r + 1
-            out = self.weight_pow(r) * float(np.sum(self._zeta_terms[: max(n, 0)]))
+            total, _ = _partial_sum(
+                self.system.scaling.profile, self.beta, self._zeta_terms, self._prefix_sum, n
+            )
+            out = self.weight_pow(r) * total
             self._z_cache[r] = out
         return out
 
@@ -179,10 +257,16 @@ class KMSContext:
         """The defining double sum, walking fiber bases symbolically.
 
         Quadratic in the window size; kept as an independent cross-check
-        of the degree fast path.
+        of the degree fast path.  It reads every zeta term, so it refuses
+        windows longer than the held prefix.
         """
         if y.system is not self.system:
             raise ValueError("element is over a different product system")
+        if self.trunc.size > len(self._zeta_terms):
+            raise ValueError(
+                f"omega_literal walks at most PREFIX_TERMS = {PREFIX_TERMS} window "
+                f"elements; bound {self.bound} has {self.trunc.size}"
+            )
         sys = self.system
         sg = sys.semigroup
         total = 0.0 + 0.0j
@@ -237,15 +321,17 @@ def ground_state(system: ProductSystem, trace: TraceSpec, y: NTElement) -> State
 def zeta_series(system: ProductSystem, beta: float, bound: int) -> StateValue:
     """The normalising series over the window, with its tail bound.
 
-    Uses the interval shape of the built-in cones directly, so very
-    large windows stay cheap.
+    Sums the held prefix of the terms and completes longer windows in
+    closed form, so every window costs the same.
     """
     if not beta > system.beta_c:
         raise ValueError(f"beta = {beta} must exceed the critical exponent {system.beta_c}")
-    TruncationSet(system.semigroup, bound)  # rejects a bound below the identity
-    terms = _zeta_terms(system, beta, bound)
-    tail = tail_bound(system.scaling, beta, bound)
-    return StateValue(complex(float(np.sum(terms))), tail, bound)
+    trunc = TruncationSet(system.semigroup, bound)  # rejects a bound below the identity
+    prefix = _zeta_terms(system, beta, bound)
+    value, err = _partial_sum(
+        system.scaling.profile, beta, prefix, float(np.sum(prefix)), trunc.size
+    )
+    return StateValue(complex(value), tail_bound(system.scaling, beta, bound) + err, bound)
 
 
 @lru_cache(maxsize=8)

@@ -17,6 +17,8 @@ exits right after), so a fixture snapshots it around every test.
 """
 
 import json
+import math
+import time
 from pathlib import Path
 
 import pytest
@@ -247,6 +249,23 @@ def test_verify_emits_json_lines_and_a_summary(capsys):
     n = len(reports)
     assert err.splitlines()[-1] == (
         f"{n} checks on affine-toeplitz: {n} passed, 0 failed"
+    )
+
+
+def test_verify_marks_skipped_checks_on_stderr_only(capsys):
+    code, out, err = run(capsys, "verify", "--system", "cuntz", "--suite", "all")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    skipped = [r["check"] for r in reports if r["metrics"].get("skipped")]
+    assert sorted(skipped) == [
+        "reconstruct:inclusion-exclusion", "reconstruct:trace-recovery",
+        "state:core-trace", "state:euler-product",
+    ]
+    rows = {line.split()[0]: line.split()[1] for line in err.splitlines()[:-1]}
+    assert rows == {r["check"]: "skip" if r["check"] in skipped else "pass" for r in reports}
+    n = len(reports)
+    assert err.splitlines()[-1] == (
+        f"{n} checks on cuntz(2): {n - 4} passed, 4 skipped, 0 failed"
     )
 
 
@@ -495,6 +514,33 @@ def test_hostile_exponent_evaluates_fast(capsys):
     )
     assert code == 0, err
     assert json.loads(out)["value"] == [0.0, 0.0]
+
+
+def test_hostile_window_evaluates_fast(capsys):
+    # the window holds 10^12 elements; only a 2^20-term prefix is summed
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "eval", "--system", "affine-toeplitz", "--expr", "i[1](1@0)",
+        "--beta", "3", "--bound", "1000000000000",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["value"] == [1.0, 0.0]
+    assert payload["truncation"] == 10**12
+    # the zeta tail 1/B of sum s^(-2), over zeta = pi^2/6 - 1/B
+    assert payload["tail"] == pytest.approx(1e-12 / (math.pi**2 / 6), rel=1e-9)
+
+    # a window longer than sys.maxsize still works; past the float range
+    # the bound is a usage error
+    for system, expr in (("affine-toeplitz", "i[1](1@0)"), ("cuntz", "i[0](1@0)")):
+        code, out, err = run(capsys, "eval", "--system", system, "--expr", expr,
+                             "--bound", str(10**30))
+        assert code == 0, err
+        assert json.loads(out)["truncation"] == 10**30
+        code, out, err = run(capsys, "eval", "--system", system, "--expr", expr,
+                             "--bound", str(10**400))
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_term_budget_must_be_positive(capsys):

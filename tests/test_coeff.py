@@ -1,15 +1,19 @@
 import cmath
+from itertools import product as iter_product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntkms.coeff import (
+    MOMENT_WINDOW,
     SCALAR,
     TOEPLITZ,
     CoefficientElement,
     LaurentEngine,
     TraceSpec,
+    _moment_gram,
     haar_trace,
     identity_trace,
     mixture_trace,
@@ -188,6 +192,31 @@ def test_trace_validation_rejects_bad_moments():
         TraceSpec(TOEPLITZ, lambda k: 1.0 if k == (0,) else 1j)  # not hermitian
     with pytest.raises(ValueError):
         TraceSpec(TOEPLITZ, lambda k: 1.0 if k == (0,) else 3.0)  # not psd
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_moment_gram_is_the_double_loop_matrix_bitwise(dim):
+    theta = (0.3, 1.1, 2.9)[:dim]
+    moment = point_mass_trace(LaurentEngine(dim), theta).moment
+    w = MOMENT_WINDOW
+    grid = list(iter_product(range(w), repeat=dim))
+    want = np.empty((len(grid), len(grid)), dtype=complex)
+    for i, gi in enumerate(grid):
+        for j, gj in enumerate(grid):
+            want[i, j] = moment(tuple(a - b for a, b in zip(gi, gj)))
+    got = _moment_gram(moment, dim, w)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_moments_that_are_not_positive_definite_are_rejected(dim):
+    # hermitian, but c(k) = 0.9 at every unit degree outweighs c(0) = 1
+    def moment(k):
+        return 0.9 if sum(map(abs, k)) == 1 else (1.0 if not any(k) else 0.0)
+
+    with pytest.raises(ValueError, match="not positive semidefinite on window 8"):
+        TraceSpec(LaurentEngine(dim), moment)
 
 
 def test_zero_degree_moment_is_exactly_one():

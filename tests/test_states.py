@@ -4,9 +4,16 @@ from random import Random
 import numpy as np
 import pytest
 
+from ntkms import states
 from ntkms.coeff import CoefficientElement, haar_trace, identity_trace, point_mass_trace
 from ntkms.nt import NTElement, unit_projection
-from ntkms.product_system import AffineToeplitzSystem, CuntzSystem, TorusDilationSystem
+from ntkms.product_system import (
+    AffineToeplitzSystem,
+    CuntzSystem,
+    TorusDilationSystem,
+    get_system,
+)
+from ntkms.semigroup import tail_bound
 from ntkms.states import (
     KMSContext,
     euler_product,
@@ -107,6 +114,128 @@ def test_z_value_at_identity_is_zeta_bitwise():
     for system in (AFFINE, CUNTZ):
         ctx = context(system)
         assert ctx.z_value(system.identity_fiber()) == ctx.zeta
+
+
+# -- closed-form partial sums beyond the held prefix ----------------------------
+
+BUILTINS = {
+    "affine-toeplitz": AFFINE,
+    "additive-toeplitz": get_system("additive-toeplitz"),
+    "lattice-dilation(2)": TORUS2,
+    "cuntz(2)": CUNTZ,
+}
+# the beta ranges of the kms-sweep benchmark workload; additive-toeplitz,
+# which it does not run, shares the s^(1-beta) terms of affine-toeplitz
+SWEEP_BETAS = {
+    "affine-toeplitz": (2.5, 4.0),
+    "additive-toeplitz": (2.5, 4.0),
+    "lattice-dilation(2)": (2.0, 3.5),
+    "cuntz(2)": (1.5, 3.0),
+}
+
+
+def all_terms(system, beta, bound):
+    """Every zeta term of the window, by the formula of the full array."""
+    kind, p = system.scaling.profile
+    svals = np.arange(system.identity_fiber(), bound + 1, dtype=np.int64).astype(float)
+    if kind == "power":
+        return svals ** (p * (1.0 - beta))
+    return np.exp((1.0 - beta) * math.log(p) * svals)
+
+
+def terms_in_z(system, bound, r):
+    """The number of zeta terms in Z_r."""
+    if system.semigroup.is_multiplicative:
+        return bound // r
+    return bound - r + 1
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_windows_within_the_prefix_sum_the_full_array_bitwise(name):
+    system = BUILTINS[name]
+    beta = sum(SWEEP_BETAS[name]) / 2
+    e = system.identity_fiber()
+    # 1000 terms, and exactly the 2^20 held ones
+    for bound in (1000, e + states.PREFIX_TERMS - 1):
+        ctx = context(system, beta=beta, bound=bound)
+        terms = all_terms(system, beta, bound)
+        assert ctx.zeta == float(np.sum(terms))
+        for r in (e, 2, 3, 7, 999, bound, bound + 1):
+            n = max(terms_in_z(system, bound, r), 0)
+            assert ctx.z_value(r) == ctx.weight_pow(r) * float(np.sum(terms[:n]))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_windows_past_the_prefix_match_fsum(name, monkeypatch):
+    monkeypatch.setattr(states, "PREFIX_TERMS", 2**10)
+    system = BUILTINS[name]
+    bound = 10**6
+    for beta in (system.beta_c + 0.01, *SWEEP_BETAS[name]):
+        ctx = context(system, beta=beta, bound=bound)
+        assert len(ctx._zeta_terms) == 2**10
+        terms = all_terms(system, beta, bound)
+        want = math.fsum(terms)
+        assert abs(ctx.zeta - want) <= 1e-15 * want
+        # Z_r past the prefix and, for r = 1000, within it
+        for r in (2, 3, 7, 1000):
+            n = terms_in_z(system, bound, r)
+            want = ctx.weight_pow(r) * math.fsum(terms[:n])
+            assert abs(ctx.z_value(r) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_z_value_at_identity_is_zeta_bitwise_past_the_prefix(name):
+    system = BUILTINS[name]
+    ctx = context(system, beta=SWEEP_BETAS[name][0], bound=3 * 10**6)
+    assert len(ctx._zeta_terms) == states.PREFIX_TERMS
+    assert ctx.z_value(system.identity_fiber()) == ctx.zeta
+    assert ctx.kms(NTElement.unit(system)).value == complex(1.0)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_euler_maclaurin_remainder_is_negligible_at_the_prefix(name):
+    system = BUILTINS[name]
+    for beta in SWEEP_BETAS[name]:
+        _, err = states._closed_form_sum(system.scaling.profile, beta, 2**20, 10**7)
+        assert 0.0 <= err < 1e-30
+        # the geometric sum is exact
+        assert (err == 0.0) == (system is CUNTZ)
+        ctx = context(system, beta=beta, bound=10**7)
+        assert ctx.zeta_tail == tail_bound(system.scaling, beta, 10**7) + err
+
+
+@pytest.mark.parametrize("beta", [2.01, 2.5, 3.0, 5.0])
+def test_euler_maclaurin_remainder_bounds_the_error(beta):
+    """With the rest starting at s = 2, 3 or 5 the remainder is large
+    enough to measure, and it must cover the error of the closed form."""
+    a = beta - 1.0
+    n = 10**5
+    terms = np.arange(1, n + 1, dtype=float) ** -a
+    for m in (1, 2, 4):
+        got, err = states._closed_form_sum(AFFINE.scaling.profile, beta, m, n)
+        want = math.fsum(terms[m:])
+        assert err > 0.0
+        assert abs(got - want) <= err + 4e-16 * want
+
+
+def test_literal_evaluator_refuses_windows_past_the_prefix(monkeypatch):
+    monkeypatch.setattr(states, "PREFIX_TERMS", 2**4)
+    ctx = context(AFFINE, beta=3.0, bound=100)
+    with pytest.raises(ValueError, match="PREFIX_TERMS = 16"):
+        ctx.omega_literal(NTElement.unit(AFFINE))
+    sv = context(AFFINE, beta=3.0, bound=16).omega_literal(NTElement.unit(AFFINE))
+    assert sv.value == pytest.approx(1.0, rel=1e-14)
+
+
+def test_any_window_costs_the_same():
+    for system in BUILTINS.values():
+        e = system.identity_fiber()
+        sv = zeta_series(system, 3.0, 10**15)
+        assert sv.truncation == 10**15
+        ctx = context(system, beta=3.0, bound=10**15)
+        assert len(ctx._zeta_terms) == states.PREFIX_TERMS
+        assert ctx.zeta == sv.value.real and ctx.zeta_tail == sv.tail
+        assert ctx.z_value(e) == ctx.zeta
 
 
 # -- the state itself --------------------------------------------------------------
