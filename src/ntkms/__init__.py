@@ -37,7 +37,6 @@ from .nt import (
     NTElement,
     TermBudgetExceeded,
     get_term_budget,
-    set_term_budget,
     term_budget,
     unit_projection,
 )
@@ -48,7 +47,6 @@ from .product_system import (
     ModuleVector,
     ProductSystem,
     TorusDilationSystem,
-    ValidationReport,
     get_system,
 )
 from .semigroup import (
@@ -103,7 +101,6 @@ __all__ = [
     "TraceSpec",
     "TruncatedFock",
     "TruncationSet",
-    "ValidationReport",
     "euler_product",
     "euler_truncation_gap",
     "format_element",
@@ -117,7 +114,6 @@ __all__ = [
     "point_mass_trace",
     "reconstruct_trace",
     "run_suites",
-    "set_term_budget",
     "tail_bound",
     "term_budget",
     "unit_projection",

@@ -95,23 +95,8 @@ def _opt(args: argparse.Namespace, config: dict, key: str, default=None):
 
 def _make_system(args, config) -> ProductSystem:
     name = _opt(args, config, "system", "affine-toeplitz")
-    params = {}
-    d = _opt(args, config, "d")
-    k = _opt(args, config, "k")
-    if name == "lattice-dilation":
-        if d is not None:
-            params["d"] = int(d)
-        if k is not None:
-            raise UsageError("k does not apply to lattice-dilation")
-    elif name == "cuntz":
-        if k is not None:
-            params["k"] = int(k)
-        if d is not None:
-            raise UsageError("d does not apply to cuntz")
-    elif d is not None or k is not None:
-        raise UsageError(f"system {name!r} takes no parameters")
     try:
-        system = get_system(name, **params)
+        system = get_system(name, d=_opt(args, config, "d"), k=_opt(args, config, "k"))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     corrupt = _opt(args, config, "corrupt")
@@ -367,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--trace", help="haar, point-mass or identity")
     common.add_argument("--theta", help="angle(s) for point-mass, comma separated")
     common.add_argument("--term-budget", dest="term_budget", type=int,
-                        help="abort symbolic products past this many terms")
+                        help="abort products and divisor scans past this much raw work")
 
     parser = argparse.ArgumentParser(
         prog="ntkms",

@@ -31,7 +31,7 @@ degrees, so trace(ab) and trace(ba) read the same moment.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Callable, Iterable
 
@@ -80,9 +80,6 @@ class Engine:
 
     def format(self, a: tuple) -> str:
         raise NotImplementedError
-
-    def sort_key(self, a: tuple):
-        return a
 
     def __repr__(self):
         return f"<{self.tag} engine>"
@@ -291,7 +288,7 @@ class CoefficientElement:
         return hash((self.engine.tag, frozenset(self.terms.items())))
 
     def sorted_terms(self) -> list[tuple[tuple, complex]]:
-        return sorted(self.terms.items(), key=lambda kv: self.engine.sort_key(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def __repr__(self):
         if not self.terms:
@@ -327,30 +324,19 @@ def _moment_gram(moment: Callable[[tuple[int, ...]], complex], dim: int, w: int)
 class TraceSpec:
     """Moment data defining a state on a coefficient engine.
 
-    ``moment`` maps a degree in Z^d to a complex number.  Construction
+    ``moment_fn`` maps a degree in Z^d to a complex number.  Construction
     validates c(0) = 1, hermitian symmetry and positive semidefiniteness
     of the Gram matrix over the degrees {0..MOMENT_WINDOW-1}^d, which
-    caps the torus rank d at 4; violations raise ValueError.  The stored
-    moment function is wrapped so the zero degree returns exactly 1.0,
-    which downstream normalisation relies on.
+    caps the torus rank d at 4; violations raise ValueError.  ``moment``
+    returns exactly 1.0 at the zero degree, which downstream
+    normalisation relies on.
     """
 
     engine: Engine
     moment_fn: Callable[[tuple[int, ...]], complex]
     name: str = "trace"
-    _moment: Callable[[tuple[int, ...]], complex] = field(init=False, repr=False)
 
     def __post_init__(self):
-        dim = self.engine.degree_dim
-        zero = _zero_degree(dim)
-        raw = self.moment_fn
-
-        def moment(k: tuple[int, ...]) -> complex:
-            if k == zero:
-                return complex(1.0)
-            return complex(raw(k))
-
-        self._moment = moment
         self._validate()
 
     def _validate(self):
@@ -366,24 +352,26 @@ class TraceSpec:
             raise ValueError(f"cannot check moments on torus rank d = {dim}: "
                              f"window {w}^{dim} exceeds 4096 degrees")
         for k in iter_product(range(w), repeat=dim):
-            mk = self._moment(tuple(-x for x in k))
-            if abs(mk - self._moment(k).conjugate()) > 1e-9:
+            mk = self.moment(tuple(-x for x in k))
+            if abs(mk - self.moment(k).conjugate()) > 1e-9:
                 raise ValueError(f"moment not hermitian at degree {k}")
-        low = float(np.linalg.eigvalsh(_moment_gram(self._moment, dim, w)).min())
+        low = float(np.linalg.eigvalsh(_moment_gram(self.moment, dim, w)).min())
         if low < -1e-9:
             raise ValueError(
                 f"moment data not positive semidefinite on window {w}: min eig {low:.3e}"
             )
 
     def moment(self, k: tuple[int, ...]) -> complex:
-        return self._moment(k)
+        if not any(k):
+            return complex(1.0)
+        return complex(self.moment_fn(k))
 
     def eval(self, a: CoefficientElement) -> complex:
         """Linear extension of the moments to a full element."""
         eng = a.engine
         total = 0.0 + 0.0j
         for mon, w in a.sorted_terms():
-            total += w * self._moment(eng.degree(mon))
+            total += w * self.moment(eng.degree(mon))
         return total
 
     def __repr__(self):

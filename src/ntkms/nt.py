@@ -22,9 +22,11 @@ i_r''), and
         = sum_u i_g''(1_u) i_r''(phi(zeta_(i_g)*) 1_(i_r''))*
 
 over u < N_g'' with i = m(r, g''; l, u).  Outer legs then absorb through
-the module product and the result is re-canonicalised.  The number of
-raw terms emitted during a product is capped; crossing the cap raises
-TermBudgetExceeded rather than grinding on.
+the module product and the result is re-canonicalised.  Raw work is
+capped: the number of raw terms emitted during a product, and the
+length of a divisor scan in a state evaluation, may not cross the term
+budget, and crossing it raises TermBudgetExceeded rather than grinding
+on.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "NTElement",
     "TermBudgetExceeded",
     "term_budget",
-    "set_term_budget",
     "get_term_budget",
     "unit_projection",
 ]
@@ -52,31 +53,25 @@ _budget: ContextVar[int] = ContextVar("term_budget", default=DEFAULT_TERM_BUDGET
 
 
 class TermBudgetExceeded(RuntimeError):
-    """A product would emit more raw terms than the configured cap."""
+    """A computation would do more raw work than the configured cap: a
+    product emitting more raw terms, or a divisor scan running longer."""
 
 
 def get_term_budget() -> int:
+    """The raw-work cap in the current context."""
     return _budget.get()
-
-
-def _positive(n: int) -> int:
-    if n < 1:
-        raise ValueError("term budget must be positive")
-    return int(n)
-
-
-def set_term_budget(n: int) -> int:
-    """Set the raw-term cap for products in the current context; returns
-    the previous value."""
-    old = _budget.get()
-    _budget.set(_positive(n))
-    return old
 
 
 @contextmanager
 def term_budget(n: int):
-    """The raw-term cap n within the block, restored on exit."""
-    token = _budget.set(_positive(n))
+    """The raw-work cap n within the block, restored on exit.
+
+    The cap bounds the raw terms one product emits and the trial
+    divisions one divisor scan makes; it is the only way to set it.
+    """
+    if n < 1:
+        raise ValueError("term budget must be positive")
+    token = _budget.set(int(n))
     try:
         yield
     finally:

@@ -74,7 +74,6 @@ __all__ = [
     "CuntzSystem",
     "get_system",
     "BUILTIN_SYSTEMS",
-    "ValidationReport",
 ]
 
 
@@ -155,22 +154,6 @@ class CheckResult:
     detail: str = ""
     witness: Optional[dict] = None
     seconds: float = 0.0
-
-
-@dataclass
-class ValidationReport:
-    system: str
-    checks: list[CheckResult]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def first_failure(self) -> Optional[CheckResult]:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
 
 
 class ProductSystem:
@@ -296,12 +279,13 @@ class ProductSystem:
 
     # -- validation ------------------------------------------------------
 
-    def validate(self, trunc: TruncationSet) -> ValidationReport:
+    def validate(self, trunc: TruncationSet) -> list[CheckResult]:
         """Structural validation over a truncation window.
 
-        Runs the basis-count, index-map and left-action laws in order.
-        Each law is a lazy stream of witnesses in loop order; the first
-        one, if any, fails the law, and each law is timed on its own.
+        Runs the basis-count, index-map and left-action laws in order and
+        returns one CheckResult per law, in that order.  Each law is a
+        lazy stream of witnesses in loop order; the first one, if any,
+        fails the law, and each law is timed on its own.
         The index-map laws evaluate the maps on numpy index grids, and
         the coherence law assumes the bijectivity checked before it.
         """
@@ -430,7 +414,7 @@ class ProductSystem:
                  for j in range(n(s)) for k in range(n(s))
                  if (got := self._basis_inner_via_transfer(s, j, k)) != (one if j == k else None)))
 
-        return ValidationReport(self.name, checks)
+        return checks
 
     def _basis_inner_via_transfer(self, s: int, j: int, k: int) -> Optional[tuple]:
         raise NotImplementedError
@@ -470,62 +454,33 @@ class ProductSystem:
         return True, None, pairs
 
     def corrupted(self, s: int, r: int, pair_a: tuple[int, int], pair_b: tuple[int, int]):
-        """A copy with two index-map values swapped, for negative tests."""
-        return _CorruptedSystem(self, s, r, pair_a, pair_b)
+        """A copy with two index-map values swapped, for negative tests.
+
+        The copy is an instance of a subclass of this system's class that
+        overrides only index_map and index_split: at the fiber pair (s, r)
+        the images of pair_a and pair_b trade places, elementwise.
+        """
+        a, b = self.index_map(s, r, *pair_a), self.index_map(s, r, *pair_b)
+
+        def swap(fs, fr, i):
+            if (fs, fr) != (s, r):
+                return i
+            out = np.where(i == a, b, np.where(i == b, a, i))
+            return int(out) if out.ndim == 0 else out
+
+        class Corrupted(type(self)):
+            def index_map(self, fs, fr, j, k):
+                return swap(fs, fr, super().index_map(fs, fr, j, k))
+
+            def index_split(self, fs, fr, i):
+                return super().index_split(fs, fr, swap(fs, fr, i))
+
+        bad = object.__new__(Corrupted)
+        bad.__dict__.update(vars(self), name=self.name + "-corrupted")
+        return bad
 
     def __repr__(self):
         return f"<product system {self.name}>"
-
-
-class _CorruptedSystem(ProductSystem):
-    """Delegating wrapper with one index-map transposition."""
-
-    def __init__(self, base: ProductSystem, s: int, r: int, pair_a, pair_b):
-        self.base = base
-        self.name = base.name + "-corrupted"
-        self.semigroup = base.semigroup
-        self.engine = base.engine
-        self.scaling = base.scaling
-        self.beta_c = base.beta_c
-        self._s, self._r = s, r
-        self._pa, self._pb = tuple(pair_a), tuple(pair_b)
-
-    def basis_count(self, s):
-        return self.base.basis_count(s)
-
-    def _swap(self, s, r, i):
-        """Exchange the two images of the corrupted pair, elementwise."""
-        if (s, r) != (self._s, self._r):
-            return i
-        a = self.base.index_map(s, r, *self._pa)
-        b = self.base.index_map(s, r, *self._pb)
-        out = np.where(i == a, b, np.where(i == b, a, i))
-        return int(out) if out.ndim == 0 else out
-
-    def index_map(self, s, r, j, k):
-        return self._swap(s, r, self.base.index_map(s, r, j, k))
-
-    def index_split(self, s, r, i):
-        return self.base.index_split(s, r, self._swap(s, r, i))
-
-    def left_column(self, s, mon, j):
-        return self.base.left_column(s, mon, j)
-
-    def generator_monomials(self):
-        return self.base.generator_monomials()
-
-    def transfer_monomial(self, s, mon):
-        return self.base.transfer_monomial(s, mon)
-
-    def _basis_inner_via_transfer(self, s, j, k):
-        return self.base._basis_inner_via_transfer(s, j, k)
-
-    def weight(self, q):
-        return self.base.weight(q)
-
-    @property
-    def params(self):
-        return self.base.params
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -696,25 +651,26 @@ class CuntzSystem(ProductSystem):
 BUILTIN_SYSTEMS = ("affine-toeplitz", "additive-toeplitz", "lattice-dilation", "cuntz")
 
 
-def get_system(name: str, **params) -> ProductSystem:
-    """Instance factory used by the CLI and the verification drivers."""
-    if name == "affine-toeplitz":
-        _reject_params(name, params)
-        return AffineToeplitzSystem()
-    if name == "additive-toeplitz":
-        _reject_params(name, params)
+def get_system(name: str, d: int | None = None, k: int | None = None) -> ProductSystem:
+    """Instance factory used by the CLI and the verification drivers.
+
+    lattice-dilation takes the torus rank d (default 1) and cuntz the
+    branching k (default 2); affine-toeplitz and additive-toeplitz take
+    no parameters.  A parameter the named system does not take, like an
+    unknown name, raises ValueError.
+    """
+    if name in ("affine-toeplitz", "additive-toeplitz"):
+        if d is not None or k is not None:
+            raise ValueError(f"system {name!r} takes no parameters")
+        if name == "affine-toeplitz":
+            return AffineToeplitzSystem()
         return TorusDilationSystem(1, name="additive-toeplitz")
     if name == "lattice-dilation":
-        d = params.pop("d", 1)
-        _reject_params(name, params)
-        return TorusDilationSystem(int(d))
+        if k is not None:
+            raise ValueError("k does not apply to lattice-dilation")
+        return TorusDilationSystem(1 if d is None else int(d))
     if name == "cuntz":
-        k = params.pop("k", 2)
-        _reject_params(name, params)
-        return CuntzSystem(int(k))
+        if d is not None:
+            raise ValueError("d does not apply to cuntz")
+        return CuntzSystem(2 if k is None else int(k))
     raise ValueError(f"unknown system {name!r}; known: {', '.join(BUILTIN_SYSTEMS)}")
-
-
-def _reject_params(name: str, params: dict) -> None:
-    if params:
-        raise ValueError(f"system {name!r} does not accept parameters {sorted(params)}")

@@ -83,16 +83,6 @@ class Semigroup:
             raise ValueError(f"{s} is not below {r} in {self.name}")
         return r // s if self.is_multiplicative else r - s
 
-    def enumerate_values(self, bound: int) -> tuple[int, ...]:
-        """All elements up to ``bound``, ascending.
-
-        The result is divisor-complete: it contains every element below
-        any of its members, and it contains the identity.
-        """
-        if bound < self.identity_value:
-            raise ValueError(f"bound must be >= {self.identity_value}")
-        return tuple(range(self.identity_value, bound + 1))
-
 
 NAT_MULT = Semigroup("nat-mult")
 NAT_ADD = Semigroup("nat-add")

@@ -52,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coeff import TraceSpec
-from .nt import NTElement
+from .nt import NTElement, TermBudgetExceeded, get_term_budget
 from .product_system import ProductSystem
 from .semigroup import TruncationSet, tail_bound
 
@@ -380,8 +380,17 @@ def _divisors(n: int, limit: int) -> list[int]:
     """The divisors of n >= 1 that are at most limit, ascending.
 
     Trial division runs to min(limit, isqrt(n)): past isqrt(n) only the
-    cofactors n // d of smaller divisors d remain.
+    cofactors n // d of smaller divisors d remain.  That scan length is
+    raw work charged to the term budget; a longer scan than the budget
+    raises TermBudgetExceeded before it starts.
     """
-    low = [d for d in range(1, min(limit, math.isqrt(n)) + 1) if n % d == 0]
+    scan = min(limit, math.isqrt(n))
+    budget = get_term_budget()
+    if scan > budget:
+        raise TermBudgetExceeded(
+            f"the divisor scan of degree {n} needs {scan} trial divisions, past the "
+            f"raw-work cap ({budget}); raise the budget or shrink the window"
+        )
+    low = [d for d in range(1, scan + 1) if n % d == 0]
     high = [n // d for d in reversed(low) if d * d != n and n // d <= limit]
     return low + high

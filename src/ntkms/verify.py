@@ -96,11 +96,14 @@ class CheckReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _timed(fn: Callable[[], CheckReport]) -> CheckReport:
+def _timed(fn: Callable[[], CheckReport | list[CheckReport]]) -> list[CheckReport]:
+    """Run one task; a single report gets the task's time, a list keeps its own."""
     t0 = time.perf_counter()
-    rep = fn()
-    rep.seconds = time.perf_counter() - t0
-    return rep
+    item = fn()
+    if isinstance(item, list):
+        return item
+    item.seconds = time.perf_counter() - t0
+    return [item]
 
 
 # -- samplers ---------------------------------------------------------------
@@ -169,7 +172,7 @@ def structure_reports(system: ProductSystem, bound: Optional[int] = None) -> lis
     trunc = TruncationSet(system.semigroup, bound)
     out: list[CheckReport] = []
 
-    for c in system.validate(trunc).checks:
+    for c in system.validate(trunc):
         out.append(
             CheckReport(
                 name=f"structure:{c.name}",
@@ -206,9 +209,8 @@ def structure_reports(system: ProductSystem, bound: Optional[int] = None) -> lis
             {"bound": bound, "pairs": pairs, **({"witness": witness} if witness else {})},
         )
 
-    out.append(_timed(scaling_check))
-    out.append(_timed(closure_check))
-    out.append(_timed(coprime_check))
+    for check in (scaling_check, closure_check, coprime_check):
+        out += _timed(check)
     return out
 
 
@@ -666,13 +668,13 @@ def check_inclusion_exclusion(
             gamma = [0] * system.engine.d
             gamma[rng.randrange(system.engine.d)] = d * rng.choice((1, -1))
             a = CoefficientElement.monomial(system.engine, tuple(gamma), _gauss_int(rng))
-        trace = rng.choice(
-            (haar_trace(system.engine), point_mass_trace(
-                system.engine,
-                rng.uniform(0, 6) if system.engine.degree_dim == 1
-                else tuple(rng.uniform(0, 6) for _ in range(system.engine.d)),
-            ))
-        )
+        # the angle(s) come before the 2-way choice, and only the kept trace is built
+        theta = (rng.uniform(0, 6) if system.engine.degree_dim == 1
+                 else tuple(rng.uniform(0, 6) for _ in range(system.engine.d)))
+        if rng.choice((False, True)):
+            trace = point_mass_trace(system.engine, theta)
+        else:
+            trace = haar_trace(system.engine)
         needed = set()
         for mask in range(1, 1 << len(ps)):
             needed.add(math.prod(p for n, p in enumerate(ps) if mask & (1 << n)))
@@ -1013,14 +1015,4 @@ def run_suites(
     if "euler" in wanted:
         tasks.append(lambda: check_euler(system, beta=max(beta, 3.0)))
 
-    return [rep for fn in tasks for rep in _timed_flat(fn)]
-
-
-def _timed_flat(fn) -> list[CheckReport]:
-    """Run one task; a single report gets the task's time, a list keeps its own."""
-    t0 = time.perf_counter()
-    item = fn()
-    if isinstance(item, list):
-        return item
-    item.seconds = time.perf_counter() - t0
-    return [item]
+    return [rep for fn in tasks for rep in _timed(fn)]

@@ -294,6 +294,8 @@ STRUCTURE_RUNS = {
     "lattice-dilation": ("--system", "lattice-dilation"),
     "cuntz": ("--system", "cuntz"),
     "affine-toeplitz-corrupt": ("--system", "affine-toeplitz", "--corrupt", "2,2,0,1,1,0"),
+    "lattice-dilation-corrupt": ("--system", "lattice-dilation", "--corrupt", "2,2,0,1,1,0"),
+    "cuntz-corrupt": ("--system", "cuntz", "--corrupt", "1,1,0,0,1,0"),
 }
 
 
@@ -514,6 +516,20 @@ def test_hostile_exponent_evaluates_fast(capsys):
     )
     assert code == 0, err
     assert json.loads(out)["value"] == [0.0, 0.0]
+
+
+def test_hostile_exponent_in_a_hostile_window_exits_three_fast(capsys):
+    # the divisor scan of 10^18 would run to isqrt(10^18) = 10^9 inside this
+    # window, which is past the default budget, so it is refused up front
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "eval", "--system", "affine-toeplitz",
+        "--expr", "i[1](S^1000000000000000000@0)", "--beta", "3", "--bound", "1000000000000",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 3 and out == ""
+    assert "degree 1000000000000000000" in err and "1000000000 trial divisions" in err
+    assert "(1000000)" in err
 
 
 def test_hostile_window_evaluates_fast(capsys):

@@ -8,7 +8,6 @@ from ntkms.nt import (
     NTElement,
     TermBudgetExceeded,
     get_term_budget,
-    set_term_budget,
     term_budget,
     unit_projection,
 )
@@ -292,9 +291,8 @@ def test_term_budget_caps_products():
 
 def test_set_term_budget_round_trip():
     old = get_term_budget()
-    prev = set_term_budget(123)
-    assert prev == old and get_term_budget() == 123
-    set_term_budget(old)
+    with term_budget(123):
+        assert get_term_budget() == 123
     assert get_term_budget() == old
 
 
@@ -303,8 +301,8 @@ def test_term_budget_is_local_to_its_thread():
     seen = []
 
     def worker():
-        set_term_budget(7)
-        seen.append(get_term_budget())
+        with term_budget(7):
+            seen.append(get_term_budget())
 
     thread = threading.Thread(target=worker)
     thread.start()
@@ -315,4 +313,5 @@ def test_term_budget_is_local_to_its_thread():
 
 def test_budget_must_be_positive():
     with pytest.raises(ValueError):
-        set_term_budget(0)
+        with term_budget(0):
+            pass

@@ -25,7 +25,7 @@ ALL = [AFFINE, TorusDilationSystem(1), TORUS2, CUNTZ]
 
 def small_fibers(system, count=4):
     sg = system.semigroup
-    vals = sg.enumerate_values(8)
+    vals = TruncationSet(sg, 8)
     out = [v for v in vals if system.basis_count(v) <= 9]
     return out[:count] if len(out) >= count else out
 
@@ -330,8 +330,8 @@ def test_validation_passes(system):
     else:
         bound = 8
     report = system.validate(TruncationSet(system.semigroup, bound))
-    assert report.ok, report.first_failure()
-    names = [c.name for c in report.checks]
+    assert all(c.passed for c in report), [c for c in report if not c.passed]
+    names = [c.name for c in report]
     assert "index-map-bijective" in names
     assert "index-map-associative" in names
     assert "left-action-unital" in names
@@ -341,8 +341,8 @@ def test_corrupted_system_fails_associativity_with_witness():
     bad = AFFINE.corrupted(2, 2, (0, 1), (1, 0))
     # the swap stays bijective but breaks the mixed associativity law
     report = bad.validate(TruncationSet(bad.semigroup, 6))
-    assert not report.ok
-    by_name = {c.name: c for c in report.checks}
+    assert not all(c.passed for c in report)
+    by_name = {c.name: c for c in report}
     assert by_name["index-map-bijective"].passed
     failure = by_name["index-map-associative"]
     assert not failure.passed
@@ -353,7 +353,7 @@ def test_corrupted_system_fails_associativity_with_witness():
     # the coherence scan runs over (j, nu, k, u); this swap breaks two cells
     other = AFFINE.corrupted(2, 2, (0, 0), (0, 1))
     report = other.validate(TruncationSet(other.semigroup, 4))
-    by_name = {c.name: c for c in report.checks}
+    by_name = {c.name: c for c in report}
     assert by_name["left-action-coherent"].witness == {
         "s": 2, "r": 2, "a": "(1+0j)*S", "nu": 1, "j": 0, "u": 0, "k": 0}
 
@@ -380,7 +380,7 @@ class _ShiftedIndices(AffineToeplitzSystem):
 ], ids=["split", "clash", "out-of-range"])
 def test_non_bijective_index_map_names_the_first_bad_pair(system, witness):
     report = system.validate(TruncationSet(system.semigroup, 6))
-    check = next(c for c in report.checks if c.name == "index-map-bijective")
+    check = next(c for c in report if c.name == "index-map-bijective")
     assert not check.passed
     assert check.witness == witness
 
@@ -438,8 +438,24 @@ LAWS = ["identity-fiber-rank", "basis-count-multiplicative", "index-map-unit",
         "additive-z-exponent-raised", "torus-unit-row-shifted", "torus-column-dropped"])
 def test_broken_left_action_names_the_first_bad_law(system, bound, failures):
     report = system.validate(TruncationSet(system.semigroup, bound))
-    assert [(c.name, c.passed, c.witness) for c in report.checks] == [
+    assert [(c.name, c.passed, c.witness) for c in report] == [
         (name, name not in failures, failures.get(name)) for name in LAWS]
+
+
+@pytest.mark.parametrize("system", ALL, ids=lambda s: s.name)
+def test_corrupted_system_subclasses_its_base(system):
+    name = system.name
+    bad = system.corrupted(2, 2, (0, 0), (1, 0))
+    assert isinstance(bad, type(system)) and type(bad) is not type(system)
+    assert bad.name == system.name + "-corrupted"
+    assert bad.params == system.params and bad.beta_c == system.beta_c
+    assert bad.weight(3) == system.weight(3)
+    # only the images at (2, 2) trade places
+    assert bad.index_map(2, 2, 0, 0) == system.index_map(2, 2, 1, 0)
+    assert bad.index_map(2, 3, 1, 2) == system.index_map(2, 3, 1, 2)
+    assert bad.left_column(2, system.engine.unit(), 1) == system.left_column(
+        2, system.engine.unit(), 1)
+    assert system.name == name  # the base is left as it was
 
 
 def test_corrupted_split_still_inverts_map():

@@ -50,7 +50,7 @@ def test_lub_is_least(sg, data):
     r = data.draw(values_for(sg))
     j = sg.lub(s, r)
     # any common upper bound in a window dominates the lub
-    for c in sg.enumerate_values(min(j * 2 + 2, 80)):
+    for c in TruncationSet(sg, min(j * 2 + 2, 80)):
         if sg.leq(s, c) and sg.leq(r, c):
             assert sg.leq(j, c)
 
@@ -122,7 +122,7 @@ def test_scaling_validate_flags_violations():
 def brute_tail(scaling, weights, beta, bound, horizon):
     sg = scaling.semigroup
     total = 0.0
-    for v in sg.enumerate_values(horizon):
+    for v in TruncationSet(sg, horizon):
         if v not in TruncationSet(sg, bound):
             total += scaling.of(v) ** (-beta) * weights(v)
     return total
