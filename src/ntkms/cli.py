@@ -268,14 +268,15 @@ def _cmd_sweep(args, config) -> int:
     betas = _parse_betas(_opt(args, config, "betas"))
     bound = int(_opt(args, config, "bound", 1000))
     observables = _parse_observables(args, config, system)
-    header = ["beta", "zeta", "tail"] + [name for name, _ in observables]
-    print(",".join(header))
+    # every row is computed before any is printed, so an error prints nothing
+    rows = [["beta", "zeta", "tail"] + [name for name, _ in observables]]
     for beta in betas:
         ctx = KMSContext(system, trace, beta, bound)
         row = [_g(beta), _g(ctx.zeta), _g(ctx.zeta_tail)]
         for _, y in observables:
             row.append(_complex_csv(ctx.kms(y).value))
-        print(",".join(row))
+        rows.append(row)
+    print("\n".join(",".join(row) for row in rows))
     return EXIT_OK
 
 
@@ -290,12 +291,8 @@ def _cmd_verify(args, config) -> int:
     traces = None
     if _opt(args, config, "trace") is not None:
         traces = [_make_trace(args, config, system)]
-    try:
-        reports = run_suites(
-            system, list(suites), beta=beta, bound=bound, seed=seed, traces=traces
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    # main() reports a ValueError, such as an unknown suite, as a usage error
+    reports = run_suites(system, list(suites), beta=beta, bound=bound, seed=seed, traces=traces)
     for rep in reports:
         print(rep.json_line())
     width = max((len(r.name) for r in reports), default=4)

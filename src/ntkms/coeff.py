@@ -312,9 +312,13 @@ def _moment_gram(moment: Callable[[tuple[int, ...]], complex], dim: int, w: int)
     It is block Toeplitz, so c is called once per difference in
     {1-w..w-1}^d and one gather fills the matrix.  Read in base 2w - 1
     with digits shifted by w - 1, a difference g - h sits at
-    pos(g) - pos(h) + center in the table of differences.
+    pos(g) - pos(h) + center in the table of differences.  A non-finite
+    moment raises ValueError naming its degree.
     """
-    table = np.array([moment(k) for k in iter_product(range(1 - w, w), repeat=dim)], dtype=complex)
+    degrees = list(iter_product(range(1 - w, w), repeat=dim))
+    table = np.array([moment(k) for k in degrees], dtype=complex)
+    for i in np.flatnonzero(~np.isfinite(table))[:1]:
+        raise ValueError(f"moment at degree {degrees[i]} is {table[i]}, not finite")
     strides = (2 * w - 1) ** np.arange(dim - 1, -1, -1)
     pos = np.indices((w,) * dim).reshape(dim, -1).T @ strides
     return table[np.subtract.outer(pos, pos) + (w - 1) * int(strides.sum())]
@@ -343,7 +347,7 @@ class TraceSpec:
         dim = self.engine.degree_dim
         zero = _zero_degree(dim)
         raw0 = complex(self.moment_fn(zero))
-        if abs(raw0 - 1.0) > 1e-12:
+        if not abs(raw0 - 1.0) <= 1e-12:
             raise ValueError(f"moment at degree zero is {raw0}, must be 1")
         if dim == 0:
             return

@@ -24,9 +24,9 @@ i_r''), and
 over u < N_g'' with i = m(r, g''; l, u).  Outer legs then absorb through
 the module product and the result is re-canonicalised.  Raw work is
 capped: the number of raw terms emitted during a product, and the
-length of a divisor scan in a state evaluation, may not cross the term
-budget, and crossing it raises TermBudgetExceeded rather than grinding
-on.
+total length of the divisor scans of one state evaluation, may not
+cross the term budget, and crossing it raises TermBudgetExceeded rather
+than grinding on.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ _budget: ContextVar[int] = ContextVar("term_budget", default=DEFAULT_TERM_BUDGET
 
 class TermBudgetExceeded(RuntimeError):
     """A computation would do more raw work than the configured cap: a
-    product emitting more raw terms, or a divisor scan running longer."""
+    product emitting more raw terms, or one evaluation's divisor scans."""
 
 
 def get_term_budget() -> int:
@@ -66,8 +66,8 @@ def get_term_budget() -> int:
 def term_budget(n: int):
     """The raw-work cap n within the block, restored on exit.
 
-    The cap bounds the raw terms one product emits and the trial
-    divisions one divisor scan makes; it is the only way to set it.
+    The cap bounds the raw terms of one product and the trial divisions
+    of one state evaluation; it is the only way to set it.
     """
     if n < 1:
         raise ValueError("term budget must be positive")

@@ -42,9 +42,10 @@ cuntz             nat-add over scalars with branching k: fibers are words
 
 from __future__ import annotations
 
+import json
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -148,12 +149,25 @@ class ModuleVector:
 
 
 @dataclass
-class CheckResult:
+class CheckReport:
+    """One outcome of a structure law of ProductSystem.validate or of a
+    verify check, serialisable as a JSON line."""
+
     name: str
     passed: bool
+    metrics: dict = field(default_factory=dict)
     detail: str = ""
-    witness: Optional[dict] = None
     seconds: float = 0.0
+
+    def json_line(self) -> str:
+        # timing is left out so repeated runs emit identical bytes
+        payload = {
+            "check": self.name,
+            "passed": self.passed,
+            "metrics": self.metrics,
+            "detail": self.detail,
+        }
+        return json.dumps(payload, sort_keys=True)
 
 
 class ProductSystem:
@@ -197,10 +211,6 @@ class ProductSystem:
     def weight(self, q: int) -> float:
         """N_q as a float, for series weights."""
         return float(self.basis_count(q))
-
-    def transfer_monomial(self, s: int, mon: tuple) -> Optional[tuple]:
-        """The scalar transfer on a monomial where the instance has one."""
-        return None
 
     @property
     def params(self) -> dict:
@@ -279,17 +289,19 @@ class ProductSystem:
 
     # -- validation ------------------------------------------------------
 
-    def validate(self, trunc: TruncationSet) -> list[CheckResult]:
-        """Structural validation over a truncation window.
+    def validate(self, trunc: TruncationSet) -> list[CheckReport]:
+        """Every structure law over a truncation window, one report each.
 
-        Runs the basis-count, index-map and left-action laws in order and
-        returns one CheckResult per law, in that order.  Each law is a
-        lazy stream of witnesses in loop order; the first one, if any,
-        fails the law, and each law is timed on its own.
-        The index-map laws evaluate the maps on numpy index grids, and
-        the coherence law assumes the bijectivity checked before it.
+        Basis-count, index-map, left-action and transfer laws, then the
+        scaling homomorphism, lattice closure of the window and coprime
+        (meet-trivial) compatibility.  Reports are named structure:<law>
+        with metrics {"bound": trunc.bound}, the first "witness" of a
+        failure and, on the coprime law, the "pairs" scanned.  Each law
+        is a lazy, separately timed stream of witnesses whose first item
+        fails it; index-map laws run on numpy index grids, and coherence
+        assumes the bijectivity checked before it.
         """
-        checks: list[CheckResult] = []
+        checks: list[CheckReport] = []
         sg = self.semigroup
         e = sg.identity_value
         vals = trunc.values
@@ -297,13 +309,16 @@ class ProductSystem:
         L, column = self.left_matrix, self._column
         gens = self.generator_elements()
 
-        def law(name: str, witnesses: Iterable[dict], detail: str = "") -> Optional[dict]:
-            t0 = time.perf_counter()
+        def law(name: str, witnesses: Iterable[dict], detail: str = "",
+                since: Optional[float] = None, **metrics) -> bool:
+            # a law whose scan runs before the call passes the scan's start time
+            t0 = time.perf_counter() if since is None else since
             bad = next(iter(witnesses), None)
             # an empty witness fails the law with nothing to point at
-            checks.append(CheckResult(name, bad is None, detail, bad or None,
+            metrics = {"bound": trunc.bound, **metrics, **({"witness": bad} if bad else {})}
+            checks.append(CheckReport(f"structure:{name}", bad is None, metrics, detail,
                                       time.perf_counter() - t0))
-            return bad
+            return bad is None
 
         def unit_witnesses():
             for s in vals:
@@ -393,7 +408,7 @@ class ProductSystem:
             # Scalar actions are unit multiples of the identity, so the
             # homomorphism, star and coherence laws reduce to the unital
             # check plus index-map bijectivity established above.
-            failed = [{}] if unital else []
+            failed = [] if unital else [{}]
             law("left-action-homomorphism", failed, "scalar action: follows from unitality")
             law("left-action-star", failed, "scalar action: follows from unitality")
             law("left-action-coherent", failed, "scalar action: follows from index-map laws")
@@ -406,14 +421,23 @@ class ProductSystem:
                  if L(s, a.adjoint()) != {(j, nu): c.adjoint() for (nu, j), c in L(s, a).items()}))
             law("left-action-coherent", coherent_witnesses())
 
-        if self.transfer_monomial(vals[-1], one) is not None:
-            # orthonormality of the declared basis against the transfer
-            law("basis-orthonormal-via-transfer",
-                ({"s": s, "j": j, "k": k, "got": got}
-                 for s in vals if n(s) <= 64
-                 for j in range(n(s)) for k in range(n(s))
-                 if (got := self._basis_inner_via_transfer(s, j, k)) != (one if j == k else None)))
+        # orthonormality of the declared basis against the transfer
+        law("basis-orthonormal-via-transfer",
+            ({"s": s, "j": j, "k": k, "got": got}
+             for s in vals if n(s) <= 64
+             for j in range(n(s)) for k in range(n(s))
+             if (got := self._basis_inner_via_transfer(s, j, k)) != (one if j == k else None)))
 
+        t0 = time.perf_counter()
+        problems = self.scaling.validate(trunc)
+        law("scaling-homomorphism", [{}] if problems else [], "; ".join(problems), t0)
+        t0 = time.perf_counter()
+        escapes = trunc.closure_violations()
+        law("window-lattice-closed", [{}] if escapes else [],
+            "; ".join(str(b) for b in escapes[:3]), t0)
+        t0 = time.perf_counter()
+        ok, witness, pairs = self.check_coprime_pairs(trunc)
+        law("coprime-compatibility", [] if ok else [witness], since=t0, pairs=pairs)
         return checks
 
     def _basis_inner_via_transfer(self, s: int, j: int, k: int) -> Optional[tuple]:
@@ -634,9 +658,6 @@ class CuntzSystem(ProductSystem):
     def index_split(self, s, r, i):
         base = self.k**s
         return (i % base, i // base)
-
-    def transfer_monomial(self, s, mon):
-        return ()
 
     def left_column(self, s, mon, j):
         return j, ()

@@ -163,27 +163,31 @@ def _partial_sum(
     return prefix_sum + rest, err
 
 
+def _series(system: ProductSystem, beta: float,
+            bound: int) -> tuple[TruncationSet, np.ndarray, float, float, float]:
+    """The window up to bound, the held zeta terms, their sum, zeta over
+    the window and its tail bound, for beta above the critical exponent."""
+    if not beta > system.beta_c:
+        raise ValueError(f"beta = {beta} must exceed the critical exponent {system.beta_c}")
+    trunc = TruncationSet(system.semigroup, bound)  # rejects a bound below the identity
+    terms = _zeta_terms(system, beta, bound)
+    prefix_sum = float(np.sum(terms))
+    zeta, err = _partial_sum(system.scaling.profile, beta, terms, prefix_sum, trunc.size)
+    return trunc, terms, prefix_sum, zeta, tail_bound(system.scaling, beta, bound) + err
+
+
 class KMSContext:
     """A KMS_beta state over a fixed system, trace and truncation window."""
 
     def __init__(self, system: ProductSystem, trace: TraceSpec, beta: float, bound: int):
         if trace.engine.tag != system.engine.tag or trace.engine.degree_dim != system.engine.degree_dim:
             raise ValueError("trace is over a different coefficient engine")
-        if not beta > system.beta_c:
-            raise ValueError(
-                f"beta = {beta} must exceed the critical exponent {system.beta_c}"
-            )
         self.system = system
         self.trace = trace
         self.beta = float(beta)
         self.bound = int(bound)
-        self.trunc = TruncationSet(system.semigroup, self.bound)
-        self._zeta_terms = _zeta_terms(system, self.beta, self.bound)
-        self._prefix_sum = float(np.sum(self._zeta_terms))
-        self.zeta, err = _partial_sum(
-            system.scaling.profile, self.beta, self._zeta_terms, self._prefix_sum, self.trunc.size
-        )
-        self.zeta_tail = tail_bound(system.scaling, self.beta, self.bound) + err
+        self.trunc, self._zeta_terms, self._prefix_sum, self.zeta, self.zeta_tail = _series(
+            system, self.beta, self.bound)
         self._z_cache: dict[int, float] = {}
 
     # -- series building blocks ------------------------------------------
@@ -225,6 +229,7 @@ class KMSContext:
         eng = self.system.engine
         total = 0.0 + 0.0j
         mass = 0.0
+        scanned = 0
         for (s, r, l), vec in y.sorted_terms():
             if s != r:
                 raise ValueError(
@@ -242,6 +247,13 @@ class KMSContext:
                 g = math.gcd(*(abs(c) for c in deg))
                 # only the divisors q with r*q in the window contribute
                 limit = self.bound // r if sg.is_multiplicative else self.bound - r
+                # the divisor scans of one evaluation share the raw-work cap
+                scanned += min(limit, math.isqrt(g))
+                if scanned > get_term_budget():
+                    raise TermBudgetExceeded(
+                        f"the divisor scans of this evaluation reach {scanned} trial divisions "
+                        f"at degree {g}, past the raw-work cap ({get_term_budget()}); raise the "
+                        "budget or shrink the window")
                 for q in _divisors(g, limit):
                     rq = sg.mul(r, q)
                     total += (
@@ -324,14 +336,8 @@ def zeta_series(system: ProductSystem, beta: float, bound: int) -> StateValue:
     Sums the held prefix of the terms and completes longer windows in
     closed form, so every window costs the same.
     """
-    if not beta > system.beta_c:
-        raise ValueError(f"beta = {beta} must exceed the critical exponent {system.beta_c}")
-    trunc = TruncationSet(system.semigroup, bound)  # rejects a bound below the identity
-    prefix = _zeta_terms(system, beta, bound)
-    value, err = _partial_sum(
-        system.scaling.profile, beta, prefix, float(np.sum(prefix)), trunc.size
-    )
-    return StateValue(complex(value), tail_bound(system.scaling, beta, bound) + err, bound)
+    value, tail = _series(system, beta, bound)[3:]
+    return StateValue(complex(value), tail, bound)
 
 
 @lru_cache(maxsize=8)
@@ -380,17 +386,10 @@ def _divisors(n: int, limit: int) -> list[int]:
     """The divisors of n >= 1 that are at most limit, ascending.
 
     Trial division runs to min(limit, isqrt(n)): past isqrt(n) only the
-    cofactors n // d of smaller divisors d remain.  That scan length is
-    raw work charged to the term budget; a longer scan than the budget
-    raises TermBudgetExceeded before it starts.
+    cofactors n // d of smaller divisors d remain.  KMSContext.omega
+    charges that scan length to the term budget before it calls this.
     """
     scan = min(limit, math.isqrt(n))
-    budget = get_term_budget()
-    if scan > budget:
-        raise TermBudgetExceeded(
-            f"the divisor scan of degree {n} needs {scan} trial divisions, past the "
-            f"raw-work cap ({budget}); raise the budget or shrink the window"
-        )
     low = [d for d in range(1, scan + 1) if n % d == 0]
     high = [n // d for d in reversed(low) if d * d != n and n // d <= limit]
     return low + high

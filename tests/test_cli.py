@@ -11,9 +11,10 @@ The contract pinned here:
   when the symbolic term budget trips.
 * repeated runs with the same arguments emit byte-identical stdout.
 
-Everything runs in process through ``main(argv)``; ``--term-budget``
-mutates a module global that the CLI never restores (a real process
-exits right after), so a fixture snapshots it around every test.
+Everything runs in process through ``main(argv)``.  The term budget is
+a context variable that ``main()`` sets with ``term_budget(...)`` for
+the call only, so a ``--term-budget`` run leaves the default for the
+tests after it.
 """
 
 import json
@@ -210,6 +211,16 @@ def test_sweep_reads_observables_from_config_and_flags_override(capsys, tmp_path
     )
     assert code == 0
     assert out.splitlines()[0] == "beta,zeta,tail,u"
+
+
+def test_sweep_prints_nothing_when_a_row_fails(capsys):
+    # beta = 3 is fine, beta = 0.5 is below the critical exponent
+    code, out, err = run(
+        capsys, "sweep", "--system", "cuntz", "--betas", "3,0.5",
+        "--observable", "p=i[1](1@0)",
+    )
+    assert code == 2 and out == ""
+    assert "beta = 0.5 must exceed the critical exponent" in err
 
 
 def test_sweep_usage_errors(capsys, tmp_path):
@@ -440,6 +451,19 @@ def test_trace_options_are_checked(capsys):
     assert code == 0 and json.loads(out)["value"] == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("theta, degree", [("nan", "zero"), ("inf", "zero"),
+                                           ("1e308", "(-7,)")])
+def test_non_finite_trace_moments_are_usage_errors(capsys, theta, degree):
+    # 0 * inf is nan at degree zero; 1e308 overflows to inf at degree -7
+    code, out, err = run(
+        capsys, "eval", "--system", "affine-toeplitz", "--trace", "point-mass",
+        "--theta", theta, "--expr", "i[1](S@0)",
+    )
+    assert code == 2 and out == ""
+    assert f"moment at degree {degree} is (nan+nanj)" in err
+    assert "Eigenvalues" not in err
+
+
 def test_corrupt_flag_is_checked(capsys):
     base = ("verify", "--system", "affine-toeplitz", "--suite", "structure")
     code, _, err = run(capsys, *base, "--corrupt", "1,2,3")
@@ -530,6 +554,20 @@ def test_hostile_exponent_in_a_hostile_window_exits_three_fast(capsys):
     assert code == 3 and out == ""
     assert "degree 1000000000000000000" in err and "1000000000 trial divisions" in err
     assert "(1000000)" in err
+
+
+def test_divisor_scans_share_one_budget_per_evaluation(capsys):
+    # each scan of 10^12 - 2j runs to about 10^6, just under the cap; the
+    # hundred of them together are far past it
+    expr = " + ".join(f"i[1](S^{10**12 - 2 * j}@0)" for j in range(100))
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "eval", "--system", "affine-toeplitz", "--expr", expr,
+        "--beta", "3", "--bound", "1000000000000",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 3 and out == ""
+    assert "divisor scans of this evaluation" in err and "(1000000)" in err
 
 
 def test_hostile_window_evaluates_fast(capsys):

@@ -219,6 +219,17 @@ def test_moments_that_are_not_positive_definite_are_rejected(dim):
         TraceSpec(LaurentEngine(dim), moment)
 
 
+def test_non_finite_moments_are_named_before_the_eigenvalues():
+    # inf only at a mixed-sign degree, which the hermitian loop never reads
+    def moment(k):
+        return float("inf") if k == (1, -2) else (1.0 if not any(k) else 0.0)
+
+    with pytest.raises(ValueError, match=r"moment at degree \(1, -2\) is \(inf\+0j\), not finite"):
+        TraceSpec(LaurentEngine(2), moment)
+    with pytest.raises(ValueError, match="moment at degree zero is"):
+        TraceSpec(TOEPLITZ, lambda k: float("nan"))
+
+
 def test_zero_degree_moment_is_exactly_one():
     tr = TraceSpec(TOEPLITZ, lambda k: 1.0 if k == (0,) else 1.0 + 1e-13)
     assert tr.moment((0,)) == complex(1.0)

@@ -332,9 +332,9 @@ def test_validation_passes(system):
     report = system.validate(TruncationSet(system.semigroup, bound))
     assert all(c.passed for c in report), [c for c in report if not c.passed]
     names = [c.name for c in report]
-    assert "index-map-bijective" in names
-    assert "index-map-associative" in names
-    assert "left-action-unital" in names
+    assert "structure:index-map-bijective" in names
+    assert "structure:index-map-associative" in names
+    assert "structure:left-action-unital" in names
 
 
 def test_corrupted_system_fails_associativity_with_witness():
@@ -343,18 +343,18 @@ def test_corrupted_system_fails_associativity_with_witness():
     report = bad.validate(TruncationSet(bad.semigroup, 6))
     assert not all(c.passed for c in report)
     by_name = {c.name: c for c in report}
-    assert by_name["index-map-bijective"].passed
-    failure = by_name["index-map-associative"]
+    assert by_name["structure:index-map-bijective"].passed
+    failure = by_name["structure:index-map-associative"]
     assert not failure.passed
-    assert failure.witness == {"s": 2, "r": 2, "q": 2, "j": 0, "k": 0, "l": 1,
+    assert failure.metrics.get("witness") == {"s": 2, "r": 2, "q": 2, "j": 0, "k": 0, "l": 1,
                                "lhs": 4, "rhs": 2}
-    assert by_name["left-action-coherent"].witness == {
+    assert by_name["structure:left-action-coherent"].metrics.get("witness") == {
         "s": 2, "r": 2, "a": "(1+0j)*S", "nu": 0, "j": 0, "u": 1, "k": 0}
     # the coherence scan runs over (j, nu, k, u); this swap breaks two cells
     other = AFFINE.corrupted(2, 2, (0, 0), (0, 1))
     report = other.validate(TruncationSet(other.semigroup, 4))
     by_name = {c.name: c for c in report}
-    assert by_name["left-action-coherent"].witness == {
+    assert by_name["structure:left-action-coherent"].metrics.get("witness") == {
         "s": 2, "r": 2, "a": "(1+0j)*S", "nu": 1, "j": 0, "u": 0, "k": 0}
 
 
@@ -380,9 +380,9 @@ class _ShiftedIndices(AffineToeplitzSystem):
 ], ids=["split", "clash", "out-of-range"])
 def test_non_bijective_index_map_names_the_first_bad_pair(system, witness):
     report = system.validate(TruncationSet(system.semigroup, 6))
-    check = next(c for c in report if c.name == "index-map-bijective")
+    check = next(c for c in report if c.name == "structure:index-map-bijective")
     assert not check.passed
-    assert check.witness == witness
+    assert check.metrics.get("witness") == witness
 
 
 def broken_column(base, s0, mon0, change, *args, **kwargs):
@@ -394,10 +394,12 @@ def broken_column(base, s0, mon0, change, *args, **kwargs):
     return Broken(*args, **kwargs)
 
 
-LAWS = ["identity-fiber-rank", "basis-count-multiplicative", "index-map-unit",
-        "index-map-bijective", "index-map-associative", "left-action-unital",
-        "left-action-homomorphism", "left-action-star", "left-action-coherent",
-        "basis-orthonormal-via-transfer"]
+LAWS = ["structure:" + law for law in (
+    "identity-fiber-rank", "basis-count-multiplicative", "index-map-unit",
+    "index-map-bijective", "index-map-associative", "left-action-unital",
+    "left-action-homomorphism", "left-action-star", "left-action-coherent",
+    "basis-orthonormal-via-transfer", "scaling-homomorphism", "window-lattice-closed",
+    "coprime-compatibility")]
 
 
 @pytest.mark.parametrize("system, bound, failures", [
@@ -438,8 +440,9 @@ LAWS = ["identity-fiber-rank", "basis-count-multiplicative", "index-map-unit",
         "additive-z-exponent-raised", "torus-unit-row-shifted", "torus-column-dropped"])
 def test_broken_left_action_names_the_first_bad_law(system, bound, failures):
     report = system.validate(TruncationSet(system.semigroup, bound))
-    assert [(c.name, c.passed, c.witness) for c in report] == [
-        (name, name not in failures, failures.get(name)) for name in LAWS]
+    laws = [name.removeprefix("structure:") for name in LAWS]
+    assert [(c.name, c.passed, c.metrics.get("witness")) for c in report] == [
+        ("structure:" + law, law not in failures, failures.get(law)) for law in laws]
 
 
 @pytest.mark.parametrize("system", ALL, ids=lambda s: s.name)

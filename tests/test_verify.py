@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from ntkms.coeff import CoefficientElement, haar_trace, identity_trace, point_mass_trace
 from ntkms.product_system import AffineToeplitzSystem, CuntzSystem, TorusDilationSystem
+from ntkms.semigroup import NAT_MULT, ScalingHomomorphism
 from ntkms.verify import (
     CheckReport,
     check_corner_center,
@@ -183,6 +184,34 @@ def test_structure_reports_name_the_broken_law():
     assert "witness" in assoc.metrics
 
 
+class _SkewScaling(AffineToeplitzSystem):
+    """N(s) = s except N(121) = 122, so only N(11 * 11) breaks the law."""
+
+    def __init__(self):
+        super().__init__()
+        self.scaling = ScalingHomomorphism(
+            NAT_MULT, lambda s: 122.0 if s == 121 else float(s), ("power", 1), "skewed")
+
+
+def test_structure_reports_name_a_non_multiplicative_scaling():
+    reports = structure_reports(_SkewScaling())
+    assert [r.name for r in reports if not r.passed] == ["structure:scaling-homomorphism"]
+    rep = next(r for r in reports if r.name == "structure:scaling-homomorphism")
+    assert rep.metrics == {"bound": 12}
+    assert rep.detail == "N(11*11) = 122.0 != N(11)N(11) = 121.0"
+
+
+@pytest.mark.parametrize("pair_b, witness", [
+    ((1, 0), {"j": 0, "l": 1, "collisions": [(0, 0), (2, 1)]}),
+    ((1, 2), {"j": 0, "l": 2, "collisions": [(1, 0), (0, 1)]}),
+])
+def test_structure_reports_name_the_first_coprime_collision(pair_b, witness):
+    reports = structure_reports(AFFINE.corrupted(2, 3, (0, 0), pair_b))
+    rep = next(r for r in reports if r.name == "structure:coprime-compatibility")
+    assert not rep.passed and rep.detail == ""
+    assert rep.metrics == {"bound": 12, "pairs": 1, "witness": {"s": 2, "r": 3, **witness}}
+
+
 def test_projection_and_corner_checks_pass():
     assert check_projection_covariance(AFFINE).passed
     assert check_corner_center(AFFINE).passed
@@ -221,9 +250,9 @@ def test_euler_check_applies_only_to_power_profiles():
     assert skipped.passed and skipped.metrics.get("skipped")
 
 
-def test_fock_checks_skip_matrix_engines():
-    rep = check_fock_product(AFFINE)
-    assert rep.passed and rep.metrics.get("skipped")
+def test_fock_checks_refuse_matrix_engines():
+    with pytest.raises(ValueError, match="scalar coefficient engine"):
+        check_fock_product(AFFINE)
 
 
 # -- suite assembly ---------------------------------------------------------------
@@ -264,7 +293,6 @@ def test_json_line_shape():
     rep = CheckReport("demo", True, {"b": 1, "a": 2}, "fine", seconds=0.5)
     payload = json.loads(rep.json_line())
     assert payload == {"check": "demo", "passed": True, "metrics": {"a": 2, "b": 1}, "detail": "fine"}
-    assert json.loads(rep.json_line(include_seconds=True))["seconds"] == 0.5
     # keys arrive sorted so runs diff cleanly
     assert rep.json_line().index('"check"') < rep.json_line().index('"detail"')
 
