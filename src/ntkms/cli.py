@@ -25,7 +25,7 @@ import json
 import sys
 
 from .coeff import TraceSpec, haar_trace, identity_trace, point_mass_trace
-from .dsl import DSLError, format_element, parse_element
+from .dsl import format_element, parse_element
 from .nt import NTElement, TermBudgetExceeded, get_term_budget, term_budget
 from .product_system import BUILTIN_SYSTEMS, ProductSystem, get_system
 from .states import KMSContext, ground_state
@@ -59,7 +59,7 @@ ALLOWED_CONFIG_KEYS = frozenset(
 )
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -95,10 +95,7 @@ def _opt(args: argparse.Namespace, config: dict, key: str, default=None):
 
 def _make_system(args, config) -> ProductSystem:
     name = _opt(args, config, "system", "affine-toeplitz")
-    try:
-        system = get_system(name, d=_opt(args, config, "d"), k=_opt(args, config, "k"))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    system = get_system(name, d=_opt(args, config, "d"), k=_opt(args, config, "k"))
     corrupt = _opt(args, config, "corrupt")
     if corrupt is not None:
         s, r, pa, pb = _parse_corrupt(corrupt, system)
@@ -400,12 +397,6 @@ def main(argv=None) -> int:
         config = _load_config(args.config) if args.config else {}
         with term_budget(_term_budget(args, config)):
             return args.fn(args, config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DSLError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except TermBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -76,13 +76,11 @@ def _tokenize(text: str) -> list[_Token]:
                 i += 1
                 while i < n and text[i].isdigit():
                     i += 1
-            if i < n and text[i] in "eE" and (
-                i + 1 < n and (text[i + 1].isdigit() or text[i + 1] in "+-")
-            ):
+            # an exponent needs a digit after its optional sign
+            j = i + 1 + (i + 1 < n and text[i + 1] in "+-")
+            if i < n and text[i] in "eE" and j < n and text[j].isdigit():
                 is_float = True
-                i += 1
-                if text[i] in "+-":
-                    i += 1
+                i = j
                 while i < n and text[i].isdigit():
                     i += 1
             body = text[start:i]

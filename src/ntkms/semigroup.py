@@ -121,14 +121,14 @@ class TruncationSet:
     def __contains__(self, v: int) -> bool:
         return self.semigroup.identity_value <= v <= self.bound
 
-    def closure_violations(self, limit: int = 512) -> list[tuple[int, int, str]]:
-        """Meet/join closure violations among the first ``limit`` members.
+    def closure_violations(self) -> list[tuple[int, int, str]]:
+        """Meet/join closure violations among the first 512 members.
 
         Meets must always land back in the set; joins only when they stay
         within the bound.
         """
         sg = self.semigroup
-        vals = range(sg.identity_value, self.bound + 1)[:limit]
+        vals = range(sg.identity_value, self.bound + 1)[:512]
         out: list[tuple[int, int, str]] = []
         for s in vals:
             for r in vals:
@@ -161,12 +161,14 @@ class ScalingHomomorphism:
     def of(self, v: int) -> float:
         return self.fn(v)
 
-    def validate(self, trunc: TruncationSet, tol: float = 1e-12) -> list[str]:
-        """Check homomorphism law, positivity and injectivity on a window.
+    def validate(self, trunc: TruncationSet) -> list[str]:
+        """Check homomorphism law, positivity and injectivity on a window,
+        to a relative 1e-12.
 
         Returns a list of human-readable violations (empty when clean).
         """
         sg = self.semigroup
+        tol = 1e-12
         out = []
         if abs(self.of(sg.identity_value) - 1.0) > tol:
             out.append(f"N(e) = {self.of(sg.identity_value)} != 1")

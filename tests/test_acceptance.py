@@ -108,8 +108,7 @@ def test_criterion_04_the_kms_condition_holds_on_random_samples():
     ok = True
     worst = 0.0
     for trace in (haar_trace(system.engine), point_mass_trace(system.engine, 0.7)):
-        rep = check_kms_condition(system, trace, beta=3.0, bound=1000,
-                                  samples=200, seed=7)
+        rep = check_kms_condition(system, trace, beta=3.0, bound=1000, seed=7)
         ok = ok and rep.passed
         worst = max(worst, rep.metrics.get("worst_deviation", math.inf))
     elapsed = time.perf_counter() - start
@@ -135,7 +134,7 @@ def test_criterion_06_the_scaling_identity_is_exhaustive_to_fiber_six():
     cases = 0
     worst = 0.0
     for trace in (haar_trace(system.engine), point_mass_trace(system.engine, 0.7)):
-        rep = check_scaling_identity(system, trace, beta=3.0, bound=1000, fiber_cap=6)
+        rep = check_scaling_identity(system, trace, beta=3.0, bound=1000)
         ok = ok and rep.passed
         cases += rep.metrics.get("cases", 0)
         worst = max(worst, rep.metrics.get("worst_deviation", math.inf))
@@ -171,7 +170,7 @@ def test_criterion_08_the_euler_product_matches_the_series():
 
 def test_criterion_09_inclusion_exclusion_is_exact_within_tolerance():
     system = AffineToeplitzSystem()
-    rep = check_inclusion_exclusion(system, beta=4.0, samples=50, seed=31, tol=1e-9)
+    rep = check_inclusion_exclusion(system, beta=4.0, seed=31)
     sizes = rep.metrics.get("sizes", {})
     ok = (rep.passed
           and sum(sizes.values()) == 50
@@ -187,8 +186,7 @@ def test_criterion_10_traces_are_reconstructed_from_the_state():
     ok = True
     worst = 0.0
     for trace in (haar_trace(system.engine), point_mass_trace(system.engine, 0.0)):
-        rep = check_reconstruction(system, trace, beta=4.0, bound=10**4,
-                                   max_diff=12, tol=1e-2)
+        rep = check_reconstruction(system, trace, beta=4.0, bound=10**4)
         ok = ok and rep.passed and rep.metrics.get("monomials") == 37
         worst = max(worst, rep.metrics.get("worst_error", math.inf))
     elapsed = time.perf_counter() - start
@@ -202,8 +200,8 @@ def test_criterion_11_the_fock_oracle_agrees_with_the_symbolic_state():
     system = CuntzSystem(2)
     fock = TruncatedFock(system, 5)
     ok = fock.dim == 63
-    product = check_fock_product(system, bound=5, pairs=100, seed=41, tol=1e-12)
-    state = check_fock_state(system, beta=3.0, bound=5, samples=25, seed=43, tol=1e-12)
+    product = check_fock_product(system, seed=41)
+    state = check_fock_state(system, beta=3.0, seed=43)
     ok = ok and product.passed and state.passed
     _gate(11, "truncated Fock matrices multiply and integrate like the algebra", ok,
           f"dim {fock.dim}, product defect {product.metrics.get('worst_defect', math.inf):.1e},"
@@ -212,8 +210,7 @@ def test_criterion_11_the_fock_oracle_agrees_with_the_symbolic_state():
 
 def test_criterion_12_large_beta_approaches_the_ground_state():
     system = AffineToeplitzSystem()
-    rep = check_ground_limit(system, haar_trace(system.engine),
-                             betas=(5.0, 10.0, 20.0), bound=1000)
+    rep = check_ground_limit(system, haar_trace(system.engine), bound=1000)
     ok = (rep.passed
           and rep.metrics.get("monomials") == 10
           and rep.metrics.get("final_max_diff", math.inf) <= 1e-4)
@@ -225,7 +222,7 @@ def test_criterion_13_corner_elements_commute_with_projections_exactly():
     ok = True
     cases = 0
     for name in BUILTIN_SYSTEMS:
-        rep = check_corner_center(get_system(name), bound=6)
+        rep = check_corner_center(get_system(name))
         ok = ok and rep.passed
         cases += rep.metrics.get("cases", 0)
     # once more by hand: equality of canonical normal forms, no tolerance

@@ -220,7 +220,7 @@ def test_moments_that_are_not_positive_definite_are_rejected(dim):
 
 
 def test_non_finite_moments_are_named_before_the_eigenvalues():
-    # inf only at a mixed-sign degree, which the hermitian loop never reads
+    # inf only at a mixed-sign degree; the finiteness check runs before the hermitian one
     def moment(k):
         return float("inf") if k == (1, -2) else (1.0 if not any(k) else 0.0)
 
@@ -248,3 +248,13 @@ def test_identity_trace_on_scalars():
     tr = identity_trace()
     x = CoefficientElement.unit(SCALAR, 2.5 + 1j)
     assert tr.eval(x) == 2.5 + 1j
+
+
+def test_moments_not_hermitian_at_a_mixed_sign_degree_are_rejected():
+    # c(1, -1) = c(-1, 1) = 0.1i: c(-k) must be conj(c(k)), so the pair
+    # breaks the symmetry at a degree no single-sign index reaches
+    def moment(k):
+        return 0.1j if k in ((1, -1), (-1, 1)) else (1.0 if not any(k) else 0.0)
+
+    with pytest.raises(ValueError, match=r"moment not hermitian at degree \(-1, 1\)"):
+        TraceSpec(LaurentEngine(2), moment)

@@ -161,6 +161,8 @@ def test_imaginary_token_discrimination():
         ("i[1]((S^-1)@0)", 6),  # creation atoms take nonnegative powers
         ("2 i[1](1@0)", 2),  # scalar prefix needs an explicit star
         ("i[2](1@0) $", 10),  # unknown character
+        ("i[1](1e-i@0)", 6),  # an exponent with no digits is no exponent
+        ("1e+ * i[1](1@0)", 1),
     ],
 )
 def test_error_positions(text, pos):
