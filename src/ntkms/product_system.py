@@ -293,10 +293,10 @@ class ProductSystem:
         """Every structure law over a truncation window, one report each.
 
         Basis-count, index-map, left-action and transfer laws, then the
-        scaling homomorphism, lattice closure of the window and coprime
-        (meet-trivial) compatibility.  Reports are named structure:<law>
-        with metrics {"bound": trunc.bound}, the first "witness" of a
-        failure and, on the coprime law, the "pairs" scanned.  Each law
+        scaling homomorphism and coprime (meet-trivial) compatibility.
+        Reports are named structure:<law> with metrics {"bound":
+        trunc.bound}, the first "witness" of a failure and, on the
+        coprime law, the "pairs" scanned.  Each law
         is a lazy, separately timed stream of witnesses whose first item
         fails it; index-map laws run on numpy index grids, and coherence
         assumes the bijectivity checked before it.
@@ -431,10 +431,6 @@ class ProductSystem:
         t0 = time.perf_counter()
         problems = self.scaling.validate(trunc)
         law("scaling-homomorphism", [{}] if problems else [], "; ".join(problems), t0)
-        t0 = time.perf_counter()
-        escapes = trunc.closure_violations()
-        law("window-lattice-closed", [{}] if escapes else [],
-            "; ".join(str(b) for b in escapes[:3]), t0)
         t0 = time.perf_counter()
         ok, witness, pairs = self.check_coprime_pairs(trunc)
         law("coprime-compatibility", [] if ok else [witness], since=t0, pairs=pairs)

@@ -92,8 +92,10 @@ NAT_ADD = Semigroup("nat-add")
 class TruncationSet:
     """The window {e, ..., bound} of the cone: an interval, so divisor-complete.
 
-    Membership and size are arithmetic; the ascending tuple of members is
-    built on first use only.
+    Being an interval it also holds the meet of any two members, and
+    their join whenever that is at most the bound.  Membership and size
+    are arithmetic; the ascending tuple of members is built on first use
+    only.
     """
 
     semigroup: Semigroup
@@ -120,24 +122,6 @@ class TruncationSet:
 
     def __contains__(self, v: int) -> bool:
         return self.semigroup.identity_value <= v <= self.bound
-
-    def closure_violations(self) -> list[tuple[int, int, str]]:
-        """Meet/join closure violations among the first 512 members.
-
-        Meets must always land back in the set; joins only when they stay
-        within the bound.
-        """
-        sg = self.semigroup
-        vals = range(sg.identity_value, self.bound + 1)[:512]
-        out: list[tuple[int, int, str]] = []
-        for s in vals:
-            for r in vals:
-                if sg.glb(s, r) not in self:
-                    out.append((s, r, "meet escapes the set"))
-                j = sg.lub(s, r)
-                if j <= self.bound and j not in self:
-                    out.append((s, r, "join within bound escapes the set"))
-        return out
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,14 @@ and a JSON line for machine consumption.  Checks come in three flavours:
 * cross-representation comparisons against the Fock oracle, which is
   plain matrix arithmetic and shares nothing with the symbolic engine.
 
+Checks that compare values yield ``(got, want, tol, where)`` tuples to
+one helper, _compare.  The first comparison with |got - want| > tol (or
+a NaN deviation) fails the check, and its report carries that
+``deviation``, its ``tolerance`` and the ``where`` keys.  A passing
+report carries ``worst_deviation``, ``tolerance_at_worst`` (the
+tolerance of the comparison that gave it) and ``nonzero``, the number
+of comparisons with a nonzero side.  Both carry the check's metrics.
+
 Each check runs in one configuration, the one ``ntkms verify`` uses:
 sample counts, windows and tolerances are constants of the check, and
 run_suites passes the run's beta, bound and seed.
@@ -27,7 +35,7 @@ import math
 import time
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .coeff import (
     CoefficientElement,
@@ -82,6 +90,24 @@ def _timed(fn: Callable[[], CheckReport]) -> CheckReport:
     rep = fn()
     rep.seconds = time.perf_counter() - t0
     return rep
+
+
+def _compare(name: str, comparisons: Iterable[tuple[complex, complex, float, dict]],
+             **metrics) -> CheckReport:
+    """Fail on the first |got - want| > tol, else report the worst case."""
+    worst, nonzero = None, 0
+    for got, want, tol, where in comparisons:
+        dev = abs(got - want)
+        if not dev <= tol:  # a NaN deviation fails too
+            return CheckReport(name, False, {**metrics, **where, "deviation": dev, "tolerance": tol})
+        if worst is None or dev > worst[0]:
+            worst = (dev, tol)
+        nonzero += got != 0 or want != 0
+    dev, tol = worst or (0.0, 0.0)
+    return CheckReport(
+        name, True,
+        {**metrics, "worst_deviation": dev, "tolerance_at_worst": tol, "nonzero": nonzero},
+    )
 
 
 # -- samplers ---------------------------------------------------------------
@@ -206,30 +232,17 @@ def check_kms_condition(
     ctx = KMSContext(system, trace, beta, bound)
     rng = Random(seed)
     fibers = _small_fibers(system)
-    worst = 0.0
-    worst_tol = 0.0
-    for _ in range(200):
-        y1 = sample_element(rng, system, fibers)
-        y2 = sample_element(rng, system, fibers)
-        lhs = ctx.kms(y1 * y2.dynamics(complex(0.0, beta)))
-        rhs = ctx.kms(y2 * y1)
-        dev = abs(lhs.value - rhs.value)
-        tol = lhs.tail + rhs.tail + 1e-9
-        if dev - tol > worst - worst_tol:
-            worst, worst_tol = dev, tol
-        if dev > tol:
-            return CheckReport(
-                "state:kms-condition",
-                False,
-                {"deviation": dev, "tolerance": tol, "beta": beta,
-                 "bound": bound, "trace": trace.name},
-            )
-    return CheckReport(
-        "state:kms-condition",
-        True,
-        {"samples": 200, "worst_deviation": worst, "tolerance_at_worst": worst_tol,
-         "beta": beta, "bound": bound, "trace": trace.name},
-    )
+
+    def comparisons():
+        for i in range(200):
+            y1 = sample_element(rng, system, fibers)
+            y2 = sample_element(rng, system, fibers)
+            lhs = ctx.kms(y1 * y2.dynamics(complex(0.0, beta)))
+            rhs = ctx.kms(y2 * y1)
+            yield lhs.value, rhs.value, lhs.tail + rhs.tail + 1e-9, {"sample": i}
+
+    return _compare("state:kms-condition", comparisons(),
+                    samples=200, beta=beta, bound=bound, trace=trace.name)
 
 
 def check_core_trace_property(
@@ -244,6 +257,8 @@ def check_core_trace_property(
     The commutation argument splits on whether the right indices of u
     and v agree on the meet component in each order, so the sampler
     drives all four agreement patterns and a meet-trivial fiber pair.
+    Indices can disagree only on a meet g with N_g > 1, so a round
+    aiming at a disagreement draws its pair from those.
     """
     ctx = KMSContext(system, trace, beta, bound)
     rng = Random(seed)
@@ -254,66 +269,51 @@ def check_core_trace_property(
     if not coprime:
         return CheckReport("state:core-trace", True, {"skipped": True},
                            "no meet-trivial pairs in the window")
+    ranked = [(s, r) for (s, r) in pairs if system.basis_count(sg.glb(s, r)) > 1]
+    targets = [(False, False), (False, True), (True, False), (True, True)]
+    # counted as the rounds run, so the report shows the final tally
+    cases = {f"{a}/{b}": 0 for a, b in targets}
 
-    case_counts = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}
-    worst = 0.0
-    target_cases = list(case_counts.keys())
-    for i in range(12):
-        if i == 0:
-            s, r = coprime[0]
-        else:
-            s, r = rng.choice(pairs)
-        g = sg.glb(s, r)
-        ng = system.basis_count(g)
-        ss, rr = sg.quotient(s, g), sg.quotient(r, g)
-        want = target_cases[i % 4]
+    def comparisons():
+        for i in range(12):
+            want = targets[i % 4]
+            if i == 0:
+                s, r = coprime[0]
+            else:
+                s, r = rng.choice(pairs if all(want) else ranked)
+            g = sg.glb(s, r)
+            ng = system.basis_count(g)
+            ss, rr = sg.quotient(s, g), sg.quotient(r, g)
 
-        def build_index(fiber_rest, match_digit, other_digit):
-            digit = other_digit if match_digit else rng.randrange(ng)
-            if not match_digit and ng > 1 and digit == other_digit:
-                digit = (digit + 1) % ng
-            rest = rng.randrange(system.basis_count(fiber_rest))
-            return digit, rest
+            def build_index(fiber_rest, match_digit, other_digit):
+                digit = other_digit if match_digit else rng.randrange(ng)
+                if not match_digit and ng > 1 and digit == other_digit:
+                    digit = (digit + 1) % ng
+                rest = rng.randrange(system.basis_count(fiber_rest))
+                return digit, rest
 
-        lg = rng.randrange(ng)
-        jg = rng.randrange(ng)
-        kg, krest = build_index(ss, want[0], lg)
-        mg, mrest = build_index(rr, want[1], jg)
-        k = system.index_map(g, ss, kg, krest)
-        m = system.index_map(g, rr, mg, mrest)
-        j = system.index_map(g, ss, jg, rng.randrange(system.basis_count(ss)))
-        l = system.index_map(g, rr, lg, rng.randrange(system.basis_count(rr)))
+            lg = rng.randrange(ng)
+            jg = rng.randrange(ng)
+            kg, krest = build_index(ss, want[0], lg)
+            mg, mrest = build_index(rr, want[1], jg)
+            k = system.index_map(g, ss, kg, krest)
+            m = system.index_map(g, rr, mg, mrest)
+            j = system.index_map(g, ss, jg, rng.randrange(system.basis_count(ss)))
+            l = system.index_map(g, rr, lg, rng.randrange(system.basis_count(rr)))
+            cases[f"{kg == lg}/{mg == jg}"] += 1
 
-        got_case = (kg == lg if ng > 1 else True, mg == jg if ng > 1 else True)
-        case_counts[got_case] += 1
-
-        u = NTElement(system, {(s, s, k): sample_vector(rng, system, s)}) + NTElement(
-            system, {(s, s, j): sample_vector(rng, system, s)}
-        )
-        v = NTElement(system, {(r, r, m): sample_vector(rng, system, r)}) + NTElement(
-            system, {(r, r, l): sample_vector(rng, system, r)}
-        )
-        a = ctx.omega(u * v)
-        b = ctx.omega(v * u)
-        dev = abs(a.value - b.value)
-        tol = a.tail + b.tail + 1e-9
-        worst = max(worst, dev)
-        if dev > tol:
-            return CheckReport(
-                "state:core-trace",
-                False,
-                {"deviation": dev, "tolerance": tol, "s": s, "r": r,
-                 "trace": trace.name, "beta": beta},
+            u = NTElement(system, {(s, s, k): sample_vector(rng, system, s)}) + NTElement(
+                system, {(s, s, j): sample_vector(rng, system, s)}
             )
-    metrics = {
-        "rounds": 12,
-        "worst_deviation": worst,
-        "beta": beta,
-        "trace": trace.name,
-        "meet_trivial_pairs": len(coprime),
-        "cases": {f"{a}/{b}": n for (a, b), n in case_counts.items()},
-    }
-    return CheckReport("state:core-trace", True, metrics)
+            v = NTElement(system, {(r, r, m): sample_vector(rng, system, r)}) + NTElement(
+                system, {(r, r, l): sample_vector(rng, system, r)}
+            )
+            a = ctx.omega(u * v)
+            b = ctx.omega(v * u)
+            yield a.value, b.value, a.tail + b.tail + 1e-9, {"round": i, "s": s, "r": r}
+
+    return _compare("state:core-trace", comparisons(), rounds=12, beta=beta, trace=trace.name,
+                    meet_trivial_pairs=len(coprime), cases=cases)
 
 
 # -- ground states ------------------------------------------------------------
@@ -466,39 +466,27 @@ def check_scaling_identity(
     vals = [v for v in TruncationSet(sg, 6).values if v != sg.identity_value]
     if sg.name == "nat-add":
         vals = vals[:3]
-    worst = 0.0
-    cases = 0
-    for a in system.generator_elements():
-        corner = ctx.omega(NTElement.embed_coeff(system, a).core_expectation())
-        for s in vals:
-            scale = system.scaling.of(s) ** (-beta)
-            for j in range(system.basis_count(s)):
-                for l in range(system.basis_count(s)):
-                    y = NTElement(system, {(s, s, l): system.basis_vector(s, j, coeff=a)})
-                    got = ctx.omega(y)
-                    cases += 1
-                    if j != l:
-                        if got.value != 0.0:
-                            return CheckReport(
-                                "state:scaling-identity", False,
-                                {"s": s, "j": j, "l": l, "value": abs(got.value)},
-                                "off-diagonal value must vanish exactly",
-                            )
-                        continue
-                    want = scale * corner.value
-                    dev = abs(got.value - want)
-                    tol = got.tail + scale * corner.tail + 1e-12
-                    worst = max(worst, dev)
-                    if dev > tol:
-                        return CheckReport(
-                            "state:scaling-identity", False,
-                            {"s": s, "j": j, "deviation": dev, "tolerance": tol,
-                             "trace": trace.name},
-                        )
-    return CheckReport(
-        "state:scaling-identity", True,
-        {"cases": cases, "worst_deviation": worst, "beta": beta, "trace": trace.name},
-    )
+    gens = system.generator_elements()
+
+    def comparisons():
+        for a in gens:
+            corner = ctx.omega(NTElement.embed_coeff(system, a).core_expectation())
+            for s in vals:
+                scale = system.scaling.of(s) ** (-beta)
+                for j in range(system.basis_count(s)):
+                    for l in range(system.basis_count(s)):
+                        y = NTElement(system, {(s, s, l): system.basis_vector(s, j, coeff=a)})
+                        got = ctx.omega(y)
+                        where = {"s": s, "j": j, "l": l}
+                        if j != l:
+                            yield got.value, 0.0, 0.0, where
+                        else:
+                            yield (got.value, scale * corner.value,
+                                   got.tail + scale * corner.tail + 1e-12, where)
+
+    return _compare("state:scaling-identity", comparisons(),
+                    cases=len(gens) * sum(system.basis_count(s) ** 2 for s in vals),
+                    beta=beta, trace=trace.name)
 
 
 # -- euler product -------------------------------------------------------------
@@ -570,42 +558,38 @@ def check_inclusion_exclusion(
             "needs a graded engine over nat-mult",
         )
     rng = Random(seed)
-    worst = 0.0
+    # counted as the samples run, so the report shows the final tally
     sizes = {1: 0, 2: 0, 3: 0}
-    for i in range(50):
-        k = 1 + i % 3
-        ps = tuple(sorted(rng.sample((2, 3, 5), k)))
-        sizes[k] += 1
-        d = math.prod(ps) * rng.choice((1, 1, 2))
-        if system.engine.tag == "toeplitz":
-            extra = rng.randint(0, 2)
-            a = CoefficientElement.monomial(system.engine, (d + extra, extra), _gauss_int(rng))
-        else:
-            gamma = [0] * system.engine.d
-            gamma[rng.randrange(system.engine.d)] = d * rng.choice((1, -1))
-            a = CoefficientElement.monomial(system.engine, tuple(gamma), _gauss_int(rng))
-        # the angle(s) come before the 2-way choice, and only the kept trace is built
-        theta = (rng.uniform(0, 6) if system.engine.degree_dim == 1
-                 else tuple(rng.uniform(0, 6) for _ in range(system.engine.d)))
-        if rng.choice((False, True)):
-            trace = point_mass_trace(system.engine, theta)
-        else:
-            trace = haar_trace(system.engine)
-        needed = set()
-        for mask in range(1, 1 << len(ps)):
-            needed.add(math.prod(p for n, p in enumerate(ps) if mask & (1 << n)))
-        lam = {s: lambda_weight(system, trace, beta, s, a) for s in needed}
-        res = abs(inclusion_exclusion_residual(ps, lam))
-        worst = max(worst, res)
-        if res > 1e-9:
-            return CheckReport(
-                "reconstruct:inclusion-exclusion", False,
-                {"residual": res, "primes": list(ps), "sample": i},
-            )
-    return CheckReport(
-        "reconstruct:inclusion-exclusion", True,
-        {"samples": 50, "worst_residual": worst, "sizes": sizes, "beta": beta},
-    )
+
+    def residuals():
+        for i in range(50):
+            k = 1 + i % 3
+            ps = tuple(sorted(rng.sample((2, 3, 5), k)))
+            sizes[k] += 1
+            d = math.prod(ps) * rng.choice((1, 1, 2))
+            if system.engine.tag == "toeplitz":
+                extra = rng.randint(0, 2)
+                a = CoefficientElement.monomial(system.engine, (d + extra, extra), _gauss_int(rng))
+            else:
+                gamma = [0] * system.engine.d
+                gamma[rng.randrange(system.engine.d)] = d * rng.choice((1, -1))
+                a = CoefficientElement.monomial(system.engine, tuple(gamma), _gauss_int(rng))
+            # the angle(s) come before the 2-way choice, and only the kept trace is built
+            theta = (rng.uniform(0, 6) if system.engine.degree_dim == 1
+                     else tuple(rng.uniform(0, 6) for _ in range(system.engine.d)))
+            if rng.choice((False, True)):
+                trace = point_mass_trace(system.engine, theta)
+            else:
+                trace = haar_trace(system.engine)
+            needed = set()
+            for mask in range(1, 1 << len(ps)):
+                needed.add(math.prod(p for n, p in enumerate(ps) if mask & (1 << n)))
+            lam = {s: lambda_weight(system, trace, beta, s, a) for s in needed}
+            yield (inclusion_exclusion_residual(ps, lam), 0.0, 1e-9,
+                   {"primes": list(ps), "sample": i})
+
+    return _compare("reconstruct:inclusion-exclusion", residuals(),
+                    samples=50, sizes=sizes, beta=beta)
 
 
 @dataclass
@@ -710,28 +694,18 @@ def check_reconstruction(
             "reconstruct:trace-recovery", True, {"skipped": True},
             "needs a graded engine over nat-mult",
         )
-    worst = 0.0
-    count = 0
-    for a in reconstruction_monomials(system.engine):
-        res = reconstruct_trace(system, trace, beta, bound, a)
-        if not res.applicable:
-            return CheckReport(
-                "reconstruct:trace-recovery", False,
-                {"monomial": repr(a)}, f"unexpectedly inapplicable: {res.reason}",
-            )
-        worst = max(worst, res.error)
-        count += 1
-        if res.error > 1e-2:
-            return CheckReport(
-                "reconstruct:trace-recovery", False,
-                {"monomial": repr(a), "error": res.error, "tolerance": 1e-2,
-                 "trace": trace.name, "beta": beta, "bound": bound},
-            )
-    return CheckReport(
-        "reconstruct:trace-recovery", True,
-        {"monomials": count, "worst_error": worst, "trace": trace.name,
-         "beta": beta, "bound": bound},
-    )
+    family = reconstruction_monomials(system.engine)
+
+    def recoveries():
+        for a in family:
+            res = reconstruct_trace(system, trace, beta, bound, a)
+            # every member is applicable by construction; one that is not
+            # has no value and fails as a NaN deviation
+            got = math.nan if res.value is None else res.value
+            yield got, res.expected, 1e-2, {"monomial": repr(a)}
+
+    return _compare("reconstruct:trace-recovery", recoveries(), monomials=len(family),
+                    trace=trace.name, beta=beta, bound=bound)
 
 
 # -- Fock oracle ------------------------------------------------------------------
@@ -787,23 +761,14 @@ def check_fock_state(system: ProductSystem, beta: float = 3.0, seed: int = 43) -
     ctx = KMSContext(system, identity_trace(), beta, bound)
     rng = Random(seed)
     fibers = _fock_fibers(fock)
-    worst = 0.0
-    for i in range(25):
-        y = sample_element(rng, system, fibers, core=(i % 2 == 0))
-        got = fock.state_value(y, beta)
-        want = ctx.kms(y).value
-        dev = abs(got - want)
-        worst = max(worst, dev)
-        if dev > 1e-12:
-            return CheckReport(
-                "fock:state-agreement", False,
-                {"deviation": dev, "tolerance": 1e-12, "sample": i, "dim": fock.dim},
-            )
-    return CheckReport(
-        "fock:state-agreement", True,
-        {"samples": 25, "worst_deviation": worst, "dim": fock.dim,
-         "beta": beta, "bound": bound},
-    )
+
+    def comparisons():
+        for i in range(25):
+            y = sample_element(rng, system, fibers, core=(i % 2 == 0))
+            yield fock.state_value(y, beta), ctx.kms(y).value, 1e-12, {"sample": i}
+
+    return _compare("fock:state-agreement", comparisons(),
+                    samples=25, dim=fock.dim, beta=beta, bound=bound)
 
 
 def check_fock_nica(system: ProductSystem, seed: int = 47) -> CheckReport:
@@ -814,28 +779,21 @@ def check_fock_nica(system: ProductSystem, seed: int = 47) -> CheckReport:
     sg = system.semigroup
     fibers = [v for v in fock.trunc.values
               if v != sg.identity_value and system.basis_count(v) <= 8]
-    worst = 0.0
-    for _ in range(20):
-        s = rng.choice(fibers)
-        r = rng.choice(fibers)
-        if sg.lub(s, r) not in fock.trunc:
-            continue
-        defect = fock.nica_defect(
-            sample_vector(rng, system, s),
-            sample_vector(rng, system, s),
-            sample_vector(rng, system, r),
-            sample_vector(rng, system, r),
-        )
-        worst = max(worst, defect)
-        if defect > 1e-12:
-            return CheckReport(
-                "fock:nica-covariance", False,
-                {"defect": defect, "tolerance": 1e-12, "s": s, "r": r},
-            )
-    return CheckReport(
-        "fock:nica-covariance", True,
-        {"samples": 20, "worst_defect": worst, "dim": fock.dim},
-    )
+
+    def defects():
+        for _ in range(20):
+            s = rng.choice(fibers)
+            r = rng.choice(fibers)
+            if sg.lub(s, r) not in fock.trunc:
+                continue
+            yield fock.nica_defect(
+                sample_vector(rng, system, s),
+                sample_vector(rng, system, s),
+                sample_vector(rng, system, r),
+                sample_vector(rng, system, r),
+            ), 0.0, 1e-12, {"s": s, "r": r}
+
+    return _compare("fock:nica-covariance", defects(), samples=20, dim=fock.dim)
 
 
 # -- suite assembly -----------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_criterion_09_inclusion_exclusion_is_exact_within_tolerance():
           and all(sizes.get(k, 0) > 0 for k in (1, 2, 3)))
     _gate(9, "alternating projection identity residual <= 1e-9, 50 samples", ok,
           f"generator-set sizes {sizes}, worst residual"
-          f" {rep.metrics.get('worst_residual', math.inf):.2e}")
+          f" {rep.metrics.get('worst_deviation', math.inf):.2e}")
 
 
 def test_criterion_10_traces_are_reconstructed_from_the_state():
@@ -188,7 +188,7 @@ def test_criterion_10_traces_are_reconstructed_from_the_state():
     for trace in (haar_trace(system.engine), point_mass_trace(system.engine, 0.0)):
         rep = check_reconstruction(system, trace, beta=4.0, bound=10**4)
         ok = ok and rep.passed and rep.metrics.get("monomials") == 37
-        worst = max(worst, rep.metrics.get("worst_error", math.inf))
+        worst = max(worst, rep.metrics.get("worst_deviation", math.inf))
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 300.0
     _gate(10, "tau recovered from omega on the degree family, |m - n| <= 12", ok,

@@ -398,8 +398,7 @@ LAWS = ["structure:" + law for law in (
     "identity-fiber-rank", "basis-count-multiplicative", "index-map-unit",
     "index-map-bijective", "index-map-associative", "left-action-unital",
     "left-action-homomorphism", "left-action-star", "left-action-coherent",
-    "basis-orthonormal-via-transfer", "scaling-homomorphism", "window-lattice-closed",
-    "coprime-compatibility")]
+    "basis-orthonormal-via-transfer", "scaling-homomorphism", "coprime-compatibility")]
 
 
 @pytest.mark.parametrize("system, bound, failures", [

@@ -17,19 +17,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ntkms.coeff import CoefficientElement, haar_trace, identity_trace, point_mass_trace
-from ntkms.product_system import AffineToeplitzSystem, CuntzSystem, TorusDilationSystem
+from ntkms import verify
+from ntkms.coeff import (
+    CoefficientElement,
+    TraceSpec,
+    haar_trace,
+    identity_trace,
+    point_mass_trace,
+)
+from ntkms.fock import TruncatedFock
+from ntkms.product_system import (
+    AffineToeplitzSystem,
+    CuntzSystem,
+    TorusDilationSystem,
+    get_system,
+)
 from ntkms.semigroup import NAT_MULT, ScalingHomomorphism
+from ntkms.nt import NTElement
+from ntkms.states import KMSContext, StateValue
 from ntkms.verify import (
     CheckReport,
+    check_core_trace_property,
     check_corner_center,
     check_euler,
+    check_fock_nica,
     check_fock_product,
+    check_fock_state,
     check_ground,
     check_ground_limit,
     check_inclusion_exclusion,
     check_kms_condition,
     check_projection_covariance,
+    check_reconstruction,
     check_scaling_identity,
     default_traces,
     inclusion_exclusion_residual,
@@ -100,7 +119,7 @@ def test_lambda_weight_of_the_unit_counts_the_fiber():
 def test_inclusion_exclusion_check_passes_on_affine():
     rep = check_inclusion_exclusion(AFFINE)
     assert rep.passed
-    assert rep.metrics["worst_residual"] <= 1e-9
+    assert rep.metrics["worst_deviation"] <= 1e-9
     assert sum(rep.metrics["sizes"].values()) == 50
 
 
@@ -163,7 +182,6 @@ def test_structure_reports_cover_the_validator():
         "structure:left-action-star",
         "structure:basis-orthonormal-via-transfer",
         "structure:scaling-homomorphism",
-        "structure:window-lattice-closed",
         "structure:coprime-compatibility",
     ):
         assert expected in names
@@ -253,6 +271,137 @@ def test_euler_check_applies_only_to_power_profiles():
 def test_fock_checks_refuse_matrix_engines():
     with pytest.raises(ValueError, match="scalar coefficient engine"):
         check_fock_product(AFFINE)
+
+
+@pytest.mark.parametrize("name, d", [
+    ("affine-toeplitz", None), ("additive-toeplitz", None),
+    ("lattice-dilation", 1), ("lattice-dilation", 2),
+])
+def test_core_trace_draws_every_index_pattern_on_every_seed(name, d):
+    # a disagreement on the meet needs N_g > 1, so the rounds aiming at
+    # one must not draw a pair whose meet has rank one
+    system = get_system(name, d=d)
+    trace = haar_trace(system.engine)
+    for seed in range(1, 21):
+        rep = check_core_trace_property(system, trace, 3.0, bound=60, seed=seed)
+        assert rep.passed
+        assert all(n > 0 for n in rep.metrics["cases"].values()), (seed, rep.metrics["cases"])
+
+
+# -- value comparisons: the worst case, and a failure per injected fault -----------
+
+POINT = point_mass_trace(AFFINE.engine, 0.7)
+
+
+def test_kms_condition_reports_its_worst_comparison():
+    rep = check_kms_condition(AFFINE, POINT, 3.0)
+    assert rep.passed
+    assert 0.0 < rep.metrics["worst_deviation"] <= rep.metrics["tolerance_at_worst"]
+    assert 0 < rep.metrics["nonzero"] <= 200
+
+
+@pytest.fixture
+def skewed_weights(monkeypatch):
+    """N(v)^(-beta) one percent high on every fiber but the identity."""
+    weight_pow = KMSContext.weight_pow
+    monkeypatch.setattr(KMSContext, "weight_pow",
+                        lambda self, v: weight_pow(self, v) * (1.0 if v == 1 else 1.01))
+
+
+def test_kms_condition_fails_on_skewed_weights(skewed_weights):
+    rep = check_kms_condition(AFFINE, POINT, 3.0)
+    assert not rep.passed
+    assert rep.metrics == {
+        "samples": 200, "beta": 3.0, "bound": 1000, "trace": "point_mass(0.7)", "sample": 66,
+        "deviation": pytest.approx(4.69327e-3, rel=1e-5),
+        "tolerance": pytest.approx(2.73734e-3, rel=1e-5),
+    }
+
+
+def test_scaling_identity_fails_on_skewed_weights(skewed_weights):
+    rep = check_scaling_identity(AFFINE, POINT, 3.0)
+    assert not rep.passed
+    assert rep.metrics == {
+        "cases": 180, "beta": 3.0, "trace": "point_mass(0.7)", "s": 2, "j": 0, "l": 0,
+        "deviation": pytest.approx(7.60371e-4, rel=1e-5),
+        "tolerance": pytest.approx(6.84334e-4, rel=1e-5),
+    }
+
+
+def test_core_trace_fails_on_a_non_tracial_state(monkeypatch):
+    # weighting each core term (s, s, l) by 1 + l/100 is a non-tracial
+    # functional on the fiber compacts; a long window shrinks the tails
+    omega = KMSContext.omega
+
+    def skewed(self, y):
+        parts = [(key[2], omega(self, NTElement(y.system, {key: vec})))
+                 for key, vec in y.sorted_terms()]
+        return StateValue(sum((1 + 0.01 * l) * v.value for l, v in parts),
+                          sum(v.tail for _, v in parts), self.bound)
+
+    monkeypatch.setattr(KMSContext, "omega", skewed)
+    rep = check_core_trace_property(AFFINE, POINT, 3.0, bound=10**5)
+    assert not rep.passed
+    assert rep.metrics == {
+        "rounds": 12, "beta": 3.0, "trace": "point_mass(0.7)", "meet_trivial_pairs": 12,
+        "cases": {"False/False": 2, "False/True": 2, "True/False": 2, "True/True": 3},
+        "round": 8, "s": 4, "r": 2,
+        "deviation": pytest.approx(4.94097e-4, rel=1e-5),
+        "tolerance": pytest.approx(3.84499e-5, rel=1e-5),
+    }
+
+
+def test_fock_state_fails_on_a_perturbed_oracle(monkeypatch):
+    state_value = TruncatedFock.state_value
+    monkeypatch.setattr(TruncatedFock, "state_value",
+                        lambda self, y, beta: state_value(self, y, beta) * (1 + 1e-9))
+    rep = check_fock_state(CUNTZ)
+    assert not rep.passed
+    # samples 0 and 1 have value zero, which the relative fault leaves alone
+    assert rep.metrics == {
+        "samples": 25, "dim": 63, "beta": 3.0, "bound": 5, "sample": 2,
+        "deviation": pytest.approx(2.0e-9, rel=1e-6), "tolerance": 1e-12,
+    }
+
+
+def test_fock_nica_fails_on_a_perturbed_defect(monkeypatch):
+    nica_defect = TruncatedFock.nica_defect
+    monkeypatch.setattr(TruncatedFock, "nica_defect",
+                        lambda self, *vectors: nica_defect(self, *vectors) + 1e-9)
+    rep = check_fock_nica(CUNTZ)
+    assert not rep.passed
+    assert rep.metrics == {"samples": 20, "dim": 63, "s": 2, "r": 1,
+                           "deviation": pytest.approx(1e-9), "tolerance": 1e-12}
+
+
+def test_trace_recovery_fails_when_the_state_reads_a_moment_off(monkeypatch):
+    # the state sees c(2) = c(-2) = 0.05 while tau is the Haar trace
+    def skewed_context(system, trace, beta, bound):
+        off = TraceSpec(trace.engine, lambda k: trace.moment(k) + (0.05 if k in ((2,), (-2,)) else 0),
+                        trace.name)
+        return KMSContext(system, off, beta, bound)
+
+    monkeypatch.setattr(verify, "KMSContext", skewed_context)
+    rep = check_reconstruction(AFFINE, haar_trace(AFFINE.engine))
+    assert not rep.passed
+    assert rep.metrics == {
+        "monomials": 37, "trace": "haar", "beta": 4.0, "bound": 10**4, "monomial": "(1+0j)*S^2",
+        "deviation": pytest.approx(0.05, rel=1e-6), "tolerance": 1e-2,
+    }
+
+
+def test_inclusion_exclusion_fails_on_an_overflowing_weight(monkeypatch):
+    # the residual cancels exactly for every finite weight assignment, so
+    # only a weight past float range reaches the failure: inf - inf is NaN
+    weight = verify.lambda_weight
+    monkeypatch.setattr(verify, "lambda_weight",
+                        lambda system, trace, beta, s, a:
+                        math.inf if s == 6 else weight(system, trace, beta, s, a))
+    rep = check_inclusion_exclusion(AFFINE)
+    assert not rep.passed
+    assert math.isnan(rep.metrics.pop("deviation"))
+    assert rep.metrics == {"samples": 50, "sizes": {1: 1, 2: 1, 3: 1}, "beta": 4.0,
+                           "primes": [2, 3, 5], "sample": 2, "tolerance": 1e-9}
 
 
 # -- suite assembly ---------------------------------------------------------------
