@@ -3,15 +3,17 @@
 The package splits into layers:
 
 * :mod:`ntkms.semigroup` - the positive cones (nat-mult, nat-add), their
-  lattice order, truncation windows and scaling maps with tail bounds;
+  lattice order and truncation windows;
 * :mod:`ntkms.coeff` - coefficient engines (Toeplitz, Laurent, scalar),
   canonical finite combinations of monomials, and trace/moment data;
 * :mod:`ntkms.product_system` - fibers with orthonormal bases, index
-  maps, left actions, and the built-in example systems;
+  maps, left actions, and the built-in example systems; the fiber rank
+  N_s is the scaling map of the dynamics, its ``profile`` its closed form;
 * :mod:`ntkms.nt` - the normal form i_s(xi) i_r(1_l)* with exact star
   products, adjoints, core expectation, range projections and dynamics;
 * :mod:`ntkms.states` - KMS_beta and ground states from traces, via
-  truncated series with explicit tail certificates;
+  truncated series with explicit tail certificates, and the closed
+  forms of the profile;
 * :mod:`ntkms.fock` - an independent compressed Fock-space oracle;
 * :mod:`ntkms.verify` - the property checks and suite runner;
 * :mod:`ntkms.dsl` - a small expression language with a canonical
@@ -49,20 +51,14 @@ from .product_system import (
     TorusDilationSystem,
     get_system,
 )
-from .semigroup import (
-    NAT_ADD,
-    NAT_MULT,
-    ScalingHomomorphism,
-    Semigroup,
-    TruncationSet,
-    tail_bound,
-)
+from .semigroup import NAT_ADD, NAT_MULT, Semigroup, TruncationSet
 from .states import (
     KMSContext,
     StateValue,
     euler_product,
     euler_truncation_gap,
     ground_state,
+    tail_bound,
     zeta_series,
 )
 from .verify import (
@@ -91,7 +87,6 @@ __all__ = [
     "SCALAR",
     "SUITE_NAMES",
     "ScalarEngine",
-    "ScalingHomomorphism",
     "Semigroup",
     "StateValue",
     "TOEPLITZ",

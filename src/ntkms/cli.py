@@ -93,9 +93,19 @@ def _opt(args: argparse.Namespace, config: dict, key: str, default=None):
     return default
 
 
+def _int_opt(args: argparse.Namespace, config: dict, key: str, default=None):
+    """An integer option; a boolean or a non-integral number is refused."""
+    v = _opt(args, config, key, default)
+    if v is None or isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise UsageError(f"{key} must be an integer, got {json.dumps(v)}")
+
+
 def _make_system(args, config) -> ProductSystem:
     name = _opt(args, config, "system", "affine-toeplitz")
-    system = get_system(name, d=_opt(args, config, "d"), k=_opt(args, config, "k"))
+    system = get_system(name, d=_int_opt(args, config, "d"), k=_int_opt(args, config, "k"))
     corrupt = _opt(args, config, "corrupt")
     if corrupt is not None:
         s, r, pa, pb = _parse_corrupt(corrupt, system)
@@ -170,8 +180,7 @@ def _make_trace(args, config, system: ProductSystem) -> TraceSpec:
 
 
 def _term_budget(args, config) -> int:
-    budget = _opt(args, config, "term_budget")
-    budget = get_term_budget() if budget is None else int(budget)
+    budget = _int_opt(args, config, "term_budget", get_term_budget())
     if budget < 1:
         raise UsageError("term_budget must be positive")
     return budget
@@ -207,7 +216,7 @@ def _cmd_eval(args, config) -> int:
         sv = ground_state(system, trace, y)
     elif state == "kms":
         beta = float(_opt(args, config, "beta", 3.0))
-        bound = int(_opt(args, config, "bound", 1000))
+        bound = _int_opt(args, config, "bound", 1000)
         ctx = KMSContext(system, trace, beta, bound)
         sv = ctx.kms(y)
     else:
@@ -263,7 +272,7 @@ def _cmd_sweep(args, config) -> int:
     system = _make_system(args, config)
     trace = _make_trace(args, config, system)
     betas = _parse_betas(_opt(args, config, "betas"))
-    bound = int(_opt(args, config, "bound", 1000))
+    bound = _int_opt(args, config, "bound", 1000)
     observables = _parse_observables(args, config, system)
     # every row is computed before any is printed, so an error prints nothing
     rows = [["beta", "zeta", "tail"] + [name for name, _ in observables]]
@@ -283,8 +292,8 @@ def _cmd_verify(args, config) -> int:
     if isinstance(suites, str):
         suites = [suites]
     beta = float(_opt(args, config, "beta", 3.0))
-    bound = int(_opt(args, config, "bound", 1000))
-    seed = int(_opt(args, config, "seed", 7))
+    bound = _int_opt(args, config, "bound", 1000)
+    seed = _int_opt(args, config, "seed", 7)
     traces = None
     if _opt(args, config, "trace") is not None:
         traces = [_make_trace(args, config, system)]
@@ -310,12 +319,13 @@ def _cmd_verify(args, config) -> int:
 def _cmd_systems(args, config) -> int:
     for name in BUILTIN_SYSTEMS:
         system = get_system(name)
+        kind, p = system.profile
         payload = {
             "system": name,
             "semigroup": system.semigroup.name,
             "engine": system.engine.tag,
             "critical_beta": system.beta_c,
-            "scaling": system.scaling.name,
+            "scaling": f"s^{p}" if kind == "power" else f"{p}^n",
             "params": system.params,
         }
         print(json.dumps(payload, sort_keys=True))

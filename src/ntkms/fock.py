@@ -220,7 +220,7 @@ class TruncatedFock:
         num = 0.0 + 0.0j
         zeta = 0.0
         for s in self.trunc.values:
-            w = self.system.scaling.of(s) ** (-beta)
+            w = self.system.weight(s) ** (-beta)
             base = self.offsets[s]
             n = self.system.basis_count(s)
             num += w * complex(np.sum(diag[base : base + n]))

@@ -248,7 +248,7 @@ class NTElement:
         """Scale each term by (N(s)/N(r))^(iz); z = i*beta gives the
         KMS-side factor (N(s)/N(r))^(-beta)."""
         sys = self.system
-        nof = sys.scaling.of
+        nof = sys.weight
         out: dict[tuple[int, int, int], ModuleVector] = {}
         for (s, r, l), vec in self.terms.items():
             ratio = nof(s) / nof(r)

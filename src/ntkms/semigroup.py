@@ -17,9 +17,9 @@ Elements are plain ``int`` values; a :class:`Semigroup` instance supplies
 the operations on them.  Truncation windows are the intervals from the
 identity up to a bound.
 
-Scaling homomorphisms N : P -> (0, oo) drive the dynamics.  The default
-one attached to each product system sends a fiber to its basis count, and
-carries a profile tag so that series tails admit closed-form bounds.
+The scaling map N : P -> (0, oo) of the dynamics is the fiber rank of
+the product system, ``ProductSystem.weight``; its series closed forms
+live in ``states``.
 """
 
 from __future__ import annotations
@@ -27,15 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 __all__ = [
     "Semigroup",
     "TruncationSet",
-    "ScalingHomomorphism",
     "NAT_MULT",
     "NAT_ADD",
-    "tail_bound",
 ]
 
 
@@ -122,91 +119,3 @@ class TruncationSet:
 
     def __contains__(self, v: int) -> bool:
         return self.semigroup.identity_value <= v <= self.bound
-
-
-@dataclass(frozen=True)
-class ScalingHomomorphism:
-    """A multiplicative map N : P -> (0, oo) used by the dynamics.
-
-    ``profile`` tags the closed-form family the map belongs to:
-
-    * ``("power", d)`` on nat-mult: N(s) = s**d,
-    * ``("geometric", k)`` on nat-add: N(n) = k**n.
-
-    Series code handles only these two; :meth:`validate` checks the
-    homomorphism laws of any map.
-    """
-
-    semigroup: Semigroup
-    fn: Callable[[int], float]
-    profile: tuple[str, int]
-    name: str = "N"
-
-    def of(self, v: int) -> float:
-        return self.fn(v)
-
-    def validate(self, trunc: TruncationSet) -> list[str]:
-        """Check homomorphism law, positivity and injectivity on a window,
-        to a relative 1e-12.
-
-        Returns a list of human-readable violations (empty when clean).
-        """
-        sg = self.semigroup
-        tol = 1e-12
-        out = []
-        if abs(self.of(sg.identity_value) - 1.0) > tol:
-            out.append(f"N(e) = {self.of(sg.identity_value)} != 1")
-        vals = trunc.values[: min(len(trunc), 64)]
-        for s in vals:
-            if self.of(s) <= 0:
-                out.append(f"N({s}) = {self.of(s)} is not positive")
-        for s in vals[:24]:
-            for r in vals[:24]:
-                lhs = self.of(sg.mul(s, r))
-                rhs = self.of(s) * self.of(r)
-                if abs(lhs - rhs) > tol * max(1.0, abs(rhs)):
-                    out.append(f"N({s}*{r}) = {lhs} != N({s})N({r}) = {rhs}")
-        seen: dict[float, int] = {}
-        for s in trunc.values:
-            x = self.of(s)
-            if x in seen and seen[x] != s:
-                out.append(f"N not injective: N({seen[x]}) == N({s}) == {x}")
-                break
-            seen[x] = s
-        return out
-
-
-def power_scaling(d: int = 1) -> ScalingHomomorphism:
-    return ScalingHomomorphism(NAT_MULT, lambda s: float(s) ** d, ("power", d), f"s^{d}")
-
-
-def geometric_scaling(k: int) -> ScalingHomomorphism:
-    return ScalingHomomorphism(NAT_ADD, lambda n: float(k) ** n, ("geometric", k), f"{k}^n")
-
-
-def tail_bound(scaling: ScalingHomomorphism, beta: float, bound: int) -> float:
-    """Bound sum of N(s)**(-beta) * N_s over elements beyond ``bound``.
-
-    For the power profile (weights s**d on nat-mult) the integral test
-    gives bound**(d*(1-beta)+1) / (d*(beta-1)-1).  For the geometric
-    profile (weights k**n on nat-add) the geometric series starting at
-    ``bound`` gives k**((1-beta)*bound) / (1 - k**(1-beta)); starting at
-    the bound rather than just past it keeps the estimate an over-count.
-    Both closed forms take N_s to be the profile's own weight; any other
-    profile is a ``ValueError``.
-    """
-    kind, p = scaling.profile
-    if kind == "power":
-        d = p
-        if d * (beta - 1.0) <= 1.0:
-            raise ValueError(
-                f"beta = {beta} is at or below the critical exponent {1 + 1 / d}"
-            )
-        return bound ** (d * (1.0 - beta) + 1.0) / (d * (beta - 1.0) - 1.0)
-    if kind == "geometric":
-        k = p
-        ratio = float(k) ** (1.0 - beta)
-        if ratio >= 1.0:
-            raise ValueError(f"beta = {beta} is at or below the critical exponent 1")
-        return ratio**bound / (1.0 - ratio)
-    raise ValueError(f"no closed-form tail bound for the scaling profile {scaling.profile!r}")

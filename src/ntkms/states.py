@@ -1,7 +1,9 @@
 """KMS and ground states on the Nica-Toeplitz algebra from trace data.
 
-For an inverse temperature beta above the critical exponent of the
-scaling map N, the Gibbs construction over a truncation window T(B) is
+The dynamics scales i_s(xi) by N(s)^(it), where N(s) = N_s is the fiber
+rank (``ProductSystem.weight``).  For an inverse temperature beta above
+the critical exponent of N, the Gibbs construction over a truncation
+window T(B) is
 
     omega(y) = (1/zeta) * sum_(s in T(B)) N(s)^(-beta)
                * sum_(j < N_s) tau(<1_j, y . 1_j>),
@@ -34,6 +36,10 @@ So a window of any size costs the same time and memory.  A literal
 evaluator that walks every fiber basis vector symbolically, within the
 held prefix, is kept as a slow cross-check.
 
+This module alone holds the closed forms of the system's ``profile``:
+N(s)^(-beta) N_s as s^(d(1-beta)) on ("power", d) and k^((1-beta)n) on
+("geometric", k), their partial sums and their tails.
+
 Dropped series tails are bounded in closed form: each term beyond the
 window contributes at most N(s)^(-beta) N_s times the coordinate
 one-norm, so the reported tail is the zeta tail bound, plus the
@@ -54,7 +60,7 @@ import numpy as np
 from .coeff import TraceSpec
 from .nt import NTElement, TermBudgetExceeded, get_term_budget
 from .product_system import ProductSystem
-from .semigroup import TruncationSet, tail_bound
+from .semigroup import TruncationSet
 
 __all__ = [
     "StateValue",
@@ -64,6 +70,7 @@ __all__ = [
     "euler_product",
     "euler_truncation_gap",
     "primes_up_to",
+    "tail_bound",
 ]
 
 
@@ -100,10 +107,33 @@ _EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
 _EULER_MACLAURIN_REMAINDER = abs(_EULER_MACLAURIN[-1])
 
 
+def tail_bound(profile: tuple[str, int], beta: float, bound: int) -> float:
+    """Bound sum of N(s)**(-beta) * N_s over elements beyond ``bound``.
+
+    For the power profile (weights s**d on nat-mult) the integral test
+    gives bound**(d*(1-beta)+1) / (d*(beta-1)-1).  For the geometric
+    profile (weights k**n on nat-add) the geometric series starting at
+    ``bound`` gives k**((1-beta)*bound) / (1 - k**(1-beta)); starting at
+    the bound rather than just past it keeps the estimate an over-count.
+    Any other profile is a ``ValueError``.
+    """
+    kind, p = profile
+    if kind == "power":
+        if p * (beta - 1.0) <= 1.0:
+            raise ValueError(f"beta = {beta} is at or below the critical exponent {1 + 1 / p}")
+        return bound ** (p * (1.0 - beta) + 1.0) / (p * (beta - 1.0) - 1.0)
+    if kind == "geometric":
+        ratio = float(p) ** (1.0 - beta)
+        if ratio >= 1.0:
+            raise ValueError(f"beta = {beta} is at or below the critical exponent 1")
+        return ratio**bound / (1.0 - ratio)
+    raise ValueError(f"no closed-form tail bound for the scaling profile {profile!r}")
+
+
 def _zeta_terms(system: ProductSystem, beta: float, bound: int) -> np.ndarray:
     """N(s)^(-beta) * N_s for the first min(PREFIX_TERMS, window size) elements
     s = e, e + 1, ... up to bound, in overflow-safe closed form."""
-    kind, p = system.scaling.profile
+    kind, p = system.profile
     e = system.identity_fiber()
     last = min(bound, e + PREFIX_TERMS - 1)
     svals = np.arange(e, last + 1, dtype=np.int64).astype(float)
@@ -111,7 +141,7 @@ def _zeta_terms(system: ProductSystem, beta: float, bound: int) -> np.ndarray:
         return svals ** (p * (1.0 - beta))
     if kind == "geometric":
         return np.exp((1.0 - beta) * math.log(p) * svals)
-    raise ValueError(f"no closed-form series for the scaling profile {system.scaling.profile!r}")
+    raise ValueError(f"no closed-form series for the scaling profile {system.profile!r}")
 
 
 def _closed_form_sum(profile: tuple[str, int], beta: float, m: int, n: int) -> tuple[float, float]:
@@ -172,8 +202,8 @@ def _series(system: ProductSystem, beta: float,
     trunc = TruncationSet(system.semigroup, bound)  # rejects a bound below the identity
     terms = _zeta_terms(system, beta, bound)
     prefix_sum = float(np.sum(terms))
-    zeta, err = _partial_sum(system.scaling.profile, beta, terms, prefix_sum, trunc.size)
-    return trunc, terms, prefix_sum, zeta, tail_bound(system.scaling, beta, bound) + err
+    zeta, err = _partial_sum(system.profile, beta, terms, prefix_sum, trunc.size)
+    return trunc, terms, prefix_sum, zeta, tail_bound(system.profile, beta, bound) + err
 
 
 class KMSContext:
@@ -194,7 +224,7 @@ class KMSContext:
 
     def weight_pow(self, v: int) -> float:
         """N(v)^(-beta) in the same closed form as the zeta terms."""
-        kind, p = self.system.scaling.profile
+        kind, p = self.system.profile
         if kind == "power":
             return float(v) ** (-self.beta * p)
         return math.exp(-self.beta * math.log(p) * v)
@@ -213,7 +243,7 @@ class KMSContext:
             sg = self.system.semigroup
             n = self.bound // r if sg.is_multiplicative else self.bound - r + 1
             total, _ = _partial_sum(
-                self.system.scaling.profile, self.beta, self._zeta_terms, self._prefix_sum, n
+                self.system.profile, self.beta, self._zeta_terms, self._prefix_sum, n
             )
             out = self.weight_pow(r) * total
             self._z_cache[r] = out

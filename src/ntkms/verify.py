@@ -361,7 +361,7 @@ def check_ground(system: ProductSystem, trace: TraceSpec, seed: int = 23) -> Che
         if abs(base) <= 1e-12:
             continue
         nonzero += 1
-        ratio = system.scaling.of(s) / system.scaling.of(r)
+        ratio = system.weight(s) / system.weight(r)
         if ratio < 1.0:
             return CheckReport(
                 "state:ground",
@@ -460,19 +460,24 @@ def check_scaling_identity(
     bound: int = 1000,
 ) -> CheckReport:
     """omega(i_s(1_j a) i_s(1_l)*) = delta_(jl) N(s)^(-beta) omega(i_e(a)),
-    exhaustively over the fibers up to 6, exactly zero off the diagonal."""
+    exhaustively over the fibers up to 6, exactly zero off the diagonal.
+    a runs over the generators and g g* of the first one, S S* or 1, whose
+    haar moment is nonzero where those of the generators vanish."""
     ctx = KMSContext(system, trace, beta, bound)
     sg = system.semigroup
     vals = [v for v in TruncationSet(sg, 6).values if v != sg.identity_value]
     if sg.name == "nat-add":
         vals = vals[:3]
     gens = system.generator_elements()
+    square = gens[0] * gens[0].adjoint()
+    if square not in gens:
+        gens.append(square)
 
     def comparisons():
         for a in gens:
             corner = ctx.omega(NTElement.embed_coeff(system, a).core_expectation())
             for s in vals:
-                scale = system.scaling.of(s) ** (-beta)
+                scale = system.weight(s) ** (-beta)
                 for j in range(system.basis_count(s)):
                     for l in range(system.basis_count(s)):
                         y = NTElement(system, {(s, s, l): system.basis_vector(s, j, coeff=a)})
@@ -495,7 +500,7 @@ def check_scaling_identity(
 def check_euler(system: ProductSystem, beta: float = 3.0) -> CheckReport:
     """Euler form of the normalising series for power-profile systems:
     the product over primes up to 10^4 against the series up to 10^6."""
-    kind, d = system.scaling.profile
+    kind, d = system.profile
     if kind != "power" or system.semigroup.name != "nat-mult":
         return CheckReport(
             "state:euler-product", True, {"skipped": True},
@@ -522,7 +527,7 @@ def lambda_weight(
     system: ProductSystem, trace: TraceSpec, beta: float, s: int, a: CoefficientElement
 ) -> complex:
     """N(s)^(-beta) tau(W_s(a)), the fiber weight of a coefficient."""
-    return system.scaling.of(s) ** (-beta) * trace.eval(system.fiber_trace(s, a))
+    return system.weight(s) ** (-beta) * trace.eval(system.fiber_trace(s, a))
 
 
 def inclusion_exclusion_residual(fprimes: tuple[int, ...], lam: dict[int, complex]) -> complex:

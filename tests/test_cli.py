@@ -143,23 +143,17 @@ def test_systems_lists_every_builtin_as_json(capsys):
     code, out, err = run(capsys, "systems")
     assert code == 0
     assert err == ""
-    rows = [json.loads(line) for line in out.splitlines()]
-    assert [r["system"] for r in rows] == [
-        "affine-toeplitz", "additive-toeplitz", "lattice-dilation", "cuntz",
+    # critical_beta and scaling are derived from each system's profile
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"critical_beta": 2.0, "engine": "toeplitz", "params": {}, "scaling": "s^1",
+         "semigroup": "nat-mult", "system": "affine-toeplitz"},
+        {"critical_beta": 2.0, "engine": "laurent", "params": {"d": 1}, "scaling": "s^1",
+         "semigroup": "nat-mult", "system": "additive-toeplitz"},
+        {"critical_beta": 2.0, "engine": "laurent", "params": {"d": 1}, "scaling": "s^1",
+         "semigroup": "nat-mult", "system": "lattice-dilation"},
+        {"critical_beta": 1.0, "engine": "scalar", "params": {"k": 2}, "scaling": "2^n",
+         "semigroup": "nat-add", "system": "cuntz"},
     ]
-    by_name = {r["system"]: r for r in rows}
-    assert by_name["affine-toeplitz"]["engine"] == "toeplitz"
-    assert by_name["affine-toeplitz"]["critical_beta"] == 2.0
-    assert by_name["affine-toeplitz"]["semigroup"] == "nat-mult"
-    assert by_name["cuntz"] == {
-        "critical_beta": 1.0,
-        "engine": "scalar",
-        "params": {"k": 2},
-        "scaling": "2^n",
-        "semigroup": "nat-add",
-        "system": "cuntz",
-    }
-    assert by_name["lattice-dilation"]["params"] == {"d": 1}
 
 
 # -- sweep -----------------------------------------------------------------------
@@ -356,6 +350,28 @@ def test_config_errors_are_usage_errors(capsys, tmp_path):
     unknown.write_text(json.dumps({"expr": "i[1](1@0)", "bogus": 1}))
     code, _, err = run(capsys, "eval", "--config", str(unknown))
     assert code == 2 and "unknown config keys ['bogus']" in err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("eval", "d", 2.7), ("eval", "d", True), ("eval", "k", 3.5), ("eval", "bound", 1000.9),
+    ("sweep", "bound", "1000"), ("verify", "seed", 7.5), ("eval", "term_budget", 2.5),
+])
+def test_config_integers_refuse_booleans_and_fractions(capsys, tmp_path, command, key, value):
+    system = {"d": "lattice-dilation", "k": "cuntz"}.get(key, "affine-toeplitz")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": system, "expr": "i[1](1@0)", "betas": "3",
+                               key: value}))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: {key} must be an integer, got {json.dumps(value)}\n"
+
+
+def test_config_integers_accept_integral_floats(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"expr": "alpha[2](i[1](1@0))", "bound": 400.0}))
+    _, from_config, _ = run(capsys, "eval", "--config", str(cfg))
+    _, explicit, _ = run(capsys, "eval", "--expr", "alpha[2](i[1](1@0))", "--bound", "400")
+    assert from_config == explicit
 
 
 def test_flags_override_config_values(capsys, tmp_path):

@@ -4,15 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ntkms.semigroup import (
-    NAT_ADD,
-    NAT_MULT,
-    ScalingHomomorphism,
-    TruncationSet,
-    geometric_scaling,
-    power_scaling,
-    tail_bound,
-)
+from ntkms.semigroup import NAT_ADD, NAT_MULT, TruncationSet
+from ntkms.states import tail_bound
 
 semigroups = st.sampled_from([NAT_MULT, NAT_ADD])
 
@@ -102,27 +95,12 @@ def test_truncation_set_window():
     assert 0 in ta and 6 not in ta
 
 
-def test_scaling_validate_clean():
-    assert power_scaling(2).validate(TruncationSet(NAT_MULT, 32)) == []
-    assert geometric_scaling(3).validate(TruncationSet(NAT_ADD, 16)) == []
-
-
-def test_scaling_validate_flags_violations():
-    broken = ScalingHomomorphism(
-        NAT_MULT, lambda s: float(s + 1), ("custom", 0), "s+1"
-    )
-    problems = broken.validate(TruncationSet(NAT_MULT, 16))
-    assert problems and any("N(" in p for p in problems)
-    flat = ScalingHomomorphism(NAT_ADD, lambda n: 1.0, ("custom", 0), "flat")
-    assert any("injective" in p for p in flat.validate(TruncationSet(NAT_ADD, 16)))
-
-
-def brute_tail(scaling, weights, beta, bound, horizon):
-    sg = scaling.semigroup
+def brute_tail(sg, weight, beta, bound, horizon):
+    """sum of N(v)^(-beta) N_v beyond the bound, with N(v) = N_v = weight(v)."""
     total = 0.0
     for v in TruncationSet(sg, horizon):
         if v not in TruncationSet(sg, bound):
-            total += scaling.of(v) ** (-beta) * weights(v)
+            total += weight(v) ** (-beta) * weight(v)
     return total
 
 
@@ -135,10 +113,9 @@ def brute_tail(scaling, weights, beta, bound, horizon):
 def test_power_tail_dominates_partial_sums(d, beta, bound):
     if d * (beta - 1.0) <= 1.0:
         return
-    sc = power_scaling(d)
     w = lambda s: float(s) ** d
-    tb = tail_bound(sc, beta, bound)
-    assert brute_tail(sc, w, beta, bound, 40 * bound) <= tb
+    tb = tail_bound(("power", d), beta, bound)
+    assert brute_tail(NAT_MULT, w, beta, bound, 40 * bound) <= tb
 
 
 @settings(deadline=None, max_examples=20)
@@ -148,14 +125,13 @@ def test_power_tail_dominates_partial_sums(d, beta, bound):
     st.integers(min_value=4, max_value=40),
 )
 def test_geometric_tail_dominates_partial_sums(k, beta, bound):
-    sc = geometric_scaling(k)
     w = lambda n: float(k) ** n
-    tb = tail_bound(sc, beta, bound)
-    assert brute_tail(sc, w, beta, bound, 8 * bound) <= tb
+    tb = tail_bound(("geometric", k), beta, bound)
+    assert brute_tail(NAT_ADD, w, beta, bound, 8 * bound) <= tb
 
 
 def test_tail_bound_rejects_subcritical_beta():
     with pytest.raises(ValueError):
-        tail_bound(power_scaling(1), 2.0, 100)
+        tail_bound(("power", 1), 2.0, 100)
     with pytest.raises(ValueError):
-        tail_bound(geometric_scaling(2), 1.0, 100)
+        tail_bound(("geometric", 2), 1.0, 100)

@@ -13,13 +13,13 @@ from ntkms.product_system import (
     TorusDilationSystem,
     get_system,
 )
-from ntkms.semigroup import tail_bound
 from ntkms.states import (
     KMSContext,
     euler_product,
     euler_truncation_gap,
     ground_state,
     primes_up_to,
+    tail_bound,
     zeta_series,
 )
 from ntkms.verify import sample_element
@@ -96,7 +96,7 @@ def brute_z(ctx, r):
     for s in ctx.trunc.values:
         if sg.leq(r, s):
             q = sg.quotient(s, r)
-            total += ctx.system.scaling.of(s) ** (-ctx.beta) * ctx.system.weight(q)
+            total += ctx.system.weight(s) ** (-ctx.beta) * ctx.system.weight(q)
     return total
 
 
@@ -136,7 +136,7 @@ SWEEP_BETAS = {
 
 def all_terms(system, beta, bound):
     """Every zeta term of the window, by the formula of the full array."""
-    kind, p = system.scaling.profile
+    kind, p = system.profile
     svals = np.arange(system.identity_fiber(), bound + 1, dtype=np.int64).astype(float)
     if kind == "power":
         return svals ** (p * (1.0 - beta))
@@ -196,12 +196,12 @@ def test_z_value_at_identity_is_zeta_bitwise_past_the_prefix(name):
 def test_euler_maclaurin_remainder_is_negligible_at_the_prefix(name):
     system = BUILTINS[name]
     for beta in SWEEP_BETAS[name]:
-        _, err = states._closed_form_sum(system.scaling.profile, beta, 2**20, 10**7)
+        _, err = states._closed_form_sum(system.profile, beta, 2**20, 10**7)
         assert 0.0 <= err < 1e-30
         # the geometric sum is exact
         assert (err == 0.0) == (system is CUNTZ)
         ctx = context(system, beta=beta, bound=10**7)
-        assert ctx.zeta_tail == tail_bound(system.scaling, beta, 10**7) + err
+        assert ctx.zeta_tail == tail_bound(system.profile, beta, 10**7) + err
 
 
 @pytest.mark.parametrize("beta", [2.01, 2.5, 3.0, 5.0])
@@ -212,7 +212,7 @@ def test_euler_maclaurin_remainder_bounds_the_error(beta):
     n = 10**5
     terms = np.arange(1, n + 1, dtype=float) ** -a
     for m in (1, 2, 4):
-        got, err = states._closed_form_sum(AFFINE.scaling.profile, beta, m, n)
+        got, err = states._closed_form_sum(AFFINE.profile, beta, m, n)
         want = math.fsum(terms[m:])
         assert err > 0.0
         assert abs(got - want) <= err + 4e-16 * want
@@ -255,7 +255,7 @@ def test_projection_value_is_scaling_power():
             for beta in (3.0, 4.0):
                 ctx = context(system, beta=beta, bound=2000)
                 sv = ctx.kms(unit_projection(system, r))
-                want = system.scaling.of(r) ** (-beta) * system.weight(r)
+                want = system.weight(r) ** (-beta) * system.weight(r)
                 assert abs(sv.value - want) <= sv.tail
                 assert sv.tail < 1e-2
 

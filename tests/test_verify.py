@@ -32,7 +32,6 @@ from ntkms.product_system import (
     TorusDilationSystem,
     get_system,
 )
-from ntkms.semigroup import NAT_MULT, ScalingHomomorphism
 from ntkms.nt import NTElement
 from ntkms.states import KMSContext, StateValue
 from ntkms.verify import (
@@ -185,10 +184,8 @@ def test_structure_reports_cover_the_validator():
         "structure:coprime-compatibility",
     ):
         assert expected in names
-    # each validator law carries its own time, not a share of the total;
-    # the validator's laws come before the scaling check
-    laws = reports[: names.index("structure:scaling-homomorphism")]
-    seconds = [r.seconds for r in laws]
+    # each validator law carries its own time, not a share of the total
+    seconds = [r.seconds for r in reports]
     assert len(set(seconds)) > 1
     assert sum(seconds) <= wall
 
@@ -202,21 +199,35 @@ def test_structure_reports_name_the_broken_law():
     assert "witness" in assoc.metrics
 
 
-class _SkewScaling(AffineToeplitzSystem):
-    """N(s) = s except N(121) = 122, so only N(11 * 11) breaks the law."""
+class _SkewRank(AffineToeplitzSystem):
+    """N_s = s except N_121 = 122, so only N_(11 * 11) breaks the product law."""
 
-    def __init__(self):
-        super().__init__()
-        self.scaling = ScalingHomomorphism(
-            NAT_MULT, lambda s: 122.0 if s == 121 else float(s), ("power", 1), "skewed")
+    def basis_count(self, s):
+        return 122 if s == 121 else s
 
 
 def test_structure_reports_name_a_non_multiplicative_scaling():
-    reports = structure_reports(_SkewScaling())
+    # N is the fiber rank, so its product law is the basis-count law; the
+    # window's ranks match the profile, and only L_121's extra column
+    # also breaks coherence
+    reports = structure_reports(_SkewRank())
+    assert [r.name for r in reports if not r.passed] == [
+        "structure:basis-count-multiplicative", "structure:left-action-coherent"]
+    rep = next(r for r in reports if r.name == "structure:basis-count-multiplicative")
+    assert rep.metrics == {"bound": 12, "witness": {"s": 11, "r": 11}}
+
+
+@pytest.mark.parametrize("system, profile, bound, s", [
+    (TorusDilationSystem(2), ("power", 1), 4, 2),
+    (CuntzSystem(3), ("geometric", 2), 3, 1),
+], ids=["lattice-dilation(2)", "cuntz(3)"])
+def test_structure_reports_name_a_profile_that_misreads_the_rank(system, profile, bound, s):
+    # the series would sum the profile's closed form in place of N_s
+    system.profile = profile
+    reports = structure_reports(system, bound=bound)
     assert [r.name for r in reports if not r.passed] == ["structure:scaling-homomorphism"]
     rep = next(r for r in reports if r.name == "structure:scaling-homomorphism")
-    assert rep.metrics == {"bound": 12}
-    assert rep.detail == "N(11*11) = 122.0 != N(11)N(11) = 121.0"
+    assert rep.metrics == {"bound": bound, "witness": {"s": s}} and rep.detail == ""
 
 
 @pytest.mark.parametrize("pair_b, witness", [
@@ -318,12 +329,17 @@ def test_kms_condition_fails_on_skewed_weights(skewed_weights):
     }
 
 
-def test_scaling_identity_fails_on_skewed_weights(skewed_weights):
-    rep = check_scaling_identity(AFFINE, POINT, 3.0)
+@pytest.mark.parametrize("trace, deviation", [
+    (POINT, 7.60371e-4),
+    # only the coefficient S S* has a nonzero haar moment
+    (haar_trace(AFFINE.engine), 1.17332e-3),
+], ids=["point-mass", "haar"])
+def test_scaling_identity_fails_on_skewed_weights(skewed_weights, trace, deviation):
+    rep = check_scaling_identity(AFFINE, trace, 3.0)
     assert not rep.passed
     assert rep.metrics == {
-        "cases": 180, "beta": 3.0, "trace": "point_mass(0.7)", "s": 2, "j": 0, "l": 0,
-        "deviation": pytest.approx(7.60371e-4, rel=1e-5),
+        "cases": 270, "beta": 3.0, "trace": trace.name, "s": 2, "j": 0, "l": 0,
+        "deviation": pytest.approx(deviation, rel=1e-5),
         "tolerance": pytest.approx(6.84334e-4, rel=1e-5),
     }
 
