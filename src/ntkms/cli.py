@@ -38,25 +38,29 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-ALLOWED_CONFIG_KEYS = frozenset(
-    {
-        "system",
-        "d",
-        "k",
-        "corrupt",
-        "trace",
-        "theta",
-        "beta",
-        "betas",
-        "bound",
-        "seed",
-        "term_budget",
-        "suite",
-        "state",
-        "expr",
-        "observables",
-    }
-)
+_INTEGER = ("an integer", (int, float, type(None)), ())
+_NUMBERS = (int, float, str)
+
+# Each config key's description, its accepted JSON types (null is None)
+# and, when a list is accepted, the accepted types of its items.  Values
+# are read later by the options that use them; integers by _int_opt.
+CONFIG_TYPES = {
+    "system": ("a string", (str,), ()),
+    "d": _INTEGER,
+    "k": _INTEGER,
+    "corrupt": ("a string or a list", (str, list, type(None)), object),
+    "trace": ("a string", (str, type(None)), ()),
+    "theta": ("a number, a string or a list of numbers", (*_NUMBERS, list, type(None)), _NUMBERS),
+    "beta": ("a number", _NUMBERS, ()),
+    "betas": ("a number, a string or a list of numbers", (*_NUMBERS, list, type(None)), _NUMBERS),
+    "bound": _INTEGER,
+    "seed": _INTEGER,
+    "term_budget": _INTEGER,
+    "suite": ("a string or a list of strings", (str, list, type(None)), str),
+    "state": ("a string", (str,), ()),
+    "expr": ("a string", (str, type(None)), ()),
+    "observables": ("an object or a list of strings", (dict, list, type(None)), str),
+}
 
 
 class UsageError(ValueError):
@@ -76,11 +80,15 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"config {path!r} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config {path!r} must hold a JSON object")
-    unknown = sorted(set(data) - ALLOWED_CONFIG_KEYS)
+    unknown = sorted(set(data) - set(CONFIG_TYPES))
     if unknown:
-        raise UsageError(
-            f"unknown config keys {unknown}; allowed: {sorted(ALLOWED_CONFIG_KEYS)}"
-        )
+        raise UsageError(f"unknown config keys {unknown}; allowed: {sorted(CONFIG_TYPES)}")
+    for key, v in data.items():
+        what, types, items = CONFIG_TYPES[key]
+        if not isinstance(v, types) or isinstance(v, list) and not all(
+            isinstance(x, items) for x in v
+        ):
+            raise UsageError(f"{key} must be {what}, got {json.dumps(v)}")
     return data
 
 
@@ -94,9 +102,12 @@ def _opt(args: argparse.Namespace, config: dict, key: str, default=None):
 
 
 def _int_opt(args: argparse.Namespace, config: dict, key: str, default=None):
-    """An integer option; a boolean or a non-integral number is refused."""
-    v = _opt(args, config, key, default)
-    if v is None or isinstance(v, int) and not isinstance(v, bool):
+    """An integer option; null reads as absent, and a boolean or a
+    non-integral number is refused."""
+    v = _opt(args, config, key)
+    if v is None:
+        return default
+    if isinstance(v, int) and not isinstance(v, bool):
         return v
     if isinstance(v, float) and v.is_integer():
         return int(v)
@@ -114,12 +125,7 @@ def _make_system(args, config) -> ProductSystem:
 
 
 def _parse_corrupt(value, system: ProductSystem):
-    if isinstance(value, str):
-        bits = [b.strip() for b in value.split(",")]
-    elif isinstance(value, (list, tuple)):
-        bits = list(value)
-    else:
-        raise UsageError("corrupt must be 's,r,ja,ka,jb,kb'")
+    bits = [b.strip() for b in value.split(",")] if isinstance(value, str) else value
     if len(bits) != 6:
         raise UsageError("corrupt needs six integers: s,r,ja,ka,jb,kb")
     try:
@@ -248,10 +254,8 @@ def _parse_observables(args, config, system) -> list[tuple[str, NTElement]]:
             raw = []
         elif isinstance(cfg, dict):
             raw = [f"{name}={expr}" for name, expr in cfg.items()]
-        elif isinstance(cfg, list):
-            raw = list(cfg)
         else:
-            raise UsageError("observables must be a dict or a list of 'name=expr'")
+            raw = cfg
     out: list[tuple[str, NTElement]] = []
     seen = set()
     for item in raw:

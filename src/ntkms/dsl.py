@@ -3,7 +3,7 @@
 Grammar, with juxtaposition binding tighter than "+":
 
     element := term { "+" term }
-    term    := [ scalar "*" ] factor { ["*"] factor }
+    term    := [ coeff "*" ] factor { ["*"] factor }
     factor  := "i[" fiber "](" coords ")"
              | "adj(" factor ")"
              | "alpha[" fiber "](" element ")"
@@ -19,7 +19,9 @@ Coefficients are sums of complex-weighted monomial words:
 
 so "S^2 S*", "z1^2 z2^-1", "(1.5+2i)", "2 + 3i" and "(S + S*)" all
 parse in coefficient position.  A bare "i" is the imaginary unit except
-directly before "[", where it is the monomial constructor.
+directly before "[", where it is the monomial constructor.  A term's
+leading coefficient must be a number, and may be a product such as
+"(1+i)(1-i)".
 
 ``format_element`` prints the canonical normal form; parsing it back
 reproduces the element exactly (floats are printed with 17 significant
@@ -162,22 +164,14 @@ class _Parser:
             return nxt.kind == "SYM" and nxt.text == "["
         return tok.text in ("adj", "alpha", "E")
 
-    def _at_scalar(self) -> bool:
-        tok = self.peek()
-        if tok.kind in ("INT", "FLOAT", "IMAG"):
-            return True
-        if tok.kind == "SYM" and tok.text in ("(", "-"):
-            return True
-        if tok.kind == "NAME" and tok.text == "i" and not (
-            self.peek(1).kind == "SYM" and self.peek(1).text == "["
-        ):
-            return True
-        return False
-
     def parse_term(self) -> NTElement:
         scalar = None
-        if self._at_scalar():
-            scalar = self.parse_scalar_sum()
+        if not self._at_factor():
+            tok = self.peek()
+            coeff = self.parse_coeff_sum()
+            if not coeff.is_unit_multiple():
+                raise DSLError("a term's leading coefficient must be a number", tok.pos)
+            scalar = coeff.terms.get(self.system.engine.unit(), 0j)
             self.expect_sym("*")
         if not self._at_factor():
             tok = self.peek()
@@ -266,37 +260,6 @@ class _Parser:
             break
         return ModuleVector(self.system, fiber, coords)
 
-    # scalar level ----------------------------------------------------------
-
-    def parse_scalar_sum(self) -> complex:
-        sign = 1.0
-        if self.peek().kind == "SYM" and self.peek().text in ("+", "-"):
-            sign = -1.0 if self.take().text == "-" else 1.0
-        total = sign * self.parse_scalar_primary()
-        while self.peek().kind == "SYM" and self.peek().text in ("+", "-"):
-            op = self.take().text
-            rhs = self.parse_scalar_primary()
-            total = total + rhs if op == "+" else total - rhs
-        return total
-
-    def parse_scalar_primary(self) -> complex:
-        tok = self.peek()
-        if tok.kind in ("INT", "FLOAT"):
-            self.take()
-            return complex(tok.value)
-        if tok.kind == "IMAG":
-            self.take()
-            return complex(0.0, tok.value)
-        if tok.kind == "NAME" and tok.text == "i":
-            self.take()
-            return 1j
-        if tok.kind == "SYM" and tok.text == "(":
-            self.take()
-            inner = self.parse_scalar_sum()
-            self.expect_sym(")")
-            return inner
-        raise DSLError(f"expected a scalar, found {tok.text or 'end of input'!r}", tok.pos)
-
     # coefficient level --------------------------------------------------------
 
     def parse_coeff_sum(self) -> CoefficientElement:
@@ -315,10 +278,8 @@ class _Parser:
         if tok.kind in ("INT", "FLOAT", "IMAG"):
             return True
         if tok.kind == "NAME":
-            return True
-        if tok.kind == "SYM" and tok.text == "(":
-            return True
-        return False
+            return not self._at_factor()
+        return tok.kind == "SYM" and tok.text == "("
 
     def parse_coeff_product(self) -> CoefficientElement:
         out = self.parse_coeff_primary()

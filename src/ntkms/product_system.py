@@ -46,6 +46,7 @@ cuntz             nat-add over scalars with branching k: fibers are words
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -312,7 +313,7 @@ class ProductSystem:
         gens = self.generator_elements()
 
         def law(name: str, witnesses: Iterable[dict], detail: str = "",
-                since: Optional[float] = None, **metrics) -> bool:
+                since: Optional[float] = None, **metrics) -> None:
             # a law whose scan runs before the call passes the scan's start time
             t0 = time.perf_counter() if since is None else since
             bad = next(iter(witnesses), None)
@@ -320,7 +321,6 @@ class ProductSystem:
             metrics = {"bound": trunc.bound, **metrics, **({"witness": bad} if bad else {})}
             checks.append(CheckReport(f"structure:{name}", bad is None, metrics, detail,
                                       time.perf_counter() - t0))
-            return bad is None
 
         def unit_witnesses():
             for s in vals:
@@ -402,26 +402,17 @@ class ProductSystem:
         law("index-map-associative", associative_witnesses())
 
         one = self.engine.unit()
-        unital = law("left-action-unital",
-                     ({"s": s} for s in vals
-                      if any(self.left_column(s, one, j) != (j, one) for j in range(n(s)))))
+        law("left-action-unital",
+            ({"s": s} for s in vals
+             if any(self.left_column(s, one, j) != (j, one) for j in range(n(s)))))
 
-        if self.engine.tag == "scalar":
-            # Scalar actions are unit multiples of the identity, so the
-            # homomorphism, star and coherence laws reduce to the unital
-            # check plus index-map bijectivity established above.
-            failed = [] if unital else [{}]
-            law("left-action-homomorphism", failed, "scalar action: follows from unitality")
-            law("left-action-star", failed, "scalar action: follows from unitality")
-            law("left-action-coherent", failed, "scalar action: follows from index-map laws")
-        else:
-            law("left-action-homomorphism",
-                ({"s": s, "a": repr(a), "b": repr(b)} for s in vals for a in gens for b in gens
-                 if any(column(s, a * b, j) != product_column(s, a, b, j) for j in range(n(s)))))
-            law("left-action-star",
-                ({"s": s, "a": repr(a)} for s in vals for a in gens
-                 if L(s, a.adjoint()) != {(j, nu): c.adjoint() for (nu, j), c in L(s, a).items()}))
-            law("left-action-coherent", coherent_witnesses())
+        law("left-action-homomorphism",
+            ({"s": s, "a": repr(a), "b": repr(b)} for s in vals for a in gens for b in gens
+             if any(column(s, a * b, j) != product_column(s, a, b, j) for j in range(n(s)))))
+        law("left-action-star",
+            ({"s": s, "a": repr(a)} for s in vals for a in gens
+             if L(s, a.adjoint()) != {(j, nu): c.adjoint() for (nu, j), c in L(s, a).items()}))
+        law("left-action-coherent", coherent_witnesses())
 
         # orthonormality of the declared basis against the transfer
         law("basis-orthonormal-via-transfer",
@@ -674,9 +665,14 @@ def get_system(name: str, d: int | None = None, k: int | None = None) -> Product
 
     lattice-dilation takes the torus rank d (default 1) and cuntz the
     branching k (default 2); affine-toeplitz and additive-toeplitz take
-    no parameters.  A parameter the named system does not take, like an
-    unknown name, raises ValueError.
+    no parameters.  A parameter the named system does not take, a
+    boolean or non-integral one (2.0 reads as 2), and an unknown name
+    raise ValueError.
     """
+    for key, v in (("d", d), ("k", k)):
+        if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Integral)
+                              and not (isinstance(v, float) and v.is_integer())):
+            raise ValueError(f"{key} must be an integer, got {v!r}")
     if name in ("affine-toeplitz", "additive-toeplitz"):
         if d is not None or k is not None:
             raise ValueError(f"system {name!r} takes no parameters")

@@ -34,6 +34,7 @@ import cmath
 import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 from random import Random
 from typing import Callable, Iterable, Optional
 
@@ -399,21 +400,17 @@ def check_ground(system: ProductSystem, trace: TraceSpec, seed: int = 23) -> Che
 
 
 def _limit_monomials(system: ProductSystem) -> list[NTElement]:
-    """Ten fixed core elements mixing the corner and higher fibers."""
+    """Ten fixed core elements: corner elements, then the diagonal basis
+    elements of the fibers up to 5 (every builtin has ten of them)."""
     out: list[NTElement] = []
     for a in system.generator_elements()[:2]:
         out.append(NTElement.embed_coeff(system, a))
         out.append(NTElement.embed_coeff(system, a * a.adjoint()))
     vals = [v for v in TruncationSet(system.semigroup, 5).values
             if v != system.semigroup.identity_value]
-    for s in vals:
-        for j in range(system.basis_count(s)):
-            out.append(NTElement(system, {(s, s, j): system.basis_vector(s, j)}))
-            if len(out) >= 10:
-                return out[:10]
-    while len(out) < 10:
-        out.append(NTElement.unit(system))
-    return out[:10]
+    fibers = (NTElement(system, {(s, s, j): system.basis_vector(s, j)})
+              for s in vals for j in range(system.basis_count(s)))
+    return out + list(islice(fibers, 10 - len(out)))
 
 
 def check_ground_limit(system: ProductSystem, trace: TraceSpec, bound: int = 1000) -> CheckReport:

@@ -374,6 +374,34 @@ def test_config_integers_accept_integral_floats(capsys, tmp_path):
     assert from_config == explicit
 
 
+def test_config_integers_read_null_as_the_default(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"expr": "alpha[2](i[1](1@0))", "bound": None,
+                               "term_budget": None}))
+    code, from_config, _ = run(capsys, "eval", "--config", str(cfg))
+    _, default, _ = run(capsys, "eval", "--expr", "alpha[2](i[1](1@0))")
+    assert code == 0 and from_config == default
+
+
+@pytest.mark.parametrize("command, values, key", [
+    ("eval", {"beta": [1]}, "beta"),
+    ("eval", {"beta": None}, "beta"),
+    ("eval", {"expr": 5}, "expr"),
+    ("eval", {"trace": "point-mass", "theta": [[1]]}, "theta"),
+    ("verify", {"suite": 5}, "suite"),
+    ("verify", {"suite": ["x", 3]}, "suite"),
+    ("sweep", {"observables": [1], "betas": "3"}, "observables"),
+])
+def test_config_values_of_the_wrong_json_type_are_usage_errors(capsys, tmp_path, command,
+                                                               values, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {key} must be ") and err.endswith(
+        f", got {json.dumps(values[key])}\n")
+
+
 def test_flags_override_config_values(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

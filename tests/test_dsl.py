@@ -65,6 +65,14 @@ def test_parse_unit_and_scalar_prefixes():
     assert parse_element("(1+2i) * i[1](1@0)", AFFINE) == unit.scale(1 + 2j)
     assert parse_element("1.5e2 * i[1](1@0)", AFFINE) == unit.scale(150.0)
     assert parse_element("(2 - 3) * i[1](1@0)", AFFINE) == unit.scale(-1)
+    # the prefix is a coefficient, so juxtaposed numbers multiply
+    assert parse_element("2 3 * i[1](1@0)", AFFINE) == unit.scale(6)
+    assert parse_element("(1+i)(1-i) * i[1](1@0)", AFFINE) == unit.scale(2)
+    assert parse_element("-(2)(3) * i[1](1@0)", AFFINE) == unit.scale(-6)
+    # but it must be a number, not a word of the coefficient algebra
+    with pytest.raises(DSLError, match="leading coefficient must be a number") as err:
+        parse_element("(S) * i[1](1@0)", AFFINE)
+    assert err.value.position == 0
 
 
 def test_parse_constructors():

@@ -58,6 +58,17 @@ def test_factory_knows_every_builtin():
         get_system("no-such-system")
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("lattice-dilation", "d", 2.7), ("cuntz", "k", 3.9), ("lattice-dilation", "d", True),
+    ("cuntz", "k", "3"),
+])
+def test_factory_refuses_non_integral_parameters(name, key, value):
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        get_system(name, **{key: value})
+    # an integral float reads as the integer, as on the command line
+    assert get_system(name, **{key: 2.0}).params == {key: 2}
+
+
 # -- index maps --------------------------------------------------------------
 
 
@@ -435,8 +446,16 @@ LAWS = ["structure:" + law for law in (
         "left-action-star": {"s": 3, "a": "(1+0j)*z2"},
         "left-action-coherent": {"s": 2, "r": 3, "a": "(1+0j)*z2^-1",
                                  "nu": 2, "j": 0, "u": 1, "k": 4}}),
+    # a scalar engine runs the same laws and names the same kind of witness
+    (broken_column(CuntzSystem, 2, (), lambda j, c: ((j + 1) % 4, c[1]), 2), 6, {
+        "left-action-unital": {"s": 2},
+        "left-action-homomorphism": {"s": 2, "a": "(1+0j)*1", "b": "(1+0j)*1"},
+        "left-action-star": {"s": 2, "a": "(1+0j)*1"},
+        "left-action-coherent": {"s": 1, "r": 1, "a": "(1+0j)*1",
+                                 "nu": 0, "j": 0, "u": 0, "k": 0}}),
 ], ids=["affine-unit-row-shifted", "affine-S-column-dropped", "affine-S*-exponent-raised",
-        "additive-z-exponent-raised", "torus-unit-row-shifted", "torus-column-dropped"])
+        "additive-z-exponent-raised", "torus-unit-row-shifted", "torus-column-dropped",
+        "cuntz-unit-column-shifted"])
 def test_broken_left_action_names_the_first_bad_law(system, bound, failures):
     report = system.validate(TruncationSet(system.semigroup, bound))
     laws = [name.removeprefix("structure:") for name in LAWS]
