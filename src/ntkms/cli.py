@@ -105,8 +105,10 @@ def _int_opt(args: argparse.Namespace, config: dict, key: str, default=None):
     """An integer option; null reads as absent, and a boolean or a
     non-integral number is refused."""
     v = _opt(args, config, key)
-    if v is None:
-        return default
+    return default if v is None else _as_int(key, v)
+
+
+def _as_int(key: str, v):
     if isinstance(v, int) and not isinstance(v, bool):
         return v
     if isinstance(v, float) and v.is_integer():
@@ -125,13 +127,17 @@ def _make_system(args, config) -> ProductSystem:
 
 
 def _parse_corrupt(value, system: ProductSystem):
-    bits = [b.strip() for b in value.split(",")] if isinstance(value, str) else value
+    """Six integers, from a comma-separated string or, under _int_opt's
+    rule, from a config list."""
+    if isinstance(value, str):
+        try:
+            value = [int(b) for b in value.split(",")]
+        except ValueError:
+            value = []
+    bits = [_as_int("corrupt item", b) for b in value]
     if len(bits) != 6:
         raise UsageError("corrupt needs six integers: s,r,ja,ka,jb,kb")
-    try:
-        s, r, ja, ka, jb, kb = (int(b) for b in bits)
-    except (TypeError, ValueError):
-        raise UsageError("corrupt needs six integers: s,r,ja,ka,jb,kb") from None
+    s, r, ja, ka, jb, kb = bits
     try:
         system.semigroup.check_value(s)
         system.semigroup.check_value(r)

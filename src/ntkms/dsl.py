@@ -25,12 +25,15 @@ leading coefficient must be a number, and may be a product such as
 
 ``format_element`` prints the canonical normal form; parsing it back
 reproduces the element exactly (floats are printed with 17 significant
-digits, and a zero element prints as "0 * i[e](1@0)").  Errors carry
-1-based column positions.
+digits, and a zero element prints as "0 * i[e](1@0)").  Numbers must
+fit a float: a literal that overflows is an error at its column, and an
+element whose arithmetic overflows is an error at column 1.  Errors
+carry 1-based column positions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .coeff import CoefficientElement
@@ -56,7 +59,6 @@ class _Token:
     kind: str  # INT, FLOAT, IMAG, NAME, SYM, END
     text: str
     pos: int
-    value: float = 0.0
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -90,11 +92,9 @@ def _tokenize(text: str) -> list[_Token]:
                 i + 1 < n and (text[i + 1].isalnum() or text[i + 1] == "[")
             ):
                 i += 1
-                out.append(_Token("IMAG", text[start:i], start, float(body)))
-            elif is_float:
-                out.append(_Token("FLOAT", body, start, float(body)))
+                out.append(_Token("IMAG", text[start:i], start))
             else:
-                out.append(_Token("INT", body, start, float(int(body))))
+                out.append(_Token("FLOAT" if is_float else "INT", body, start))
             continue
         if c.isalpha() or c == "_":
             while i < n and (text[i].isalnum() or text[i] == "_"):
@@ -290,12 +290,12 @@ class _Parser:
     def parse_coeff_primary(self) -> CoefficientElement:
         eng = self.system.engine
         tok = self.peek()
-        if tok.kind in ("INT", "FLOAT"):
+        if tok.kind in ("INT", "FLOAT", "IMAG"):
             self.take()
-            return CoefficientElement.unit(eng, tok.value)
-        if tok.kind == "IMAG":
-            self.take()
-            return CoefficientElement.unit(eng, complex(0.0, tok.value))
+            x = float(tok.text.removesuffix("i"))
+            if not math.isfinite(x):
+                raise DSLError(f"number {tok.text} overflows a float", tok.pos)
+            return CoefficientElement.unit(eng, complex(0.0, x) if tok.kind == "IMAG" else x)
         if tok.kind == "SYM" and tok.text == "(":
             self.take()
             inner = self.parse_coeff_sum()
@@ -355,6 +355,9 @@ def parse_element(text: str, system: ProductSystem) -> NTElement:
     tok = parser.peek()
     if tok.kind != "END":
         raise DSLError(f"unexpected trailing input {tok.text!r}", tok.pos)
+    if not all(math.isfinite(abs(w)) for vec in out.terms.values()
+               for c in vec.entries.values() for w in c.terms.values()):
+        raise DSLError("a coefficient of the element overflows a float", 0)
     return out
 
 

@@ -50,7 +50,7 @@ import numbers
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -154,6 +154,17 @@ class CheckReport:
     metrics: dict = field(default_factory=dict)
     detail: str = ""
     seconds: float = 0.0
+
+    @classmethod
+    def from_witnesses(cls, name: str, witnesses: Iterable[dict], detail: str = "",
+                       **metrics) -> "CheckReport":
+        """An exact law from a lazy stream of witnesses against it: the
+        first witness fails the law and is reported under "witness" (an
+        empty one fails it with nothing to point at), and the scan is timed."""
+        t0 = time.perf_counter()
+        bad = next(iter(witnesses), None)
+        metrics = {**metrics, **({"witness": bad} if bad else {})}
+        return cls(name, bad is None, metrics, detail, time.perf_counter() - t0)
 
     def json_line(self) -> str:
         # timing is left out so repeated runs emit identical bytes
@@ -295,14 +306,15 @@ class ProductSystem:
     def validate(self, trunc: TruncationSet) -> list[CheckReport]:
         """Every structure law over a truncation window, one report each.
 
-        Basis-count, index-map, left-action and transfer laws, then the
-        scaling law (N_s agrees with the closed form ``profile`` names)
-        and coprime (meet-trivial) compatibility.  Reports are named
+        Basis-count, index-map and left-action laws, then the scaling
+        law (N_s agrees with the closed form ``profile`` names) and
+        coprime (meet-trivial) compatibility.  Reports are named
         structure:<law> with metrics {"bound": trunc.bound}, the first
-        "witness" of a failure and, on the coprime law, the "pairs"
-        scanned.  Each law is a lazy, separately timed stream of
-        witnesses whose first item fails it; index-map laws run on numpy
-        index grids, and coherence assumes the bijectivity checked before it.
+        "witness" of a failure and, on the coprime law, the number of
+        meet-trivial "pairs" in the window.  Each law is a lazy stream of
+        witnesses read by CheckReport.from_witnesses; index-map laws run
+        on numpy index grids, and coherence assumes the bijectivity
+        checked before it.
         """
         checks: list[CheckReport] = []
         sg = self.semigroup
@@ -312,15 +324,9 @@ class ProductSystem:
         L, column = self.left_matrix, self._column
         gens = self.generator_elements()
 
-        def law(name: str, witnesses: Iterable[dict], detail: str = "",
-                since: Optional[float] = None, **metrics) -> None:
-            # a law whose scan runs before the call passes the scan's start time
-            t0 = time.perf_counter() if since is None else since
-            bad = next(iter(witnesses), None)
-            # an empty witness fails the law with nothing to point at
-            metrics = {"bound": trunc.bound, **metrics, **({"witness": bad} if bad else {})}
-            checks.append(CheckReport(f"structure:{name}", bad is None, metrics, detail,
-                                      time.perf_counter() - t0))
+        def law(name: str, witnesses: Iterable[dict], detail: str = "", **metrics) -> None:
+            checks.append(CheckReport.from_witnesses(f"structure:{name}", witnesses, detail,
+                                                     bound=trunc.bound, **metrics))
 
         def unit_witnesses():
             for s in vals:
@@ -414,28 +420,17 @@ class ProductSystem:
              if L(s, a.adjoint()) != {(j, nu): c.adjoint() for (nu, j), c in L(s, a).items()}))
         law("left-action-coherent", coherent_witnesses())
 
-        # orthonormality of the declared basis against the transfer
-        law("basis-orthonormal-via-transfer",
-            ({"s": s, "j": j, "k": k, "got": got}
-             for s in vals if n(s) <= 64
-             for j in range(n(s)) for k in range(n(s))
-             if (got := self._basis_inner_via_transfer(s, j, k)) != (one if j == k else None)))
-
         # the series code sums the profile's closed form in place of N_s; with
         # the rank laws above, agreement makes N a positive injective homomorphism
         kind, p = self.profile
         law("scaling-homomorphism",
             ({"s": s} for s in vals if n(s) != (s**p if kind == "power" else p**s)))
-        t0 = time.perf_counter()
-        ok, witness, pairs = self.check_coprime_pairs(trunc)
-        law("coprime-compatibility", [] if ok else [witness], since=t0, pairs=pairs)
+        coprime = [(s, r) for s in vals for r in vals if e not in (s, r) and sg.glb(s, r) == e]
+        law("coprime-compatibility", self.coprime_witnesses(coprime), pairs=len(coprime))
         return checks
 
-    def _basis_inner_via_transfer(self, s: int, j: int, k: int) -> Optional[tuple]:
-        raise NotImplementedError
-
-    def check_coprime_pairs(self, trunc: TruncationSet) -> tuple[bool, Optional[dict], int]:
-        """Exhaustive doubly-faithful check on meets equal to the identity.
+    def coprime_witnesses(self, pairs: Iterable[tuple[int, int]]) -> Iterator[dict]:
+        """Witnesses against the doubly-faithful law on meet-trivial pairs.
 
         For glb(s, r) = e the same product index must never arise from
         two different (right factor) choices on either side:
@@ -443,30 +438,21 @@ class ProductSystem:
         forces m = n and g = h.  Both maps are evaluated on index grids;
         for each j, every value m(r,s; l, g) is looked up in the row
         m(s,r; j, .), the last m winning where the row repeats a value,
-        and the first (j, l) with two hits fails with its first two.
+        and the first l with two hits is a witness with its first two.
         """
-        sg = self.semigroup
-        e = sg.identity_value
-        pairs = 0
-        for s in trunc.values:
-            for r in trunc.values:
-                if s == e or r == e or sg.glb(s, r) != e:
-                    continue
-                pairs += 1
-                ns, nr = self.basis_count(s), self.basis_count(r)
-                rows = self.index_map(s, r, *np.indices((ns, nr)))
-                other = self.index_map(r, s, *np.indices((nr, ns)))
-                for j, row in enumerate(rows):
-                    order = np.argsort(row, kind="stable")
-                    ranked = row[order]
-                    # the last position of each value, so the last m wins
-                    pos = np.searchsorted(ranked, other, side="right") - 1
-                    hit = (pos >= 0) & (ranked[pos] == other)
-                    for l in np.flatnonzero(hit.sum(axis=1) > 1)[:1]:
-                        hits = [(int(order[pos[l, g]]), int(g)) for g in np.flatnonzero(hit[l])]
-                        return False, {"s": s, "r": r, "j": j, "l": int(l),
-                                       "collisions": hits[:2]}, pairs
-        return True, None, pairs
+        for s, r in pairs:
+            ns, nr = self.basis_count(s), self.basis_count(r)
+            rows = self.index_map(s, r, *np.indices((ns, nr)))
+            other = self.index_map(r, s, *np.indices((nr, ns)))
+            for j, row in enumerate(rows):
+                order = np.argsort(row, kind="stable")
+                ranked = row[order]
+                # the last position of each value, so the last m wins
+                pos = np.searchsorted(ranked, other, side="right") - 1
+                hit = (pos >= 0) & (ranked[pos] == other)
+                for l in np.flatnonzero(hit.sum(axis=1) > 1)[:1]:
+                    hits = [(int(order[pos[l, g]]), int(g)) for g in np.flatnonzero(hit[l])]
+                    yield {"s": s, "r": r, "j": j, "l": int(l), "collisions": hits[:2]}
 
     def corrupted(self, s: int, r: int, pair_a: tuple[int, int], pair_b: tuple[int, int]):
         """A copy with two index-map values swapped, for negative tests.
@@ -543,10 +529,6 @@ class AffineToeplitzSystem(ProductSystem):
     def generator_monomials(self):
         return [(1, 0), (0, 1)]
 
-    def _basis_inner_via_transfer(self, s, j, k):
-        eng = self.engine
-        return self.transfer_monomial(s, eng.mul((0, j), (k, 0)))
-
 
 class TorusDilationSystem(ProductSystem):
     """nat-mult dilating the d-torus; the fiber at s has basis the cosets
@@ -593,11 +575,6 @@ class TorusDilationSystem(ProductSystem):
             self._undigits(r, tuple(x // s for x in w)),
         )
 
-    def transfer_monomial(self, s, mon):
-        if any(g % s for g in mon):
-            return None
-        return tuple(g // s for g in mon)
-
     def left_column(self, s, mon, j):
         # mon + digits(j) - digits(nu) must vanish mod s digitwise
         shifted = tuple(g + a for g, a in zip(mon, self._digits(s, j)))
@@ -610,10 +587,6 @@ class TorusDilationSystem(ProductSystem):
             gens.append(e)
             gens.append(tuple(-x for x in e))
         return gens
-
-    def _basis_inner_via_transfer(self, s, j, k):
-        gj, gk = self._digits(s, j), self._digits(s, k)
-        return self.transfer_monomial(s, tuple(b - a for a, b in zip(gj, gk)))
 
 
 class CuntzSystem(ProductSystem):
@@ -652,9 +625,6 @@ class CuntzSystem(ProductSystem):
 
     def generator_monomials(self):
         return [()]
-
-    def _basis_inner_via_transfer(self, s, j, k):
-        return () if j == k else None
 
 
 BUILTIN_SYSTEMS = ("affine-toeplitz", "additive-toeplitz", "lattice-dilation", "cuntz")

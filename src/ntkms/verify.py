@@ -3,9 +3,9 @@
 Each check returns a CheckReport carrying a pass flag, a metrics dict
 and a JSON line for machine consumption.  Checks come in three flavours:
 
-* exact algebraic identities, asserted on normal forms with no
-  tolerance (projection covariance, commutation with the coefficient
-  corner);
+* exact algebraic identities on normal forms (projection covariance,
+  commutation with the coefficient corner), whose witnesses stream to
+  CheckReport.from_witnesses, as the structure laws' do;
 * series identities, compared within the sum of the rigorous tail
   bounds of both sides plus 1e-9 of float slack;
 * cross-representation comparisons against the Fock oracle, which is
@@ -182,41 +182,30 @@ def check_projection_covariance(system: ProductSystem) -> CheckReport:
     bound = 4 if system.semigroup.name == "nat-add" else 6
     vals = TruncationSet(system.semigroup, bound).values
     sg = system.semigroup
-    checked = 0
-    for s in vals:
-        for r in vals:
-            lhs = unit_projection(system, s) * unit_projection(system, r)
-            rhs = unit_projection(system, sg.lub(s, r))
-            if lhs != rhs:
-                return CheckReport(
-                    "algebra:projection-covariance",
-                    False,
-                    {"s": s, "r": r, "bound": bound},
-                    "product of range projections missed the join projection",
-                )
-            checked += 1
-    return CheckReport("algebra:projection-covariance", True, {"pairs": checked, "bound": bound})
+    return CheckReport.from_witnesses(
+        "algebra:projection-covariance",
+        ({"s": s, "r": r} for s in vals for r in vals
+         if unit_projection(system, s) * unit_projection(system, r)
+         != unit_projection(system, sg.lub(s, r))),
+        pairs=len(vals) ** 2, bound=bound)
 
 
 def check_corner_center(system: ProductSystem) -> CheckReport:
     """[i_e(a), alpha_s(1)] = 0 exactly, for generator coefficients a."""
     bound = 4 if system.semigroup.name == "nat-add" else 6
     vals = TruncationSet(system.semigroup, bound).values
-    checked = 0
-    for a in system.generator_elements():
-        x = NTElement.embed_coeff(system, a)
-        for s in vals:
-            p = unit_projection(system, s)
-            if x * p != p * x:
-                return CheckReport(
-                    "algebra:corner-commutes-with-projections",
-                    False,
-                    {"s": s, "a": repr(a), "bound": bound},
-                )
-            checked += 1
-    return CheckReport(
-        "algebra:corner-commutes-with-projections", True, {"cases": checked, "bound": bound}
-    )
+    gens = system.generator_elements()
+
+    def witnesses():
+        for a in gens:
+            x = NTElement.embed_coeff(system, a)
+            for s in vals:
+                p = unit_projection(system, s)
+                if x * p != p * x:
+                    yield {"s": s, "a": repr(a)}
+
+    return CheckReport.from_witnesses("algebra:corner-commutes-with-projections", witnesses(),
+                                      cases=len(gens) * len(vals), bound=bound)
 
 
 # -- KMS condition -----------------------------------------------------------

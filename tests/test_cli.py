@@ -518,6 +518,25 @@ def test_corrupt_flag_is_checked(capsys):
     assert code == 2 and "corrupt pairs must differ" in err
 
 
+@pytest.mark.parametrize("item", [1.7, True, "1"])
+def test_corrupt_list_items_follow_the_integer_rule(capsys, tmp_path, item):
+    cfg = tmp_path / "corrupt.json"
+    cfg.write_text(json.dumps({"corrupt": [2, 2, 0, item, 1, 0], "suite": "structure"}))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: corrupt item must be an integer, got {json.dumps(item)}\n"
+
+
+def test_corrupt_list_reads_an_integral_float_as_an_integer(capsys, tmp_path):
+    cfg = tmp_path / "corrupt.json"
+    cfg.write_text(json.dumps({"corrupt": [2, 2, 0, 1.0, 1, 0], "suite": "structure"}))
+    code, out, _ = run(capsys, "verify", "--seed", "7", "--config", str(cfg))
+    assert code == 1
+    _, want, _ = run(capsys, "verify", "--seed", "7", "--suite", "structure",
+                     "--corrupt", "2,2,0,1,1,0")
+    assert out == want
+
+
 # -- term budget ------------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from random import Random
 
 import pytest
 
+from ntkms.cli import main
 from ntkms.coeff import CoefficientElement
 from ntkms.dsl import DSLError, format_element, parse_element
 from ntkms.nt import NTElement, unit_projection
@@ -189,6 +190,21 @@ def test_engine_vocabulary_is_enforced():
         parse_element("i[0]((S)@0)", CUNTZ)
     with pytest.raises(DSLError, match="axis 3"):
         parse_element("i[1]((z3)@0)", TORUS2)
+
+
+@pytest.mark.parametrize("command, expr, pos", [
+    ("parse", "1e400 * i[1](1@0)", 0),
+    ("parse", "i[1](1e400@0)", 5),
+    ("parse", "1e400i * i[1](1@0)", 0),
+    ("parse", "i[1](1e308 S@0) * i[1](10 S@0)", 0),  # the product overflows
+    ("eval", "i[1](1e400@0)", 5),
+])
+def test_numbers_that_overflow_a_float_are_usage_errors(capsys, command, expr, pos):
+    # an infinite weight would print a normal form that cannot be read back
+    code = main([command, "--system", "affine-toeplitz", "--expr", expr])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: column {pos + 1}: ")
 
 
 def test_errors_are_value_errors():

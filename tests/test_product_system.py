@@ -191,7 +191,8 @@ def left_entry_by_reduction(system, s, mon, nu, j):
         return system.transfer_monomial(s, eng.mul(eng.mul((0, nu), mon), (j, 0)))
     if isinstance(system, TorusDilationSystem):
         gj, gn = system._digits(s, j), system._digits(s, nu)
-        return system.transfer_monomial(s, tuple(g + a - b for g, a, b in zip(mon, gj, gn)))
+        shifted = tuple(g + a - b for g, a, b in zip(mon, gj, gn))
+        return None if any(x % s for x in shifted) else tuple(x // s for x in shifted)
     return () if nu == j else None
 
 
@@ -208,7 +209,8 @@ def sample_monomials(rng, system, count=3):
                          ids=lambda s: s.name)
 def test_left_column_is_the_one_nonzero_of_the_exhaustive_scan(system):
     rng = Random(17)
-    mons = system.generator_monomials() + sample_monomials(rng, system)
+    # the unit's cells are the orthonormality of the basis under the transfer
+    mons = [system.engine.unit()] + system.generator_monomials() + sample_monomials(rng, system)
     bound = 12 if system.semigroup.is_multiplicative else 6
     for s in TruncationSet(system.semigroup, bound):
         n = system.basis_count(s)
@@ -409,7 +411,7 @@ LAWS = ["structure:" + law for law in (
     "identity-fiber-rank", "basis-count-multiplicative", "index-map-unit",
     "index-map-bijective", "index-map-associative", "left-action-unital",
     "left-action-homomorphism", "left-action-star", "left-action-coherent",
-    "basis-orthonormal-via-transfer", "scaling-homomorphism", "coprime-compatibility")]
+    "scaling-homomorphism", "coprime-compatibility")]
 
 
 @pytest.mark.parametrize("system, bound, failures", [
@@ -487,15 +489,23 @@ def test_corrupted_split_still_inverts_map():
             assert bad.index_split(2, 3, i) == (j, k)
 
 
+def meet_trivial_pairs(window):
+    sg = window.semigroup
+    e = sg.identity_value
+    return [(s, r) for s in window.values for r in window.values
+            if e not in (s, r) and sg.glb(s, r) == e]
+
+
 @pytest.mark.parametrize("pair_b, witness", [
     ((1, 0), {"j": 0, "l": 1, "collisions": [(0, 0), (2, 1)]}),
     ((1, 2), {"j": 0, "l": 2, "collisions": [(1, 0), (0, 1)]}),
 ])
 def test_coprime_scan_names_the_first_collision(pair_b, witness):
-    window = TruncationSet(NAT_MULT, 12)
+    pairs = meet_trivial_pairs(TruncationSet(NAT_MULT, 12))
+    assert len(pairs) == 68
     bad = AFFINE.corrupted(2, 3, (0, 0), pair_b)
-    assert bad.check_coprime_pairs(window) == (False, {"s": 2, "r": 3, **witness}, 1)
-    assert AFFINE.check_coprime_pairs(window) == (True, None, 68)
+    assert next(bad.coprime_witnesses(pairs)) == {"s": 2, "r": 3, **witness}
+    assert list(AFFINE.coprime_witnesses(pairs)) == []
 
 
 class _TabledIndices(AffineToeplitzSystem):
@@ -510,35 +520,29 @@ class _TabledIndices(AffineToeplitzSystem):
         return super().index_map(s, r, j, k) if table is None else table[j, k]
 
 
-def coprime_scan_by_loops(system, window):
-    """The scalar scan the grid version must reproduce, witness included."""
-    sg = system.semigroup
-    pairs = 0
-    for s in window.values:
-        for r in window.values:
-            if sg.identity_value in (s, r) or sg.glb(s, r) != sg.identity_value:
-                continue
-            pairs += 1
-            for j in range(system.basis_count(s)):
-                row_j = {system.index_map(s, r, j, m): m for m in range(system.basis_count(r))}
-                for l in range(system.basis_count(r)):
-                    hits = [(row_j[i], g) for g in range(system.basis_count(s))
-                            if (i := system.index_map(r, s, l, g)) in row_j]
-                    if len(hits) > 1:
-                        return False, {"s": s, "r": r, "j": j, "l": l,
-                                       "collisions": hits[:2]}, pairs
-    return True, None, pairs
+def coprime_scan_by_loops(system, pairs):
+    """The scalar scan the grid version must reproduce: for each pair and
+    j, the first l with two hits, as a witness."""
+    for s, r in pairs:
+        for j in range(system.basis_count(s)):
+            row_j = {system.index_map(s, r, j, m): m for m in range(system.basis_count(r))}
+            for l in range(system.basis_count(r)):
+                hits = [(row_j[i], g) for g in range(system.basis_count(s))
+                        if (i := system.index_map(r, s, l, g)) in row_j]
+                if len(hits) > 1:
+                    yield {"s": s, "r": r, "j": j, "l": l, "collisions": hits[:2]}
+                    break
 
 
 def test_coprime_scan_matches_the_scalar_loop():
-    window = TruncationSet(NAT_MULT, 6)
+    pairs = meet_trivial_pairs(TruncationSet(NAT_MULT, 6))
     systems = [_TabledIndices(), _AddedIndices(), _FoldedIndices(), TORUS2]
     for base in (AFFINE, TorusDilationSystem(1)):
         for s, r in ((2, 3), (3, 2), (2, 5), (3, 4)):
             cells = [(j, k) for j in range(min(s, 3)) for k in range(min(r, 3))]
             systems += [base.corrupted(s, r, a, b) for a in cells for b in cells if a < b]
     for system in systems:
-        assert system.check_coprime_pairs(window) == coprime_scan_by_loops(system, window)
+        assert list(system.coprime_witnesses(pairs)) == list(coprime_scan_by_loops(system, pairs))
 
 
 def test_vector_is_sparse_and_checks_its_indices():
@@ -558,11 +562,7 @@ def test_vector_is_sparse_and_checks_its_indices():
 
 def test_coprime_pair_scan_clean_on_builtins():
     for system in ALL:
-        ok, witness, pairs = system.check_coprime_pairs(
-            TruncationSet(system.semigroup, 6)
-        )
-        assert ok, witness
-        if system.semigroup.is_multiplicative:
-            assert pairs >= 1  # nat-add is a chain, nothing nontrivial to scan
-        else:
-            assert pairs == 0
+        pairs = meet_trivial_pairs(TruncationSet(system.semigroup, 6))
+        assert next(system.coprime_witnesses(pairs), None) is None
+        # nat-add is a chain, nothing nontrivial to scan
+        assert (len(pairs) >= 1) == system.semigroup.is_multiplicative

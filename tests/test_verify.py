@@ -34,6 +34,7 @@ from ntkms.product_system import (
 )
 from ntkms.nt import NTElement
 from ntkms.states import KMSContext, StateValue
+from test_product_system import _AddedIndices, broken_column
 from ntkms.verify import (
     CheckReport,
     check_core_trace_property,
@@ -179,7 +180,6 @@ def test_structure_reports_cover_the_validator():
         "structure:index-map-bijective",
         "structure:index-map-associative",
         "structure:left-action-star",
-        "structure:basis-orthonormal-via-transfer",
         "structure:scaling-homomorphism",
         "structure:coprime-compatibility",
     ):
@@ -238,7 +238,8 @@ def test_structure_reports_name_the_first_coprime_collision(pair_b, witness):
     reports = structure_reports(AFFINE.corrupted(2, 3, (0, 0), pair_b))
     rep = next(r for r in reports if r.name == "structure:coprime-compatibility")
     assert not rep.passed and rep.detail == ""
-    assert rep.metrics == {"bound": 12, "pairs": 1, "witness": {"s": 2, "r": 3, **witness}}
+    # "pairs" counts the meet-trivial pairs of the window, not those scanned
+    assert rep.metrics == {"bound": 12, "pairs": 68, "witness": {"s": 2, "r": 3, **witness}}
 
 
 def test_projection_and_corner_checks_pass():
@@ -246,6 +247,29 @@ def test_projection_and_corner_checks_pass():
     assert check_corner_center(AFFINE).passed
     assert check_projection_covariance(CUNTZ).passed
     assert check_corner_center(CUNTZ).passed
+
+
+def test_projection_covariance_names_the_first_bad_pair():
+    # m(s, r; j, k) = j + k is not bijective, so alpha_2(1) alpha_3(1) misses alpha_6(1)
+    rep = check_projection_covariance(_AddedIndices())
+    assert not rep.passed
+    assert rep.metrics == {"bound": 6, "pairs": 36, "witness": {"s": 2, "r": 3}}
+
+
+def test_corner_center_names_the_first_bad_case():
+    # column 2 of L_4(S) dropped: i_e(S) no longer commutes with alpha_4(1)
+    system = broken_column(AffineToeplitzSystem, 4, (1, 0), lambda j, c: None if j == 2 else c)
+    rep = check_corner_center(system)
+    assert not rep.passed
+    assert rep.metrics == {"bound": 6, "cases": 12, "witness": {"s": 4, "a": "(1+0j)*S"}}
+
+
+def test_fock_product_fails_on_a_corrupted_index_map():
+    # the oracle builds its creation operators from the index maps
+    rep = check_fock_product(CUNTZ.corrupted(1, 1, (0, 0), (1, 0)), seed=7)
+    assert not rep.passed
+    assert rep.metrics == {"columns": 63, "defect": pytest.approx(2.23606797749979),
+                           "tolerance": 1e-12}
 
 
 def test_kms_condition_check_small():
