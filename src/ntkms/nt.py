@@ -22,8 +22,16 @@ i_r''), and
         = sum_u i_g''(1_u) i_r''(phi(zeta_(i_g)*) 1_(i_r''))*
 
 over u < N_g'' with i = m(r, g''; l, u).  Outer legs then absorb through
-the module product and the result is re-canonicalised.  Raw work is
-capped: the number of raw terms emitted during a product, and the
+the module product and the result is re-canonicalised.  A term pair
+lands in the fiber pair (s g'', h r'') whatever u is, so a product asked
+for only some fiber pairs (the diagonal for a KMS state, the identity
+corner for a ground state) skips the other term pairs before any
+reduction.  The sum runs over whichever side is smaller: the N_g'' values
+of u, or the |zeta| N_r'' pairs (i_g, i_r''), sent through m(g, r''; .)
+and split by m(r, g''; .), keeping those whose first index is l.  The
+hits are taken in increasing u either way, so every output key
+accumulates in the same order and the floats agree bitwise.  Raw work
+is capped: the number of raw terms emitted during a product, and the
 total length of the divisor scans of one state evaluation, may not
 cross the term budget, and crossing it raises TermBudgetExceeded rather
 than grinding on.
@@ -44,6 +52,7 @@ __all__ = [
     "term_budget",
     "get_term_budget",
     "unit_projection",
+    "diagonal",
 ]
 
 DEFAULT_TERM_BUDGET = 1_000_000
@@ -181,6 +190,12 @@ class NTElement:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
+        return self.product(other)
+
+    def product(self, other: "NTElement", keep=None) -> "NTElement":
+        """self * other, restricted to the terms whose fiber pair (s, r)
+        passes keep(s, r) when keep is given; the kept terms are exactly
+        those of the full product."""
         self._same(other)
         sys = self.system
         sg = sys.semigroup
@@ -194,9 +209,20 @@ class NTElement:
                 rr = sg.quotient(w, g)
                 sgg = sg.mul(s, gg)
                 hrr = sg.mul(h, rr)
-                for u in range(sys.basis_count(gg)):
-                    i = sys.index_map(r, gg, l, u)
-                    ig, irr = sys.index_split(g, rr, i)
+                if keep is not None and not keep(sgg, hrr):
+                    continue
+                n_gg, n_rr = sys.basis_count(gg), sys.basis_count(rr)
+                if len(zeta.entries) * n_rr < n_gg:
+                    # fewer right-support pairs (i_g, i_r'') than values of u:
+                    # invert them, keeping the hits whose r-index is l
+                    hits = sorted(
+                        (u, ig, irr) for ig in zeta.entries for irr in range(n_rr)
+                        for lh, u in [sys.index_split(r, gg, sys.index_map(g, rr, ig, irr))]
+                        if lh == l)
+                else:
+                    hits = ((u, *sys.index_split(g, rr, sys.index_map(r, gg, l, u)))
+                            for u in range(n_gg))
+                for u, ig, irr in hits:
                     b = zeta.entries.get(ig)
                     if b is None:
                         continue
@@ -297,6 +323,11 @@ def _accumulate(store: dict, key: tuple[int, int, int], vec: ModuleVector) -> No
         del store[key]
     else:
         store[key] = tot
+
+
+def diagonal(s: int, r: int) -> bool:
+    """The product filter keeping the core: fiber pairs with s == r."""
+    return s == r
 
 
 def unit_projection(system: ProductSystem, s: int) -> NTElement:

@@ -46,7 +46,7 @@ from .coeff import (
     point_mass_trace,
 )
 from .fock import TruncatedFock
-from .nt import NTElement, unit_projection
+from .nt import NTElement, diagonal, unit_projection
 from .product_system import CheckReport, ModuleVector, ProductSystem
 from .semigroup import TruncationSet
 from .states import (
@@ -227,8 +227,8 @@ def check_kms_condition(
         for i in range(200):
             y1 = sample_element(rng, system, fibers)
             y2 = sample_element(rng, system, fibers)
-            lhs = ctx.kms(y1 * y2.dynamics(complex(0.0, beta)))
-            rhs = ctx.kms(y2 * y1)
+            lhs = ctx.omega(y1.product(y2.dynamics(complex(0.0, beta)), diagonal))
+            rhs = ctx.omega(y2.product(y1, diagonal))
             yield lhs.value, rhs.value, lhs.tail + rhs.tail + 1e-9, {"sample": i}
 
     return _compare("state:kms-condition", comparisons(),
@@ -319,11 +319,15 @@ def check_ground(system: ProductSystem, trace: TraceSpec, seed: int = 23) -> Che
     rng = Random(seed)
     fibers = _small_fibers(system)
     e = system.identity_fiber()
+
+    def corner(s, r):
+        return s == e == r
+
     nonzero = 0
     worst_pos = 0.0
     for i in range(60):
         y = sample_element(rng, system, fibers)
-        pos = ground_state(system, trace, y.adjoint() * y).value
+        pos = ground_state(system, trace, y.adjoint().product(y, corner)).value
         if abs(pos.imag) > 1e-9 or pos.real < -1e-9:
             return CheckReport(
                 "state:ground", False, {"positivity": [pos.real, pos.imag], "sample": i}
@@ -347,7 +351,7 @@ def check_ground(system: ProductSystem, trace: TraceSpec, seed: int = 23) -> Che
                 {(s, r, rng.randrange(system.basis_count(r))): sample_vector(rng, system, s)},
             )
             left = y
-        base = ground_state(system, trace, left * y2).value
+        base = ground_state(system, trace, left.product(y2, corner)).value
         if abs(base) <= 1e-12:
             continue
         nonzero += 1
@@ -360,7 +364,7 @@ def check_ground(system: ProductSystem, trace: TraceSpec, seed: int = 23) -> Che
                 "nonzero corner value with a contracting monomial",
             )
         z = complex(rng.uniform(-2, 2), rng.uniform(0, 3))
-        shifted = ground_state(system, trace, left * y2.dynamics(z)).value
+        shifted = ground_state(system, trace, left.product(y2.dynamics(z), corner)).value
         expect = abs(cmath.exp(1j * z * math.log(ratio))) * abs(base)
         if abs(abs(shifted) - expect) > 1e-9 * max(1.0, abs(base)):
             return CheckReport(
@@ -630,7 +634,7 @@ def reconstruct_trace(
     for mask in range(1 << len(fprimes)):
         pj = math.prod(p for i, p in enumerate(fprimes) if mask & (1 << i))
         sign = -1.0 if bin(mask).count("1") % 2 else 1.0
-        y = (x * unit_projection(system, pj)).core_expectation()
+        y = x.product(unit_projection(system, pj), diagonal)
         total += sign * ctx.omega(y).value
     value = ctx.zeta * total
     return ReconstructionResult(

@@ -3,15 +3,25 @@ from random import Random
 
 import pytest
 
-from ntkms.coeff import CoefficientElement
+from ntkms.coeff import CoefficientElement, haar_trace
+from ntkms.dsl import parse_element
 from ntkms.nt import (
     NTElement,
     TermBudgetExceeded,
+    _accumulate,
+    diagonal,
     get_term_budget,
     term_budget,
     unit_projection,
 )
-from ntkms.product_system import AffineToeplitzSystem, CuntzSystem, TorusDilationSystem
+from ntkms.product_system import (
+    BUILTIN_SYSTEMS,
+    AffineToeplitzSystem,
+    CuntzSystem,
+    TorusDilationSystem,
+    get_system,
+)
+from ntkms.states import ground_state
 from ntkms.verify import sample_element
 
 AFFINE = AffineToeplitzSystem()
@@ -285,6 +295,8 @@ def test_term_budget_caps_products():
     with term_budget(10):
         with pytest.raises(TermBudgetExceeded):
             x * x
+        # a filtered product counts only the raw terms it keeps
+        assert x.product(x, keep=lambda s, r: s == r == 0).is_zero()
     # restored afterwards
     assert (x * x) == x
 
@@ -315,3 +327,132 @@ def test_budget_must_be_positive():
     with pytest.raises(ValueError):
         with term_budget(0):
             pass
+
+
+# -- filtered and support-driven products ------------------------------------------
+
+
+BUILTINS = [get_system(name) for name in BUILTIN_SYSTEMS]
+
+
+def wide_fibers(system):
+    if system.semigroup.is_multiplicative:
+        return (1, 2, 3, 5, 6, 10, 15)
+    return (0, 1, 2, 3, 5)
+
+
+def product_by_u_scan(x, y):
+    """x * y by the defining reduction: every u < N_g'' of every term pair."""
+    sys = x.system
+    sg = sys.semigroup
+    out = {}
+    for (s, r, l), xi in x.terms.items():
+        for (g, h, m), zeta in y.terms.items():
+            w = sg.lub(r, g)
+            gg, rr = sg.quotient(w, r), sg.quotient(w, g)
+            for u in range(sys.basis_count(gg)):
+                ig, irr = sys.index_split(g, rr, sys.index_map(r, gg, l, u))
+                if ig not in zeta.entries:
+                    continue
+                left = sys.module_product(xi, sys.basis_vector(gg, u))
+                right = sys.module_product(
+                    sys.basis_vector(h, m, coeff=zeta.entries[ig].adjoint()),
+                    sys.basis_vector(rr, irr))
+                for lr, c in right.entries.items():
+                    _accumulate(out, (sg.mul(s, gg), sg.mul(h, rr), lr), left.right_mul(c.adjoint()))
+    return NTElement(sys, out)
+
+
+def inverts_support(x, y):
+    """Which branch product takes on each term pair: True where the
+    right factor's support is smaller than the scan over u."""
+    sys, sg = x.system, x.system.semigroup
+    out = set()
+    for (_, r, _) in x.terms:
+        for (g, _, _), zeta in y.terms.items():
+            w = sg.lub(r, g)
+            out.add(len(zeta.entries) * sys.basis_count(sg.quotient(w, g))
+                    < sys.basis_count(sg.quotient(w, r)))
+    return out
+
+
+def bits(x):
+    """The normal form with every float as its exact hex spelling."""
+    return {key: {j: {mon: (c.real.hex(), c.imag.hex()) for mon, c in a.terms.items()}
+                  for j, a in vec.entries.items()}
+            for key, vec in x.terms.items()}
+
+
+def rounded_element(rng, system, terms=3):
+    """A sampled element with each term scaled by an inexact weight, so
+    that sums of three or more rounded values depend on their order."""
+    x = sample_element(rng, system, wide_fibers(system), terms=terms)
+    w = lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return NTElement(system, {k: v.scale(w()) for k, v in x.terms.items()})
+
+
+def recording(system, log):
+    """A copy of system that logs the (fiber, index) of every basis
+    vector it builds: the order in which a product consumes its hits."""
+    class Recording(type(system)):
+        def basis_vector(self, s, j, coeff=None):
+            log.append((s, j))
+            return super().basis_vector(s, j, coeff)
+
+    rec = object.__new__(Recording)
+    rec.__dict__.update(vars(system))
+    return rec
+
+
+@pytest.mark.parametrize("system", BUILTINS, ids=lambda s: s.name)
+def test_product_matches_the_u_scan_bitwise(system):
+    # same hits in the same order: every output entry sums the same
+    # floats in the same order, whatever rounding they carry
+    log = []
+    system = recording(system, log)
+    rng = Random(151)
+    branches = set()
+    for _ in range(40):
+        x, y = (rounded_element(rng, system) for _ in range(2))
+        branches |= inverts_support(x, y)
+        log.clear()
+        want = product_by_u_scan(x, y)
+        want_order = list(log)
+        log.clear()
+        got = x * y
+        assert log == want_order
+        assert got.terms == want.terms
+        assert bits(got) == bits(want)
+    assert branches == {False, True}
+
+
+@pytest.mark.parametrize("system", BUILTINS, ids=lambda s: s.name)
+def test_filtered_products_are_the_kept_part_of_the_full_product(system):
+    e = system.identity_fiber()
+    trace = haar_trace(system.engine)
+    rng = Random(152)
+    for _ in range(30):
+        x, y = (rounded_element(rng, system) for _ in range(2))
+        full = x * y
+        core = x.product(y, diagonal)
+        assert core == full.core_expectation()
+        assert bits(core) == bits(full.core_expectation())
+        corner = x.product(y, lambda s, r: s == e == r)
+        assert ground_state(system, trace, corner) == ground_state(system, trace, full)
+
+
+def test_a_long_word_reduces_through_the_right_support():
+    calls = 0
+
+    class Counting(CuntzSystem):
+        def index_map(self, s, r, j, k):
+            nonlocal calls
+            calls += 1
+            return super().index_map(s, r, j, k)
+
+    system = Counting(2)
+    got = parse_element("adj(i[1](1@0)) * i[40](1@0)", system)
+    assert got == parse_element("i[39](1@0) * adj(i[0](1@0))", system)
+    assert got.term_count == 1
+    assert calls < 10
+

@@ -295,6 +295,21 @@ def test_ground_checks_small():
     assert lim.metrics["final_max_diff"] <= 1e-4
 
 
+def test_ground_fails_when_the_dynamics_reads_im_z_off(monkeypatch):
+    # sigma_z with Im z scaled by 1 + 1e-8 moves the modulus of a
+    # non-fixed corner value past the 1e-9 relative tolerance; the sign
+    # flip z -> conj(z) is the same fault writ large
+    dynamics = NTElement.dynamics
+    for fault, got in [(lambda z: z.conjugate(), 24.790734804590816),
+                       (lambda z: complex(z.real, z.imag * (1 + 1e-8)), 1.4521554029369732)]:
+        monkeypatch.setattr(NTElement, "dynamics", lambda self, z: dynamics(self, fault(z)))
+        rep = check_ground(AFFINE, haar_trace(AFFINE.engine))
+        assert not rep.passed
+        assert rep.detail == "modulus under the complexified dynamics"
+        assert rep.metrics == {"sample": 2, "got": pytest.approx(got, rel=1e-9),
+                               "expected": pytest.approx(1.4521554235388545, rel=1e-9)}
+
+
 def test_euler_check_applies_only_to_power_profiles():
     rep = check_euler(AFFINE, beta=3.0)
     assert rep.passed
