@@ -17,8 +17,10 @@ a coefficient engine A:
   builtin a monomial acts as a weighted partial permutation, so an
   instance gives the left action only by columns: column j of L_s(mon)
   as its one nonzero entry (v, monomial), or None.  Module products,
-  fiber traces and the left-action laws read columns; ``left_matrix``
-  gathers them into a plain {(v, j): entry} dict.
+  fiber traces and the left-action laws, coherence included, read
+  columns; ``left_matrix`` gathers them into a plain {(v, j): entry}
+  dict.  The associativity law runs on index grids, in blocks of
+  consecutive j of about 2^16 cells per triple.
 
 Vectors in a fiber are sparse: only their nonzero coordinates over A
 relative to the orthonormal basis are stored, keyed by basis index, so
@@ -312,16 +314,18 @@ class ProductSystem:
         structure:<law> with metrics {"bound": trunc.bound}, the first
         "witness" of a failure and, on the coprime law, the number of
         meet-trivial "pairs" in the window.  Each law is a lazy stream of
-        witnesses read by CheckReport.from_witnesses; index-map laws run
-        on numpy index grids, and coherence assumes the bijectivity
-        checked before it.
+        witnesses read by CheckReport.from_witnesses.  Index-map laws run
+        on numpy index grids, associativity in bounded blocks of j;
+        coherence reads L_(sr) one column at a time, keyed by index_split,
+        and assumes the bijectivity checked before it: a non-bijective
+        index map still fails it, with a witness that may name another cell.
         """
         checks: list[CheckReport] = []
         sg = self.semigroup
         e = sg.identity_value
         vals = trunc.values
         n, im, split = self.basis_count, self.index_map, self.index_split
-        L, column = self.left_matrix, self._column
+        L, column, left = self.left_matrix, self._column, self.left_column
         gens = self.generator_elements()
 
         def law(name: str, witnesses: Iterable[dict], detail: str = "", **metrics) -> None:
@@ -360,34 +364,41 @@ class ProductSystem:
                     for q in vals:
                         k, l = np.indices((n(r), n(q)))
                         kl = im(r, q, k, l)
-                        for j in range(n(s)):
+                        # j runs in blocks of about 2^16 cells
+                        step = max(1, 2**16 // (n(r) * n(q)))
+                        for j0 in range(0, n(s), step):
+                            j = np.arange(j0, min(j0 + step, n(s)))[:, None, None]
                             lhs = im(sg.mul(s, r), q, im(s, r, j, k), l)
                             rhs = im(s, sg.mul(r, q), j, kl)
-                            for k0, l0 in np.argwhere(lhs != rhs)[:1]:
-                                yield {"s": s, "r": r, "q": q, "j": j, "k": int(k0),
-                                       "l": int(l0), "lhs": int(lhs[k0, l0]),
-                                       "rhs": int(rhs[k0, l0])}
+                            if not (lhs != rhs).any():
+                                continue
+                            shape = (len(j), n(r), n(q))
+                            lhs, rhs = np.broadcast_to(lhs, shape), np.broadcast_to(rhs, shape)
+                            dj, k0, l0 = np.argwhere(lhs != rhs)[0]
+                            yield {"s": s, "r": r, "q": q, "j": j0 + int(dj), "k": int(k0),
+                                   "l": int(l0), "lhs": int(lhs[dj, k0, l0]),
+                                   "rhs": int(rhs[dj, k0, l0])}
 
         def coherent_witnesses():
-            # L_(sr)(a)[m(nu, u), m(j, k)] = L_r(L_s(a)[nu, j])[u, k], compared
-            # on the sparse entries; building L_(sr) costs (N_s N_r)^2 entry
-            # evaluations, so the window is capped
+            # L_(sr)(a)[m(nu, u), m(j, k)] = L_r(L_s(a)[nu, j])[u, k], one
+            # column m(j, k) at a time; a split outside N_s x N_r wants a zero
+            # column.  The window stays capped: ranks grow like s^2 on
+            # lattice-dilation(2), and the pinned witnesses lie inside it
             small = [v for v in vals if n(v) <= 12]
             for s in small:
                 for r in small:
-                    for a in gens:
-                        want = {
-                            (im(s, r, nu, u), im(s, r, j, k)): v
-                            for (nu, j), c in L(s, a).items()
-                            for (u, k), v in L(r, c).items()
-                        }
-                        got = L(sg.mul(s, r), a)
-                        diff = [key for key in want.keys() | got.keys()
-                                if want.get(key) != got.get(key)]
-                        if diff:
-                            cells = [(split(s, r, row), split(s, r, col)) for row, col in diff]
-                            (nu, u), (j, k) = min(cells, key=lambda c: (c[1][0], c[0][0],
-                                                                        c[1][1], c[0][1]))
+                    for mon, a in zip(self.generator_monomials(), gens):
+                        cells = []
+                        for i in range(n(sg.mul(s, r))):
+                            j, k = split(s, r, i)
+                            outer = left(s, mon, j) if 0 <= j < n(s) and 0 <= k < n(r) else None
+                            inner = outer and left(r, outer[1], k)
+                            want = inner and (im(s, r, outer[0], inner[0]), inner[1])
+                            got = left(sg.mul(s, r), mon, i)
+                            if got != want:
+                                cells += [(j, *split(s, r, c[0]), k) for c in (got, want) if c]
+                        if cells:
+                            j, nu, u, k = min(cells, key=lambda c: (c[0], c[1], c[3], c[2]))
                             yield {"s": s, "r": r, "a": repr(a),
                                    "nu": nu, "j": j, "u": u, "k": k}
 
@@ -410,7 +421,7 @@ class ProductSystem:
         one = self.engine.unit()
         law("left-action-unital",
             ({"s": s} for s in vals
-             if any(self.left_column(s, one, j) != (j, one) for j in range(n(s)))))
+             if any(left(s, one, j) != (j, one) for j in range(n(s)))))
 
         law("left-action-homomorphism",
             ({"s": s, "a": repr(a), "b": repr(b)} for s in vals for a in gens for b in gens

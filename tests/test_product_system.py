@@ -371,6 +371,64 @@ def test_corrupted_system_fails_associativity_with_witness():
         "s": 2, "r": 2, "a": "(1+0j)*S", "nu": 1, "j": 0, "u": 0, "k": 0}
 
 
+class _LateAssociativity(CuntzSystem):
+    """m(6, 12; j, k) is off by one for j >= 40, elementwise on arrays."""
+
+    def index_map(self, s, r, j, k):
+        return super().index_map(s, r, j, k) + ((s, r) == (6, 12)) * (np.asarray(j) >= 40)
+
+
+def test_associativity_witness_in_a_later_j_block():
+    # the triple (6, 6, 6) has 64^3 cells, scanned 16 values of j at a
+    # time, so j = 40 lies in its third block
+    report = _LateAssociativity(2).validate(TruncationSet(CUNTZ.semigroup, 6))
+    assert [(c.name, c.metrics.get("witness")) for c in report if not c.passed] == [
+        ("structure:index-map-associative",
+         {"s": 6, "r": 6, "q": 6, "j": 40, "k": 0, "l": 0, "lhs": 40, "rhs": 41})]
+
+
+def scans_by_loops(system, bound):
+    """The scans the validator must reproduce: the first associativity
+    mismatch in (s, r, q, j, k, l) order by scalar loops, and the first
+    coherence mismatch of the whole matrices, least cell by (j, nu, k, u)."""
+    sg, n = system.semigroup, system.basis_count
+    im, split, L = system.index_map, system.index_split, system.left_matrix
+    vals = TruncationSet(sg, bound).values
+    assoc = next(({"s": s, "r": r, "q": q, "j": j, "k": k, "l": l, "lhs": lhs, "rhs": rhs}
+                  for s in vals for r in vals for q in vals
+                  for j in range(n(s)) for k in range(n(r)) for l in range(n(q))
+                  if (lhs := im(sg.mul(s, r), q, im(s, r, j, k), l))
+                  != (rhs := im(s, sg.mul(r, q), j, im(r, q, k, l)))), None)
+    small = [v for v in vals if n(v) <= 12]
+    for s in small:
+        for r in small:
+            for a in system.generator_elements():
+                want = {(im(s, r, nu, u), im(s, r, j, k)): v
+                        for (nu, j), c in L(s, a).items() for (u, k), v in L(r, c).items()}
+                got = L(sg.mul(s, r), a)
+                cells = [(*split(s, r, col), *split(s, r, row))
+                         for row, col in want.keys() | got.keys()
+                         if want.get((row, col)) != got.get((row, col))]
+                if cells:
+                    j, k, nu, u = min(cells, key=lambda c: (c[0], c[2], c[1], c[3]))
+                    return assoc, {"s": s, "r": r, "a": repr(a), "nu": nu, "j": j, "u": u, "k": k}
+    return assoc, None
+
+
+def test_structure_scans_match_the_scalar_loops():
+    systems = [CUNTZ.corrupted(1, 2, (0, 0), (1, 1)), CUNTZ.corrupted(2, 1, (1, 0), (3, 1))]
+    cells = [(j, k) for j in range(2) for k in range(2)]
+    for base in (AFFINE, TorusDilationSystem(1)):
+        for s, r in ((2, 2), (2, 3), (3, 2)):
+            systems += [base.corrupted(s, r, a, b) for a in cells for b in cells if a < b]
+    for system in systems:
+        bound = 4 if system.semigroup is CUNTZ.semigroup else 6
+        report = {c.name: c.metrics.get("witness")
+                  for c in system.validate(TruncationSet(system.semigroup, bound))}
+        assert (report["structure:index-map-associative"],
+                report["structure:left-action-coherent"]) == scans_by_loops(system, bound)
+
+
 class _AddedIndices(AffineToeplitzSystem):
     def index_map(self, s, r, j, k):
         return j + k
@@ -463,6 +521,15 @@ def test_broken_left_action_names_the_first_bad_law(system, bound, failures):
     laws = [name.removeprefix("structure:") for name in LAWS]
     assert [(c.name, c.passed, c.metrics.get("witness")) for c in report] == [
         ("structure:" + law, law not in failures, failures.get(law)) for law in laws]
+
+
+def test_coherence_scan_reaches_the_last_column():
+    # column 143 of L_144(S) is m(11, 11), the last column of the scan
+    system = broken_column(AffineToeplitzSystem, 144, (1, 0), lambda j, c: None if j == 143 else c)
+    report = system.validate(TruncationSet(system.semigroup, 12))
+    assert [(c.name, c.metrics.get("witness")) for c in report if not c.passed] == [
+        ("structure:left-action-coherent",
+         {"s": 12, "r": 12, "a": "(1+0j)*S", "nu": 0, "j": 11, "u": 0, "k": 11})]
 
 
 @pytest.mark.parametrize("system", ALL, ids=lambda s: s.name)
