@@ -26,6 +26,18 @@ run_suites passes the run's beta, bound and seed.
 Random inputs use seeded generators and Gaussian-integer coefficients.
 Integer real and imaginary parts keep products exactly representable in
 floats, so the exact-equality checks stay exact under sampling.
+
+The products a state check evaluates are exact algebra and do not
+depend on the trace; only the final omega does.  So kms-condition,
+core-trace and trace-recovery read their products from a Draw, which
+run_suites makes once per run and hands to the check under every
+trace.  A Draw computes each item when a check first asks for it, so
+its time lands on the first report that reads it, and it replays the
+same objects to later readers: every trace compares the same floats as
+a run of its own.  scaling-identity has no samples and rebuilds its
+basis vectors per trace.  state:ground keeps its own generator: its
+samples skip an rng draw on a zero corner value, which depends on the
+trace, so they differ from trace to trace.
 """
 
 from __future__ import annotations
@@ -65,6 +77,10 @@ __all__ = [
     "check_corner_center",
     "check_kms_condition",
     "check_core_trace_property",
+    "Draw",
+    "kms_draw",
+    "core_trace_draw",
+    "recovery_draw",
     "check_ground",
     "check_ground_limit",
     "check_scaling_identity",
@@ -109,6 +125,25 @@ def _compare(name: str, comparisons: Iterable[tuple[complex, complex, float, dic
         name, True,
         {**metrics, "worst_deviation": dev, "tolerance_at_worst": tol, "nonzero": nonzero},
     )
+
+
+class Draw:
+    """A trace-free item stream, computed once and replayed to every reader.
+
+    Readers take turns.  An item is computed when a reader first asks for
+    it, so a reader that stops early (a failing check) leaves the rest to
+    the next one, which replays what was drawn and continues the stream.
+    """
+
+    def __init__(self, items: Iterable):
+        self._items = iter(items)
+        self._drawn: list = []
+
+    def __iter__(self):
+        yield from self._drawn
+        for item in self._items:
+            self._drawn.append(item)
+            yield item
 
 
 # -- samplers ---------------------------------------------------------------
@@ -211,38 +246,62 @@ def check_corner_center(system: ProductSystem) -> CheckReport:
 # -- KMS condition -----------------------------------------------------------
 
 
+def kms_draw(system: ProductSystem, beta: float, seed: int = 7) -> Draw:
+    """The 200 diagonal product pairs (y1 sigma_(i beta)(y2), y2 y1) of
+    check_kms_condition, on seeded samples y1, y2."""
+
+    def pairs():
+        rng = Random(seed)
+        fibers = _small_fibers(system)
+        for _ in range(200):
+            y1 = sample_element(rng, system, fibers)
+            y2 = sample_element(rng, system, fibers)
+            yield y1.product(y2.dynamics(complex(0.0, beta)), diagonal), y2.product(y1, diagonal)
+
+    return Draw(pairs())
+
+
 def check_kms_condition(
     system: ProductSystem,
     trace: TraceSpec,
     beta: float,
     bound: int = 1000,
-    seed: int = 7,
+    draw: Optional[Draw] = None,
 ) -> CheckReport:
-    """omega(y1 sigma_(i beta)(y2)) = omega(y2 y1) within summed tails, on 200 samples."""
+    """omega(y1 sigma_(i beta)(y2)) = omega(y2 y1) within summed tails, on 200 samples.
+
+    draw is kms_draw(system, beta, seed) at this beta; by default seed 7.
+    """
     ctx = KMSContext(system, trace, beta, bound)
-    rng = Random(seed)
-    fibers = _small_fibers(system)
+    draw = kms_draw(system, beta) if draw is None else draw
 
     def comparisons():
-        for i in range(200):
-            y1 = sample_element(rng, system, fibers)
-            y2 = sample_element(rng, system, fibers)
-            lhs = ctx.omega(y1.product(y2.dynamics(complex(0.0, beta)), diagonal))
-            rhs = ctx.omega(y2.product(y1, diagonal))
+        for i, (left, right) in enumerate(draw):
+            lhs = ctx.omega(left)
+            rhs = ctx.omega(right)
             yield lhs.value, rhs.value, lhs.tail + rhs.tail + 1e-9, {"sample": i}
 
     return _compare("state:kms-condition", comparisons(),
                     samples=200, beta=beta, bound=bound, trace=trace.name)
 
 
-def check_core_trace_property(
-    system: ProductSystem,
-    trace: TraceSpec,
-    beta: float,
-    bound: int = 1000,
-    seed: int = 11,
-) -> CheckReport:
-    """omega(uv) = omega(vu) on the core, in 12 rounds.
+_CORE_TARGETS = ((False, False), (False, True), (True, False), (True, True))
+
+
+def _core_pairs(system: ProductSystem):
+    """The non-identity fiber pairs of the core-trace window, the
+    meet-trivial ones, and those whose meet has rank above one."""
+    sg = system.semigroup
+    vals = TruncationSet(sg, 6 if sg.name == "nat-mult" else 4).values
+    pairs = [(s, r) for s in vals for r in vals if s != sg.identity_value and r != sg.identity_value]
+    coprime = [(s, r) for (s, r) in pairs if sg.glb(s, r) == sg.identity_value]
+    ranked = [(s, r) for (s, r) in pairs if system.basis_count(sg.glb(s, r)) > 1]
+    return pairs, coprime, ranked
+
+
+def core_trace_draw(system: ProductSystem, seed: int = 11) -> Draw:
+    """The 12 rounds of check_core_trace_property: (s, r, the round's
+    index pattern, u v, v u).
 
     The commutation argument splits on whether the right indices of u
     and v agree on the meet component in each order, so the sampler
@@ -250,23 +309,13 @@ def check_core_trace_property(
     Indices can disagree only on a meet g with N_g > 1, so a round
     aiming at a disagreement draws its pair from those.
     """
-    ctx = KMSContext(system, trace, beta, bound)
-    rng = Random(seed)
-    sg = system.semigroup
-    vals = TruncationSet(sg, 6 if sg.name == "nat-mult" else 4).values
-    pairs = [(s, r) for s in vals for r in vals if s != sg.identity_value and r != sg.identity_value]
-    coprime = [(s, r) for (s, r) in pairs if sg.glb(s, r) == sg.identity_value]
-    if not coprime:
-        return CheckReport("state:core-trace", True, {"skipped": True},
-                           "no meet-trivial pairs in the window")
-    ranked = [(s, r) for (s, r) in pairs if system.basis_count(sg.glb(s, r)) > 1]
-    targets = [(False, False), (False, True), (True, False), (True, True)]
-    # counted as the rounds run, so the report shows the final tally
-    cases = {f"{a}/{b}": 0 for a, b in targets}
 
-    def comparisons():
+    def rounds():
+        rng = Random(seed)
+        sg = system.semigroup
+        pairs, coprime, ranked = _core_pairs(system)
         for i in range(12):
-            want = targets[i % 4]
+            want = _CORE_TARGETS[i % 4]
             if i == 0:
                 s, r = coprime[0]
             else:
@@ -290,7 +339,6 @@ def check_core_trace_property(
             m = system.index_map(g, rr, mg, mrest)
             j = system.index_map(g, ss, jg, rng.randrange(system.basis_count(ss)))
             l = system.index_map(g, rr, lg, rng.randrange(system.basis_count(rr)))
-            cases[f"{kg == lg}/{mg == jg}"] += 1
 
             u = NTElement(system, {(s, s, k): sample_vector(rng, system, s)}) + NTElement(
                 system, {(s, s, j): sample_vector(rng, system, s)}
@@ -298,8 +346,34 @@ def check_core_trace_property(
             v = NTElement(system, {(r, r, m): sample_vector(rng, system, r)}) + NTElement(
                 system, {(r, r, l): sample_vector(rng, system, r)}
             )
-            a = ctx.omega(u * v)
-            b = ctx.omega(v * u)
+            yield s, r, f"{kg == lg}/{mg == jg}", u * v, v * u
+
+    return Draw(rounds())
+
+
+def check_core_trace_property(
+    system: ProductSystem,
+    trace: TraceSpec,
+    beta: float,
+    bound: int = 1000,
+    draw: Optional[Draw] = None,
+) -> CheckReport:
+    """omega(uv) = omega(vu) on the core, in the 12 rounds of
+    core_trace_draw(system, seed); by default seed 11."""
+    ctx = KMSContext(system, trace, beta, bound)
+    _, coprime, _ = _core_pairs(system)
+    if not coprime:
+        return CheckReport("state:core-trace", True, {"skipped": True},
+                           "no meet-trivial pairs in the window")
+    draw = core_trace_draw(system) if draw is None else draw
+    # counted as the rounds run, so the report shows the final tally
+    cases = {f"{a}/{b}": 0 for a, b in _CORE_TARGETS}
+
+    def comparisons():
+        for i, (s, r, pattern, uv, vu) in enumerate(draw):
+            cases[pattern] += 1
+            a = ctx.omega(uv)
+            b = ctx.omega(vu)
             yield a.value, b.value, a.tail + b.tail + 1e-9, {"round": i, "s": s, "r": r}
 
     return _compare("state:core-trace", comparisons(), rounds=12, beta=beta, trace=trace.name,
@@ -365,13 +439,15 @@ def check_ground(system: ProductSystem, trace: TraceSpec, seed: int = 23) -> Che
             )
         z = complex(rng.uniform(-2, 2), rng.uniform(0, 3))
         shifted = ground_state(system, trace, left.product(y2.dynamics(z), corner)).value
-        expect = abs(cmath.exp(1j * z * math.log(ratio))) * abs(base)
-        if abs(abs(shifted) - expect) > 1e-9 * max(1.0, abs(base)):
+        expect = cmath.exp(1j * z * math.log(ratio)) * base
+        if abs(shifted - expect) > 1e-9 * max(1.0, abs(base)):
+            # JSON has no complex numbers, so both values print as [re, im]
             return CheckReport(
                 "state:ground",
                 False,
-                {"sample": i, "got": abs(shifted), "expected": expect},
-                "modulus under the complexified dynamics",
+                {"sample": i, "got": [shifted.real, shifted.imag],
+                 "expected": [expect.real, expect.imag]},
+                "value under the complexified dynamics",
             )
         if abs(shifted) > abs(base) + 1e-9:
             return CheckReport(
@@ -414,11 +490,11 @@ def check_ground_limit(system: ProductSystem, trace: TraceSpec, bound: int = 100
     """
     betas = (5.0, 10.0, 20.0)
     monomials = _limit_monomials(system)
+    ground = [ground_state(system, trace, y).value for y in monomials]
     diffs = []
     for beta in betas:
         ctx = KMSContext(system, trace, beta, bound)
-        step = [abs(ctx.kms(y).value - ground_state(system, trace, y).value) for y in monomials]
-        diffs.append(step)
+        diffs.append([abs(ctx.kms(y).value - g) for y, g in zip(monomials, ground)])
     final = max(diffs[-1])
     if final > 1e-4:
         return CheckReport(
@@ -469,8 +545,9 @@ def check_scaling_identity(
             for s in vals:
                 scale = system.weight(s) ** (-beta)
                 for j in range(system.basis_count(s)):
+                    vec = system.basis_vector(s, j, coeff=a)
                     for l in range(system.basis_count(s)):
-                        y = NTElement(system, {(s, s, l): system.basis_vector(s, j, coeff=a)})
+                        y = NTElement(system, {(s, s, l): vec})
                         got = ctx.omega(y)
                         where = {"s": s, "j": j, "l": l}
                         if j != l:
@@ -602,39 +679,58 @@ def _monomial_gcd(engine, mon: tuple) -> int:
     return math.gcd(*(abs(c) for c in deg)) if deg else 0
 
 
+def _degree_primes(a: CoefficientElement) -> Optional[list[int]]:
+    """The primes dividing the degree gcds of a's monomials, or None
+    when one of them has degree zero."""
+    degs = [_monomial_gcd(a.engine, mon) for mon in a.terms]
+    if any(g == 0 for g in degs):
+        return None
+    return sorted({p for g in degs for p in _prime_factors(g)})
+
+
+def recovery_products(system: ProductSystem, a: CoefficientElement) -> list[NTElement]:
+    """i_e(a) alpha_(p_J)(1) on the core, for every subset J of the degree
+    primes of a in bitmask order; empty when a has a degree-zero monomial
+    (unit multiples included), where reconstruct_trace reads no state."""
+    fprimes = _degree_primes(a)
+    if fprimes is None:
+        return []
+    x = NTElement.embed_coeff(system, a)
+    return [x.product(unit_projection(
+                system, math.prod(p for i, p in enumerate(fprimes) if mask & (1 << i))), diagonal)
+            for mask in range(1 << len(fprimes))]
+
+
 def reconstruct_trace(
-    system: ProductSystem,
-    trace: TraceSpec,
-    beta: float,
-    bound: int,
+    ctx: KMSContext,
     a: CoefficientElement,
+    products: Optional[list[NTElement]] = None,
 ) -> ReconstructionResult:
-    """Recover tau(a) from the KMS state by prime inclusion-exclusion.
+    """Recover tau(a) from the KMS state ctx by prime inclusion-exclusion.
 
     zeta * sum over J subsets of the degree primes of (-1)^|J| omega(
     i_e(a) alpha_(p_J)(1)) kills every fiber contribution except the
-    identity one, leaving tau(a).  Elements with a zero-degree monomial
+    identity one, leaving tau(a); products are recovery_products(a),
+    computed here when not given.  Elements with a zero-degree monomial
     other than a unit multiple contribute to every fiber at once, so no
     finite prime set works and the result is marked not applicable.
+    The expected value is tau(a) under ctx's own trace.
     """
-    expected = trace.eval(a)
+    expected = ctx.trace.eval(a)
     if a.is_unit_multiple():
         weight = a.terms.get(a.engine.unit(), 0.0 + 0.0j)
         return ReconstructionResult(True, weight, expected, abs(weight - expected), ())
-    degs = [_monomial_gcd(a.engine, mon) for mon in a.terms]
-    if any(g == 0 for g in degs):
+    fprimes = _degree_primes(a)
+    if fprimes is None:
         return ReconstructionResult(
             False, None, expected, None, (),
             "zero-degree monomial present: every fiber weight is nonzero",
         )
-    fprimes = sorted({p for g in degs for p in _prime_factors(g)})
-    ctx = KMSContext(system, trace, beta, bound)
-    x = NTElement.embed_coeff(system, a)
+    if products is None:
+        products = recovery_products(ctx.system, a)
     total = 0.0 + 0.0j
-    for mask in range(1 << len(fprimes)):
-        pj = math.prod(p for i, p in enumerate(fprimes) if mask & (1 << i))
+    for mask, y in enumerate(products):
         sign = -1.0 if bin(mask).count("1") % 2 else 1.0
-        y = x.product(unit_projection(system, pj), diagonal)
         total += sign * ctx.omega(y).value
     value = ctx.zeta * total
     return ReconstructionResult(
@@ -677,27 +773,41 @@ def reconstruction_monomials(engine) -> list[CoefficientElement]:
     return out
 
 
+def recovery_draw(system: ProductSystem) -> Draw:
+    """recovery_products of each member of the reconstruction family."""
+
+    def products():
+        for a in reconstruction_monomials(system.engine):
+            yield recovery_products(system, a)
+
+    return Draw(products())
+
+
 def check_reconstruction(
     system: ProductSystem,
     trace: TraceSpec,
     beta: float = 4.0,
     bound: int = 10**4,
+    draw: Optional[Draw] = None,
 ) -> CheckReport:
-    """Recover tau on the degree-graded monomial family, within 1e-2."""
+    """Recover tau on the degree-graded monomial family, within 1e-2;
+    draw is recovery_draw(system), made here when not given."""
     if system.semigroup.name != "nat-mult" or system.engine.degree_dim == 0:
         return CheckReport(
             "reconstruct:trace-recovery", True, {"skipped": True},
             "needs a graded engine over nat-mult",
         )
     family = reconstruction_monomials(system.engine)
+    ctx = KMSContext(system, trace, beta, bound)
+    draw = recovery_draw(system) if draw is None else draw
 
     def recoveries():
-        for a in family:
-            res = reconstruct_trace(system, trace, beta, bound, a)
+        for a, products in zip(family, draw):
+            res = reconstruct_trace(ctx, a, products)
             # every member is applicable by construction; one that is not
             # has no value and fails as a NaN deviation
             got = math.nan if res.value is None else res.value
-            yield got, res.expected, 1e-2, {"monomial": repr(a)}
+            yield got, trace.eval(a), 1e-2, {"monomial": repr(a)}
 
     return _compare("reconstruct:trace-recovery", recoveries(), monomials=len(family),
                     trace=trace.name, beta=beta, bound=bound)
@@ -833,23 +943,27 @@ def run_suites(
             tasks.append(lambda: check_fock_product(system, seed=seed))
             tasks.append(lambda: check_fock_state(system, beta=max(beta, 2.0), seed=seed))
             tasks.append(lambda: check_fock_nica(system, seed=seed))
+    # one draw per run, read by the check under every trace
     if "kms" in wanted:
+        pairs = kms_draw(system, beta, seed)
         for t in traces:
-            tasks.append(lambda t=t: check_kms_condition(system, t, beta, bound, seed=seed))
+            tasks.append(lambda t=t: check_kms_condition(system, t, beta, bound, pairs))
             tasks.append(lambda t=t: check_scaling_identity(system, t, beta, bound))
     if "trace" in wanted:
+        rounds = core_trace_draw(system, seed)
         for t in traces:
-            tasks.append(lambda t=t: check_core_trace_property(system, t, beta, bound, seed=seed))
+            tasks.append(lambda t=t: check_core_trace_property(system, t, beta, bound, rounds))
     if "ground" in wanted:
         for t in traces:
             tasks.append(lambda t=t: check_ground(system, t, seed=seed))
             tasks.append(lambda t=t: check_ground_limit(system, t, bound=bound))
     if "reconstruct" in wanted:
         tasks.append(lambda: check_inclusion_exclusion(system, beta=max(beta, 4.0), seed=seed))
+        products = recovery_draw(system)
         for t in traces:
             tasks.append(
-                lambda t=t: check_reconstruction(system, t, beta=max(beta, 4.0),
-                                                 bound=max(bound, 100))
+                lambda t=t: check_reconstruction(system, t, max(beta, 4.0), max(bound, 100),
+                                                 products)
             )
     if "euler" in wanted:
         tasks.append(lambda: check_euler(system, beta=max(beta, 3.0)))

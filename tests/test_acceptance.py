@@ -34,6 +34,7 @@ from ntkms.verify import (
     check_reconstruction,
     check_scaling_identity,
     default_traces,
+    kms_draw,
     structure_reports,
 )
 
@@ -107,8 +108,9 @@ def test_criterion_04_the_kms_condition_holds_on_random_samples():
     start = time.perf_counter()
     ok = True
     worst = 0.0
+    draw = kms_draw(system, 3.0, seed=7)
     for trace in (haar_trace(system.engine), point_mass_trace(system.engine, 0.7)):
-        rep = check_kms_condition(system, trace, beta=3.0, bound=1000, seed=7)
+        rep = check_kms_condition(system, trace, beta=3.0, bound=1000, draw=draw)
         ok = ok and rep.passed
         worst = max(worst, rep.metrics.get("worst_deviation", math.inf))
     elapsed = time.perf_counter() - start

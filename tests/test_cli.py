@@ -315,6 +315,26 @@ def test_verify_structure_stdout_matches_the_golden_lines(capsys, name):
     assert "".join(kept) == (DATA / f"structure-{name}.jsonl").read_text()
 
 
+STATE_RUNS = {
+    "affine-toeplitz": ("--system", "affine-toeplitz"),
+    "additive-toeplitz": ("--system", "additive-toeplitz"),
+    "lattice-dilation": ("--system", "lattice-dilation"),
+    "cuntz": ("--system", "cuntz"),
+    "lattice-dilation-2": ("--system", "lattice-dilation", "--d", "2"),
+}
+
+
+@pytest.mark.parametrize("name", STATE_RUNS)
+def test_verify_state_stdout_matches_the_golden_lines(capsys, name):
+    """The kms, trace and reconstruct suites draw their products once
+    per run and evaluate them under every trace; their whole stdout,
+    floats included, is compared byte for byte with a recorded run."""
+    code, out, _ = run(capsys, "verify", "--seed", "7", "--suite", "kms", "--suite", "trace",
+                       "--suite", "reconstruct", *STATE_RUNS[name])
+    assert code == 0
+    assert out == (DATA / f"states-{name}.jsonl").read_text()
+
+
 def test_verify_rejects_bad_thread_and_suite_requests(capsys, tmp_path):
     # "threads" is not a config key
     cfg = tmp_path / "threads.json"

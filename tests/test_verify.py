@@ -11,6 +11,7 @@ reports themselves must serialise deterministically.
 import json
 import math
 import time
+from itertools import islice
 from random import Random
 
 import pytest
@@ -50,6 +51,7 @@ from ntkms.verify import (
     check_projection_covariance,
     check_reconstruction,
     check_scaling_identity,
+    core_trace_draw,
     default_traces,
     inclusion_exclusion_residual,
     lambda_weight,
@@ -133,7 +135,7 @@ def test_inclusion_exclusion_skips_ungraded_engines():
 
 def test_reconstruct_unit_multiple_is_immediate():
     a = CoefficientElement.unit(AFFINE.engine, 2.5)
-    res = reconstruct_trace(AFFINE, haar_trace(AFFINE.engine), 4.0, 100, a)
+    res = reconstruct_trace(KMSContext(AFFINE, haar_trace(AFFINE.engine), 4.0, 100), a)
     assert res.applicable and res.fprimes == ()
     assert res.value == 2.5 + 0j and res.error == 0.0
 
@@ -142,7 +144,7 @@ def test_reconstruct_refuses_mixed_zero_degree():
     # S S* has degree zero but is not a unit multiple: every fiber weight
     # is nonzero, so no finite prime set can isolate the identity fiber
     a = CoefficientElement.monomial(AFFINE.engine, (1, 1))
-    res = reconstruct_trace(AFFINE, haar_trace(AFFINE.engine), 4.0, 100, a)
+    res = reconstruct_trace(KMSContext(AFFINE, haar_trace(AFFINE.engine), 4.0, 100), a)
     assert not res.applicable and res.value is None
     assert "zero-degree" in res.reason
 
@@ -153,7 +155,7 @@ def test_reconstruct_recovers_both_traces(degree, primes):
     point = point_mass_trace(AFFINE.engine, 0.0)
     a = CoefficientElement.monomial(AFFINE.engine, (degree, 0))
     for trace, want in ((haar, 0j), (point, 1.0 + 0j)):
-        res = reconstruct_trace(AFFINE, trace, 4.0, 2000, a)
+        res = reconstruct_trace(KMSContext(AFFINE, trace, 4.0, 2000), a)
         assert res.applicable and res.fprimes == primes
         assert abs(res.expected - want) <= 1e-12
         assert res.error <= 1e-2
@@ -300,14 +302,37 @@ def test_ground_fails_when_the_dynamics_reads_im_z_off(monkeypatch):
     # non-fixed corner value past the 1e-9 relative tolerance; the sign
     # flip z -> conj(z) is the same fault writ large
     dynamics = NTElement.dynamics
-    for fault, got in [(lambda z: z.conjugate(), 24.790734804590816),
-                       (lambda z: complex(z.real, z.imag * (1 + 1e-8)), 1.4521554029369732)]:
+    for fault, got in [(lambda z: z.conjugate(), [13.28593075850296, 20.929992260672613]),
+                       (lambda z: complex(z.real, z.imag * (1 + 1e-8)),
+                        [0.7782438191559301, 1.2260064731577216])]:
         monkeypatch.setattr(NTElement, "dynamics", lambda self, z: dynamics(self, fault(z)))
         rep = check_ground(AFFINE, haar_trace(AFFINE.engine))
         assert not rep.passed
-        assert rep.detail == "modulus under the complexified dynamics"
+        assert rep.detail == "value under the complexified dynamics"
         assert rep.metrics == {"sample": 2, "got": pytest.approx(got, rel=1e-9),
-                               "expected": pytest.approx(1.4521554235388545, rel=1e-9)}
+                               "expected": pytest.approx([0.778243830196957, 1.2260064905512045],
+                                                         rel=1e-9)}
+        # the pairs [re, im] keep the failing report printable as JSON
+        json.loads(rep.json_line())
+
+
+GROUND_PAIRS = [(system, trace) for system in
+                [get_system(name) for name in ("affine-toeplitz", "additive-toeplitz",
+                                               "lattice-dilation", "cuntz")]
+                + [get_system("lattice-dilation", d=2)]
+                for trace in default_traces(system)]
+
+
+@pytest.mark.parametrize("system, trace", GROUND_PAIRS,
+                         ids=[f"{s.name}-{t.name}" for s, t in GROUND_PAIRS])
+def test_ground_fails_when_the_dynamics_reads_re_z_off(monkeypatch, system, trace):
+    # a real shift of z leaves every modulus alone and turns only the
+    # phase of exp(i z log ratio); comparing moduli let even z + 1 pass
+    dynamics = NTElement.dynamics
+    monkeypatch.setattr(NTElement, "dynamics", lambda self, z: dynamics(self, z + 1e-8))
+    rep = check_ground(system, trace)
+    assert not rep.passed
+    assert rep.detail == "value under the complexified dynamics"
 
 
 def test_euler_check_applies_only_to_power_profiles():
@@ -333,7 +358,8 @@ def test_core_trace_draws_every_index_pattern_on_every_seed(name, d):
     system = get_system(name, d=d)
     trace = haar_trace(system.engine)
     for seed in range(1, 21):
-        rep = check_core_trace_property(system, trace, 3.0, bound=60, seed=seed)
+        rep = check_core_trace_property(system, trace, 3.0, bound=60,
+                                        draw=core_trace_draw(system, seed))
         assert rep.passed
         assert all(n > 0 for n in rep.metrics["cases"].values()), (seed, rep.metrics["cases"])
 
@@ -491,6 +517,54 @@ def test_run_suites_reports_are_deterministic_and_ordered():
     one = run_suites(CUNTZ, ["structure"], **kw)
     two = run_suites(CUNTZ, ["structure"], **kw)
     assert [r.json_line() for r in one] == [r.json_line() for r in two]
+
+
+# -- one draw per run, read under every trace ---------------------------------------
+
+TWO_TRACE_SYSTEMS = [AFFINE, get_system("lattice-dilation", d=2)]
+
+
+def _lines(reports):
+    return [r.json_line() for r in reports]
+
+
+@pytest.mark.parametrize("system", TWO_TRACE_SYSTEMS, ids=lambda s: s.name)
+@pytest.mark.parametrize("suite", ["kms", "trace"])
+def test_state_suites_under_two_traces_match_single_trace_runs(system, suite):
+    # the shared draw makes the two-trace run the concatenation of the
+    # single-trace runs, line for line
+    alone = [rep for t in default_traces(system) for rep in run_suites(system, [suite], traces=[t])]
+    assert _lines(run_suites(system, [suite])) == _lines(alone)
+
+
+@pytest.mark.parametrize("system", TWO_TRACE_SYSTEMS, ids=lambda s: s.name)
+@pytest.mark.parametrize("faulty", [0, 1], ids=["haar", "point-mass"])
+def test_a_fault_under_one_trace_fails_only_its_reports(monkeypatch, system, faulty):
+    # N(v)^(-beta) one percent high off the identity, under one trace only;
+    # on affine-toeplitz haar fails kms-condition at sample 66, so the
+    # point-mass check replays 67 pairs and draws the rest itself
+    name = default_traces(system)[faulty].name
+    weight_pow = KMSContext.weight_pow
+    monkeypatch.setattr(KMSContext, "weight_pow", lambda self, v: weight_pow(self, v) * (
+        1.01 if v != 1 and self.trace.name == name else 1.0))
+    suites = ["kms", "trace", "reconstruct"]
+    both = run_suites(system, suites)
+    assert [r.name for r in both if not r.passed]
+    assert all(r.passed for r in both if r.metrics.get("trace") != name)
+    # keyed by (check, trace): each single-trace run also has its own
+    # inclusion-exclusion line, which reads no trace
+    alone = {(r.name, r.metrics.get("trace")): r.json_line()
+             for t in default_traces(system) for r in run_suites(system, suites, traces=[t])}
+    assert {(r.name, r.metrics.get("trace")): r.json_line() for r in both} == alone
+    assert len(alone) == len(both)
+
+
+def test_a_draw_replays_what_an_early_reader_left():
+    draw = verify.kms_draw(AFFINE, 3.0)
+    head = list(islice(draw, 67))
+    whole = list(draw)
+    assert len(whole) == 200 and all(a is b for a, b in zip(head, whole))
+    assert whole == list(verify.kms_draw(AFFINE, 3.0))
 
 
 def test_json_line_shape():
