@@ -288,7 +288,7 @@ class CoefficientElement:
         return hash((self.engine.tag, frozenset(self.terms.items())))
 
     def sorted_terms(self) -> list[tuple[tuple, complex]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        return sorted(self.terms.items())
 
     def __repr__(self):
         if not self.terms:

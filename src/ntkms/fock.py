@@ -9,9 +9,18 @@ at s acts by the creation operator
                    0                                 otherwise,
 
 and a normal-form term i_s(xi) i_r(1_l)* is represented by
-l(xi) l(1_l)^T-conjugate.  Everything here is plain complex matrix
-arithmetic with no symbolic layer, so agreement with the series state is
-evidence for the normal-form engine, not a restatement of it.
+l(xi) l(1_l)^T-conjugate.  No symbolic layer is involved, so agreement
+with the series state is evidence for the normal-form engine, not a
+restatement of it.
+
+Each l(1_j) sends basis vectors to basis vectors: it is a partial
+injection, stored as an integer array from column to row (``image``),
+and l(1_l)* as the inverse array.  A term is a weighted sum of their
+compositions, each again one index array, so operators are applied and
+composed by indexing and scatter-added column by column into matrices.
+No dense product is formed and nothing enters BLAS.  Within one
+composition each column receives one value, and distinct j have disjoint
+ranges, so summing in term order gives the floats of the dense products.
 
 Because the window is an order interval, lowering never leaves it; only
 raising clips.  Two consequences drive the checks:
@@ -26,6 +35,9 @@ raising clips.  Two consequences drive the checks:
 
 from __future__ import annotations
 
+from itertools import chain
+from typing import Iterable
+
 import numpy as np
 
 from .coeff import CoefficientElement
@@ -36,6 +48,9 @@ from .semigroup import TruncationSet
 __all__ = ["TruncatedFock", "FOCK_DIMENSION_CAP"]
 
 FOCK_DIMENSION_CAP = 5000
+
+# weighted partial injections w * g, g sending column c to row g[c]
+Maps = Iterable[tuple[np.ndarray, complex]]
 
 
 def _scalar(c: CoefficientElement) -> complex:
@@ -61,73 +76,80 @@ class TruncatedFock:
                 "shrink the window"
             )
         self.dim = dim
+        self._columns = np.arange(dim)
         self._creation: dict[tuple[int, int], np.ndarray] = {}
+        self._adjoint: dict[tuple[int, int], np.ndarray] = {}
 
     def basis_index(self, s: int, j: int) -> int:
         return self.offsets[s] + j
 
-    def creation(self, s: int, j: int) -> np.ndarray:
-        """The matrix of l(1_j) for the basis vector at fiber s."""
-        key = (s, j)
-        mat = self._creation.get(key)
-        if mat is not None:
-            return mat
+    def image(self, s: int, j: int) -> np.ndarray:
+        """The row of l(1_j) e_c for every column c of the window, -1 where
+        raising by s leaves it.  A last slot, for the zero vector, holds -1
+        too, so images compose by indexing: (g h)[c] = g[h[c]]."""
+        img = self._creation.get((s, j))
+        if img is not None:
+            return img
         sys = self.system
-        sg = sys.semigroup
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        img = np.full(self.dim + 1, -1)
         for r in self.trunc.values:
-            sr = sg.mul(s, r)
-            if sr not in self.trunc:
-                continue
-            base_r = self.offsets[r]
-            base_sr = self.offsets[sr]
-            for k in range(sys.basis_count(r)):
-                mat[base_sr + sys.index_map(s, r, j, k), base_r + k] = 1.0
-        self._creation[key] = mat
-        return mat
+            sr = sys.semigroup.mul(s, r)
+            if sr in self.trunc:
+                k = np.arange(sys.basis_count(r))
+                img[self.offsets[r] + k] = self.offsets[sr] + sys.index_map(s, r, j, k)
+        self._creation[s, j] = img
+        return img
 
-    def creation_vector(self, xi: ModuleVector) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for j, c in xi.entries.items():
-            w = _scalar(c)
-            if w != 0:
-                out += w * self.creation(xi.fiber, j)
-        return out
+    def _coimage(self, s: int, j: int) -> np.ndarray:
+        """image(s, j) for l(1_j)*, which inverts l(1_j) on its range."""
+        inv = self._adjoint.get((s, j))
+        if inv is None:
+            img = self.image(s, j)
+            inv = np.full(self.dim + 1, -1)
+            inv[img[img >= 0]] = np.flatnonzero(img >= 0)
+            self._adjoint[s, j] = inv
+        return inv
+
+    def creation(self, s: int, j: int) -> np.ndarray:
+        """The matrix of l(1_j) for the basis vector at fiber s: a dense
+        view of image(s, j), built on each call."""
+        return self._matrix([(self.image(s, j), 1.0)])
+
+    def _maps(self, y: NTElement) -> Maps:
+        """l(y) as the maps xi_j l(1_j) l(1_l)*, in sorted term order."""
+        if y.system is not self.system:
+            raise ValueError("element is over a different product system")
+        for (s, r, l), vec in y.sorted_terms():
+            adj = self._coimage(r, l)
+            for j, c in vec.entries.items():
+                yield self.image(s, j)[adj], _scalar(c)
+
+    def _matrix(self, maps: Maps, cols=None) -> np.ndarray:
+        """The sum of the maps on the given columns (all by default)."""
+        cols = self._columns if cols is None else cols
+        # row -1 (the last) collects what a map sends to zero
+        out = np.zeros((self.dim + 1, len(cols)), dtype=complex)
+        at = np.arange(len(cols))
+        for g, w in maps:
+            out[g[cols], at] += w
+        return out[:-1]
 
     def represent(self, y: NTElement) -> np.ndarray:
         """The compression P l(y) P as a dim x dim complex matrix."""
-        if y.system is not self.system:
-            raise ValueError("element is over a different product system")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for (s, r, l), vec in y.sorted_terms():
-            out += self.creation_vector(vec) @ self.creation(r, l).conj().T
-        return out
+        return self._matrix(self._maps(y))
 
     # -- checks -----------------------------------------------------------
 
     def interior_fibers(self, y: NTElement) -> list[int]:
         """Fibers q whose basis vectors y maps entirely inside the window."""
         sg = self.system.semigroup
-        out = []
-        for q in self.trunc.values:
-            ok = True
-            for (s2, r2, _), _vec in y.terms.items():
-                if not sg.leq(r2, q):
-                    continue
-                if sg.mul(s2, sg.quotient(q, r2)) not in self.trunc:
-                    ok = False
-                    break
-            if ok:
-                out.append(q)
-        return out
+        return [q for q in self.trunc.values
+                if all(sg.mul(s, sg.quotient(q, r)) in self.trunc
+                       for s, r, _ in y.terms if sg.leq(r, q))]
 
     def interior_columns(self, y: NTElement) -> list[int]:
-        sys = self.system
-        cols = []
-        for q in self.interior_fibers(y):
-            base = self.offsets[q]
-            cols.extend(range(base, base + sys.basis_count(q)))
-        return cols
+        return [self.offsets[q] + i for q in self.interior_fibers(y)
+                for i in range(self.system.basis_count(q))]
 
     def product_defect(self, x: NTElement, y: NTElement) -> tuple[float, int]:
         """Max entry deviation of represent(x y) from represent(x)
@@ -135,78 +157,54 @@ class TruncatedFock:
         cols = self.interior_columns(y)
         if not cols:
             return 0.0, 0
-        lhs = self.represent(x * y)[:, cols]
-        rhs = (self.represent(x) @ self.represent(y))[:, cols]
-        return float(np.abs(lhs - rhs).max()), len(cols)
+        ys = list(self._maps(y))
+        # y, then x, applied to the interior columns, subtracted from x y
+        rhs = ((g[h], -v * w) for g, v in self._maps(x) for h, w in ys)
+        diff = self._matrix(chain(self._maps(x * y), rhs), np.array(cols))
+        return float(np.abs(diff).max()), len(cols)
+
+    def _rank_one(self, xi: ModuleVector, eta: ModuleVector) -> list:
+        if xi.fiber != eta.fiber:
+            raise ValueError("rank-one data must share a fiber")
+        n = self.system.basis_count(xi.fiber)
+        block = np.zeros((n, n), dtype=complex)
+        block[np.ix_(list(xi.entries), list(eta.entries))] = np.outer(
+            [_scalar(c) for c in xi.entries.values()],
+            np.conj([_scalar(c) for c in eta.entries.values()]),
+        )
+        return self._lift(xi.fiber, block)
 
     def rank_one_matrix(self, xi: ModuleVector, eta: ModuleVector) -> np.ndarray:
         """The operator theta_(xi,eta) on the fiber at s, lifted to every
         window fiber above s."""
-        if xi.fiber != eta.fiber:
-            raise ValueError("rank-one data must share a fiber")
-        s = xi.fiber
-        n = self.system.basis_count(s)
-        block = np.zeros((n, n), dtype=complex)
-        for j, c in xi.entries.items():
-            wj = _scalar(c)
-            if wj == 0:
-                continue
-            for i, c2 in eta.entries.items():
-                wi = _scalar(c2)
-                if wi != 0:
-                    block[j, i] += wj * wi.conjugate()
-        return self.lift_matrix(s, block)
+        return self._matrix(self._rank_one(xi, eta))
+
+    def _lift(self, w: int, block: np.ndarray) -> list:
+        # entry (a, b) of the block acts as block[a, b] l(1_a) l(1_b)*
+        return [(self.image(w, a)[self._coimage(w, b)], block[a, b])
+                for a, b in zip(*np.nonzero(block))]
 
     def lift_matrix(self, w: int, block: np.ndarray) -> np.ndarray:
         """Extend an operator on the fiber at w to all window fibers q
         above w, acting on the w-leg of the index splitting."""
-        sys = self.system
-        sg = sys.semigroup
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        rows, cols = np.nonzero(block)
-        for q in self.trunc.values:
-            if not sg.leq(w, q):
-                continue
-            qq = sg.quotient(q, w)
-            base = self.offsets[q]
-            for a, b in zip(rows, cols):
-                for i2 in range(sys.basis_count(qq)):
-                    out[
-                        base + sys.index_map(w, qq, int(a), i2),
-                        base + sys.index_map(w, qq, int(b), i2),
-                    ] += block[a, b]
-        return out
+        return self._matrix(self._lift(w, block))
 
-    def nica_defect(
-        self,
-        xi: ModuleVector,
-        eta: ModuleVector,
-        zeta: ModuleVector,
-        kappa: ModuleVector,
-    ) -> float:
+    def nica_defect(self, xi: ModuleVector, eta: ModuleVector,
+                    zeta: ModuleVector, kappa: ModuleVector) -> float:
         """Deviation of theta_(xi,eta) theta_(zeta,kappa) from the lifted
         product over the join fiber, on window fibers above the join."""
-        sg = self.system.semigroup
-        s, r = xi.fiber, zeta.fiber
-        w = sg.lub(s, r)
+        w = self.system.semigroup.lub(xi.fiber, zeta.fiber)
         if w not in self.trunc:
             raise ValueError("join fiber outside the window")
-        a = self.rank_one_matrix(xi, eta)
-        b = self.rank_one_matrix(zeta, kappa)
-        prod = a @ b
-
-        m1 = self._block_on(w, a)
-        m2 = self._block_on(w, b)
-        lifted = self.lift_matrix(w, m1 @ m2)
-
-        # both are block diagonal over the window fibers, and lifted is zero
-        # on fibers not above the join, where the product must vanish too
-        return float(np.abs(prod - lifted).max())
-
-    def _block_on(self, w: int, full: np.ndarray) -> np.ndarray:
+        zk = self._rank_one(zeta, kappa)
+        prod = self._matrix((g[h], u * v) for g, u in self._rank_one(xi, eta) for h, v in zk)
+        # both factors are block diagonal over the window fibers, so the
+        # product's block at the join is the product of their blocks; the
+        # lift is zero on fibers not above the join, where prod must vanish
         base = self.offsets[w]
         n = self.system.basis_count(w)
-        return full[base : base + n, base : base + n]
+        lifted = self.lift_matrix(w, prod[base : base + n, base : base + n])
+        return float(np.abs(prod - lifted).max())
 
     # -- the Gibbs state ----------------------------------------------------
 
@@ -216,7 +214,9 @@ class TruncatedFock:
         Matches the truncated series state exactly (same window, no
         compression loss on diagonals).
         """
-        diag = np.diagonal(self.represent(y.core_expectation()))
+        diag = np.zeros(self.dim, dtype=complex)
+        for g, w in self._maps(y.core_expectation()):
+            diag[g[:-1] == self._columns] += w
         num = 0.0 + 0.0j
         zeta = 0.0
         for s in self.trunc.values:

@@ -285,7 +285,7 @@ class NTElement:
     # -- inspection -------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, int, int], ModuleVector]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        return sorted(self.terms.items())
 
     def one_norm(self) -> float:
         return sum(v.one_norm() for v in self.terms.values())

@@ -5,8 +5,13 @@ a finite window of Fock fibers, with no symbolic arithmetic involved.
 Agreement between matrix products and star products, and between Gibbs
 diagonals and the truncated series state, is therefore independent
 evidence for the normal-form engine rather than a restatement of it.
+
+The oracle stores creation operators as index arrays and never forms a
+dense product; the dense definitions live here, and the parity tests
+hold the oracle to them entry for entry.
 """
 
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -17,9 +22,91 @@ from ntkms.fock import FOCK_DIMENSION_CAP, TruncatedFock
 from ntkms.nt import NTElement
 from ntkms.product_system import AffineToeplitzSystem, CuntzSystem
 from ntkms.states import KMSContext
-from ntkms.verify import sample_element, sample_vector
+from ntkms.verify import (
+    check_fock_nica,
+    check_fock_product,
+    check_fock_state,
+    sample_element,
+    sample_vector,
+)
 
 CUNTZ = CuntzSystem(2)
+DATA = Path(__file__).parent / "data"
+
+
+# -- the dense definitions ------------------------------------------------------
+
+
+def dense_creation_vector(fock, xi):
+    out = np.zeros((fock.dim, fock.dim), dtype=complex)
+    for j, c in xi.entries.items():
+        out += c.terms.get((), 0j) * fock.creation(xi.fiber, j)
+    return out
+
+
+def dense_represent(fock, y):
+    """Sum over the sorted terms of l(xi) l(1_l)^*, as dense matrix products."""
+    out = np.zeros((fock.dim, fock.dim), dtype=complex)
+    for (s, r, l), vec in y.sorted_terms():
+        out += dense_creation_vector(fock, vec) @ fock.creation(r, l).conj().T
+    return out
+
+
+def dense_product_defect(fock, x, y):
+    cols = fock.interior_columns(y)
+    if not cols:
+        return 0.0, 0
+    lhs = dense_represent(fock, x * y)[:, cols]
+    rhs = (dense_represent(fock, x) @ dense_represent(fock, y))[:, cols]
+    return float(np.abs(lhs - rhs).max()), len(cols)
+
+
+def dense_state_value(fock, y, beta):
+    diag = np.diagonal(dense_represent(fock, y.core_expectation()))
+    num = 0.0 + 0.0j
+    zeta = 0.0
+    for s in fock.trunc.values:
+        w = fock.system.weight(s) ** (-beta)
+        base = fock.offsets[s]
+        n = fock.system.basis_count(s)
+        num += w * complex(np.sum(diag[base : base + n]))
+        zeta += w * n
+    return num / zeta
+
+
+@pytest.mark.parametrize("k, bound, fibers", [(2, 5, (0, 1, 2)), (3, 4, (0, 1))])
+def test_oracle_matches_the_dense_definitions_exactly(k, bound, fibers):
+    system = CuntzSystem(k)
+    fock = TruncatedFock(system, bound)
+    rng = Random(29 + k)
+    for _ in range(50):
+        x = sample_element(rng, system, fibers)
+        y = sample_element(rng, system, fibers)
+        # the commutator's terms cancel in the matrix, entry by entry
+        for z in (x, x.adjoint(), x * y, x * y - y * x):
+            assert np.array_equal(fock.represent(z), dense_represent(fock, z))
+        assert fock.product_defect(x, y) == dense_product_defect(fock, x, y)
+        assert fock.state_value(x * y, 3.0) == dense_state_value(fock, x * y, 3.0)
+
+
+def test_creation_operators_are_cached_as_index_arrays():
+    fock = TruncatedFock(CUNTZ, 4)
+    img = fock.image(2, 1)
+    assert img.dtype.kind == "i" and img.shape == (fock.dim + 1,)
+    assert img is fock.image(2, 1)
+    # the dense matrix is a view built on each call, not a cached array
+    assert fock.creation(2, 1) is not fock.creation(2, 1)
+    mat = fock.creation(2, 1)
+    cols = np.flatnonzero(img[:-1] >= 0)
+    assert np.count_nonzero(mat) == len(cols) and (mat[img[cols], cols] == 1).all()
+
+
+def test_fock_checks_on_cuntz_3_match_the_golden_lines():
+    """Recorded with the dense oracle: the floats must not move."""
+    system = CuntzSystem(3)
+    lines = [check(system, seed=7).json_line() + "\n"
+             for check in (check_fock_product, check_fock_state, check_fock_nica)]
+    assert "".join(lines) == (DATA / "fock-cuntz-3.jsonl").read_text()
 
 
 def test_needs_scalar_coefficients():
