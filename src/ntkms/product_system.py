@@ -173,10 +173,22 @@ class CheckReport:
         payload = {
             "check": self.name,
             "passed": self.passed,
-            "metrics": self.metrics,
+            "metrics": _strict_json(self.metrics),
             "detail": self.detail,
         }
         return json.dumps(payload, sort_keys=True)
+
+
+def _strict_json(v):
+    """v with each non-finite float as the string "nan", "inf" or "-inf",
+    since strict JSON has no NaN or Infinity."""
+    if isinstance(v, float) and not np.isfinite(v):
+        return str(float(v))
+    if isinstance(v, dict):
+        return {k: _strict_json(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict_json(x) for x in v]
+    return v
 
 
 class ProductSystem:

@@ -333,6 +333,16 @@ def test_verify_state_stdout_matches_the_golden_lines(capsys, name):
     assert out == (DATA / f"states-{name}.jsonl").read_text()
 
 
+@pytest.mark.parametrize("name", STATE_RUNS)
+def test_verify_ground_stdout_matches_the_golden_lines(capsys, name):
+    """The ground and euler suites' whole stdout, floats included, is
+    compared byte for byte with a recorded run."""
+    code, out, _ = run(capsys, "verify", "--seed", "7", "--suite", "ground", "--suite", "euler",
+                       *STATE_RUNS[name])
+    assert code == 0
+    assert out == (DATA / f"ground-{name}.jsonl").read_text()
+
+
 def test_verify_rejects_bad_thread_and_suite_requests(capsys, tmp_path):
     # "threads" is not a config key
     cfg = tmp_path / "threads.json"

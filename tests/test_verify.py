@@ -8,10 +8,12 @@ corrupted one must come back with the structural failure named, and the
 reports themselves must serialise deterministically.
 """
 
+import ast
 import json
 import math
 import time
-from itertools import islice
+from itertools import count, islice
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -270,8 +272,9 @@ def test_fock_product_fails_on_a_corrupted_index_map():
     # the oracle builds its creation operators from the index maps
     rep = check_fock_product(CUNTZ.corrupted(1, 1, (0, 0), (1, 0)), seed=7)
     assert not rep.passed
-    assert rep.metrics == {"columns": 63, "defect": pytest.approx(2.23606797749979),
-                           "tolerance": 1e-12}
+    assert rep.metrics == {"law": "multiplicative", "sample": 2, "columns": 63,
+                           "deviation": pytest.approx(2.23606797749979), "tolerance": 1e-12,
+                           "samples": 100, "dim": 63, "bound": 5}
 
 
 def test_kms_condition_check_small():
@@ -289,12 +292,16 @@ def test_scaling_identity_check_small():
 
 def test_ground_checks_small():
     trace = haar_trace(AFFINE.engine)
+    # passing means at least 6 nonzero corner values (the informative
+    # floor) and every final KMS value within 1e-4 of the ground value
     rep = check_ground(AFFINE, trace)
     assert rep.passed
-    assert rep.metrics["nonzero_cases"] >= 4
+    assert rep.metrics["samples"] == 60
+    assert rep.metrics["worst_deviation"] <= rep.metrics["tolerance_at_worst"]
     lim = check_ground_limit(AFFINE, trace, bound=400)
     assert lim.passed
-    assert lim.metrics["final_max_diff"] <= 1e-4
+    assert lim.metrics["monomials"] == 10
+    assert lim.metrics["worst_deviation"] <= lim.metrics["tolerance_at_worst"]
 
 
 def test_ground_fails_when_the_dynamics_reads_im_z_off(monkeypatch):
@@ -308,11 +315,11 @@ def test_ground_fails_when_the_dynamics_reads_im_z_off(monkeypatch):
         monkeypatch.setattr(NTElement, "dynamics", lambda self, z: dynamics(self, fault(z)))
         rep = check_ground(AFFINE, haar_trace(AFFINE.engine))
         assert not rep.passed
-        assert rep.detail == "value under the complexified dynamics"
-        assert rep.metrics == {"sample": 2, "got": pytest.approx(got, rel=1e-9),
-                               "expected": pytest.approx([0.778243830196957, 1.2260064905512045],
-                                                         rel=1e-9)}
-        # the pairs [re, im] keep the failing report printable as JSON
+        # |base| = 6 at sample 2, so the tolerance is 6e-9
+        expected = complex(0.778243830196957, 1.2260064905512045)
+        assert rep.metrics == {"law": "dynamics", "sample": 2, "samples": 60, "trace": "haar",
+                               "deviation": pytest.approx(abs(complex(*got) - expected), rel=1e-9),
+                               "tolerance": pytest.approx(6e-9)}
         json.loads(rep.json_line())
 
 
@@ -332,15 +339,219 @@ def test_ground_fails_when_the_dynamics_reads_re_z_off(monkeypatch, system, trac
     monkeypatch.setattr(NTElement, "dynamics", lambda self, z: dynamics(self, z + 1e-8))
     rep = check_ground(system, trace)
     assert not rep.passed
-    assert rep.detail == "value under the complexified dynamics"
+    assert rep.metrics["law"] == "dynamics"
 
 
 def test_euler_check_applies_only_to_power_profiles():
     rep = check_euler(AFFINE, beta=3.0)
     assert rep.passed
-    assert rep.metrics["gap"] <= max(rep.metrics["allowed"], 1e-3)
+    assert rep.metrics["worst_deviation"] <= rep.metrics["tolerance_at_worst"]
+    assert rep.metrics["tolerance_at_worst"] == max(rep.metrics["allowed"], 1e-3)
     skipped = check_euler(CUNTZ)
     assert skipped.passed and skipped.metrics.get("skipped")
+
+
+# -- the comparison-stream laws of ground, ground-limit, euler and Fock product -
+
+
+HAAR = haar_trace(AFFINE.engine)
+
+
+def _ground_values(monkeypatch, fault):
+    """Route each ground_state value verify reads through fault(y, value)."""
+    ground = verify.ground_state
+
+    def faulty(system, trace, y):
+        v = ground(system, trace, y)
+        return StateValue(fault(y, v.value), v.tail, v.truncation)
+
+    monkeypatch.setattr(verify, "ground_state", faulty)
+
+
+def _unit_value_off(monkeypatch):
+    _ground_values(monkeypatch, lambda y, v: v + 1e-12)
+    return check_ground(AFFINE, HAAR)
+
+
+class _ReversedDynamics(AffineToeplitzSystem):
+    """sigma_t runs backwards: N(q)^(-1) as the weight."""
+
+    def weight(self, q):
+        return 1.0 / super().weight(q)
+
+
+def _dynamics_reversed(monkeypatch):
+    return check_ground(_ReversedDynamics(), HAAR)
+
+
+def _dynamics_grows(monkeypatch):
+    # 9e-10 relative sits inside the dynamics law's tolerance of 1e-9
+    # max(1, |base|), but where N(s) = N(r) the dynamics fixes the value,
+    # so |shifted| exceeds |base| by more than 1e-9 once |base| > 1.12
+    dynamics = NTElement.dynamics
+    monkeypatch.setattr(NTElement, "dynamics", lambda self, z: dynamics(self, z).scale(1 + 9e-10))
+    return check_ground(AFFINE, HAAR)
+
+
+def _corner_values_zero(monkeypatch):
+    unit = NTElement.unit(AFFINE)
+    _ground_values(monkeypatch, lambda y, v: v if y == unit else 0j)
+    return check_ground(AFFINE, HAAR)
+
+
+def _one_ground_value_off(monkeypatch):
+    calls = count()  # ground-limit reads one ground value per monomial, in order
+    _ground_values(monkeypatch, lambda y, v: v + (1e-3 if next(calls) == 2 else 0.0))
+    return check_ground_limit(AFFINE, HAAR, bound=400)
+
+
+def _kms_stuck_from_5_to_10(monkeypatch):
+    class Stuck(KMSContext):
+        def __init__(self, system, trace, beta, bound):
+            super().__init__(system, trace, 5.0 if beta == 10.0 else beta, bound)
+
+    monkeypatch.setattr(verify, "KMSContext", Stuck)
+    return check_ground_limit(AFFINE, HAAR, bound=400)
+
+
+def _euler_product_high(monkeypatch):
+    product = verify.euler_product
+    monkeypatch.setattr(verify, "euler_product", lambda e, bound: 1.01 * product(e, bound))
+    return check_euler(AFFINE)
+
+
+def _no_interior_columns(monkeypatch):
+    monkeypatch.setattr(TruncatedFock, "interior_columns", lambda self, y: [])
+    return check_fock_product(CUNTZ)
+
+
+GROUND = {"samples": 60, "trace": "haar"}
+LIMIT = {"betas": [5.0, 10.0, 20.0], "monomials": 10, "trace": "haar"}
+FAULTS = {
+    "unit": (_unit_value_off, {**GROUND, "law": "unit", "deviation": (1 + 1e-12) - 1,
+                               "tolerance": 0.0}),
+    "contracting": (_dynamics_reversed, {**GROUND, "law": "contracting", "sample": 2, "s": 3,
+                                         "r": 1, "deviation": 6.0, "tolerance": 1e-12}),
+    "bounded": (_dynamics_grows, {**GROUND, "law": "bounded", "sample": 0,
+                                  "deviation": pytest.approx(1.44e-8, rel=1e-6),
+                                  "tolerance": 1e-9}),
+    "ground-informative": (_corner_values_zero, {**GROUND, "law": "informative", "floor": 6,
+                                                 "deviation": 6, "tolerance": 0.0}),
+    "final": (_one_ground_value_off, {**LIMIT, "law": "final", "monomial": 2,
+                                      "deviation": pytest.approx(1e-3, rel=1e-9),
+                                      "tolerance": 1e-4}),
+    "geometric": (_kms_stuck_from_5_to_10, {**LIMIT, "law": "geometric", "monomial": 4,
+                                            "beta_from": 5.0, "beta_to": 10.0,
+                                            "deviation": pytest.approx(0.03125, rel=1e-7),
+                                            "tolerance": pytest.approx(0.015625, rel=1e-7)}),
+    "euler": (_euler_product_high, {"law": "euler", "deviation": pytest.approx(0.0164340331050159),
+                                    "tolerance": 1e-3,
+                                    "allowed": pytest.approx(0.00033001648470109705),
+                                    "beta": 3.0, "prime_bound": 10**4, "series_bound": 10**6}),
+    "fock-informative": (_no_interior_columns, {"law": "informative", "floor": 50,
+                                                "deviation": 50, "tolerance": 0.0,
+                                                "samples": 100, "dim": 63, "bound": 5}),
+}
+
+
+@pytest.mark.parametrize("law", FAULTS)
+def test_each_comparison_law_fails_on_its_fault(monkeypatch, law):
+    fault, metrics = FAULTS[law]
+    rep = fault(monkeypatch)
+    assert (rep.passed, rep.detail) == (False, "")
+    assert rep.metrics == metrics
+
+
+def _nan_ground_values(monkeypatch):
+    unit = NTElement.unit(AFFINE)
+    _ground_values(monkeypatch, lambda y, v: v if y == unit else complex(math.nan, 0.0))
+
+
+def _nan_in_ground(monkeypatch):
+    _nan_ground_values(monkeypatch)
+    return check_ground(AFFINE, HAAR)
+
+
+def _nan_in_ground_limit(monkeypatch):
+    _nan_ground_values(monkeypatch)
+    return check_ground_limit(AFFINE, HAAR, bound=400)
+
+
+def _nan_euler_product(monkeypatch):
+    monkeypatch.setattr(verify, "euler_product", lambda e, bound: math.nan)
+    return check_euler(AFFINE)
+
+
+def _nan_product_defect(monkeypatch):
+    monkeypatch.setattr(TruncatedFock, "product_defect", lambda self, x, y: (math.nan, 31))
+    return check_fock_product(CUNTZ)
+
+
+NAN_FAULTS = {
+    "ground": (_nan_in_ground, {**GROUND, "law": "positivity", "sample": 0, "tolerance": 1e-9}),
+    "ground-limit": (_nan_in_ground_limit, {**LIMIT, "law": "final", "monomial": 0,
+                                            "tolerance": 1e-4}),
+    "euler-product": (_nan_euler_product, {"law": "euler", "tolerance": 1e-3, "beta": 3.0,
+                                           "allowed": pytest.approx(0.00033001648470109705),
+                                           "prime_bound": 10**4, "series_bound": 10**6}),
+    "fock-product": (_nan_product_defect, {"law": "multiplicative", "sample": 0, "columns": 31,
+                                           "tolerance": 1e-12, "samples": 100, "dim": 63,
+                                           "bound": 5}),
+}
+
+
+def _refuse(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+@pytest.mark.parametrize("check", NAN_FAULTS)
+def test_a_nan_fails_every_comparison_check(monkeypatch, check):
+    # NaN compares false both ways, so a hand-written "dev > tol" let it pass
+    fault, metrics = NAN_FAULTS[check]
+    rep = fault(monkeypatch)
+    assert not rep.passed
+    assert math.isnan(rep.metrics["deviation"])
+    assert {k: v for k, v in rep.metrics.items() if k != "deviation"} == metrics
+    line = json.loads(rep.json_line(), parse_constant=_refuse)
+    assert line["metrics"]["deviation"] == "nan"
+
+
+def test_ground_limit_fails_on_a_nan_kms_value_before_the_last_beta(monkeypatch):
+    # a NaN difference at beta 5 gives the halving law a NaN tolerance,
+    # which fails even the exact beta-10 value of the first monomial
+    kms = KMSContext.kms
+    nan = StateValue(complex(math.nan, 0.0), 0.0, 0)
+    monkeypatch.setattr(KMSContext, "kms",
+                        lambda self, y: nan if self.beta == 5.0 else kms(self, y))
+    rep = check_ground_limit(AFFINE, HAAR, bound=400)
+    assert not rep.passed
+    assert math.isnan(rep.metrics["tolerance"])
+    assert {k: v for k, v in rep.metrics.items() if k != "tolerance"} == {
+        **LIMIT, "law": "geometric", "monomial": 0, "beta_from": 5.0, "beta_to": 10.0,
+        "deviation": 0.0}
+
+
+def test_json_lines_print_non_finite_metrics_as_strings():
+    rep = CheckReport("state:x", False, {"deviation": math.inf, "got": [-math.inf, math.nan, 1.5],
+                                         "where": {"tail": math.nan}, "samples": 3})
+    line = json.loads(rep.json_line(), parse_constant=_refuse)
+    assert line["metrics"] == {"deviation": "inf", "got": ["-inf", "nan", 1.5],
+                               "where": {"tail": "nan"}, "samples": 3}
+
+
+def test_only_compare_and_skipped_checks_build_a_check_report():
+    """Every other verify report is a witness stream or a comparison stream."""
+    tree = ast.parse(Path(verify.__file__).read_text())
+    built = sorted(
+        (node.name, None if node.name == "_compare" else ast.unparse(call.args[2]))
+        for node in tree.body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id == "CheckReport")
+    skipped = "{'skipped': True}"
+    assert built == [("_compare", None), ("_compare", None),
+                     ("check_core_trace_property", skipped), ("check_euler", skipped),
+                     ("check_inclusion_exclusion", skipped), ("check_reconstruction", skipped)]
 
 
 def test_fock_checks_refuse_matrix_engines():
