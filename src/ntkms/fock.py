@@ -166,13 +166,9 @@ class TruncatedFock:
     def _rank_one(self, xi: ModuleVector, eta: ModuleVector) -> list:
         if xi.fiber != eta.fiber:
             raise ValueError("rank-one data must share a fiber")
-        n = self.system.basis_count(xi.fiber)
-        block = np.zeros((n, n), dtype=complex)
-        block[np.ix_(list(xi.entries), list(eta.entries))] = np.outer(
-            [_scalar(c) for c in xi.entries.values()],
-            np.conj([_scalar(c) for c in eta.entries.values()]),
-        )
-        return self._lift(xi.fiber, block)
+        w = xi.fiber
+        return [(self.image(w, a)[self._coimage(w, b)], _scalar(x) * _scalar(y).conjugate())
+                for a, x in xi.entries.items() for b, y in eta.entries.items()]
 
     def rank_one_matrix(self, xi: ModuleVector, eta: ModuleVector) -> np.ndarray:
         """The operator theta_(xi,eta) on the fiber at s, lifted to every

@@ -332,7 +332,4 @@ def diagonal(s: int, r: int) -> bool:
 
 def unit_projection(system: ProductSystem, s: int) -> NTElement:
     """alpha_s(1) = sum_j i_s(1_j) i_s(1_j)*, the range projection."""
-    return NTElement(
-        system,
-        {(s, s, j): system.basis_vector(s, j) for j in range(system.basis_count(s))},
-    )
+    return NTElement.unit(system).alpha(s)

@@ -26,7 +26,9 @@ with ``{"skipped": True}``.
 
 Each check runs in one configuration, the one ``ntkms verify`` uses:
 sample counts, windows and tolerances are constants of the check, and
-run_suites passes the run's beta, bound and seed.
+run_suites passes the run's beta, bound and seed.  It builds the default
+traces once per call, inclusion-exclusion one per sample, and each build
+runs eigvalsh on the trace's Gram matrix.
 
 Random inputs use seeded generators and Gaussian-integer coefficients.
 Integer real and imaginary parts keep products exactly representable in
@@ -42,7 +44,9 @@ same objects to later readers: every trace compares the same floats as
 a run of its own.  scaling-identity has no samples and rebuilds its
 basis vectors per trace.  state:ground keeps its own generator: its
 samples skip an rng draw on a zero corner value, which depends on the
-trace, so they differ from trace to trace.
+trace, so they differ from trace to trace.  reconstruct_trace returns
+tau(a), or None (a NaN to trace-recovery) when a has a zero-degree
+monomial and is not a unit multiple.
 """
 
 from __future__ import annotations
@@ -50,10 +54,9 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass
 from itertools import islice
 from random import Random
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .coeff import (
     CoefficientElement,
@@ -71,7 +74,6 @@ from .states import (
     euler_product,
     euler_truncation_gap,
     ground_state,
-    primes_up_to,
     zeta_series,
 )
 
@@ -98,7 +100,6 @@ __all__ = [
     "inclusion_exclusion_residual",
     "lambda_weight",
     "reconstruct_trace",
-    "ReconstructionResult",
     "reconstruction_monomials",
     "run_suites",
     "SUITE_NAMES",
@@ -203,8 +204,7 @@ def sample_element(
 
 
 def _small_fibers(system: ProductSystem) -> tuple[int, ...]:
-    vals = TruncationSet(system.semigroup, 4).values
-    return tuple(vals[:4]) if len(vals) >= 2 else vals
+    return TruncationSet(system.semigroup, 4).values[:4]
 
 
 # -- structure --------------------------------------------------------------
@@ -560,6 +560,13 @@ def lambda_weight(
     return system.weight(s) ** (-beta) * trace.eval(system.fiber_trace(s, a))
 
 
+def _subset_products(primes: Sequence[int]) -> list[tuple[int, int]]:
+    """(|J|, p_J) for every subset J of the primes, in bitmask order from
+    the empty set."""
+    return [(bin(mask).count("1"), math.prod(p for i, p in enumerate(primes) if mask >> i & 1))
+            for mask in range(1 << len(primes))]
+
+
 def inclusion_exclusion_residual(fprimes: tuple[int, ...], lam: dict[int, complex]) -> complex:
     """The alternating identity over the join closure of the prime set.
 
@@ -567,12 +574,7 @@ def inclusion_exclusion_residual(fprimes: tuple[int, ...], lam: dict[int, comple
     cancel exactly for any weights; a nonzero residual means the closure
     or the divisibility bookkeeping is wrong.
     """
-    ps = tuple(sorted(fprimes))
-    subsets = []
-    for mask in range(1, 1 << len(ps)):
-        sub = [p for i, p in enumerate(ps) if mask & (1 << i)]
-        prod = math.prod(sub)
-        subsets.append((len(sub), prod))
+    subsets = _subset_products(sorted(fprimes))[1:]
     closure = sorted({prod for _, prod in subsets})
     first = sum(lam[p] for _, p in subsets)
     second = 0.0 + 0.0j
@@ -610,16 +612,13 @@ def check_inclusion_exclusion(
                 gamma[rng.randrange(system.engine.d)] = d * rng.choice((1, -1))
                 a = CoefficientElement.monomial(system.engine, tuple(gamma), _gauss_int(rng))
             # the angle(s) come before the 2-way choice, and only the kept trace is built
-            theta = (rng.uniform(0, 6) if system.engine.degree_dim == 1
-                     else tuple(rng.uniform(0, 6) for _ in range(system.engine.d)))
+            theta = tuple(rng.uniform(0, 6) for _ in range(system.engine.degree_dim))
             if rng.choice((False, True)):
                 trace = point_mass_trace(system.engine, theta)
             else:
                 trace = haar_trace(system.engine)
-            needed = set()
-            for mask in range(1, 1 << len(ps)):
-                needed.add(math.prod(p for n, p in enumerate(ps) if mask & (1 << n)))
-            lam = {s: lambda_weight(system, trace, beta, s, a) for s in needed}
+            lam = {s: lambda_weight(system, trace, beta, s, a)
+                   for _, s in _subset_products(ps)[1:]}
             yield (inclusion_exclusion_residual(ps, lam), 0.0, 1e-9,
                    {"primes": list(ps), "sample": i})
 
@@ -627,28 +626,24 @@ def check_inclusion_exclusion(
                     samples=50, sizes=sizes, beta=beta)
 
 
-@dataclass
-class ReconstructionResult:
-    applicable: bool
-    value: Optional[complex]
-    expected: complex
-    error: Optional[float]
-    fprimes: tuple[int, ...]
-    reason: str = ""
-
-
-def _monomial_gcd(engine, mon: tuple) -> int:
-    deg = engine.degree(mon)
-    return math.gcd(*(abs(c) for c in deg)) if deg else 0
-
-
 def _degree_primes(a: CoefficientElement) -> Optional[list[int]]:
-    """The primes dividing the degree gcds of a's monomials, or None
-    when one of them has degree zero."""
-    degs = [_monomial_gcd(a.engine, mon) for mon in a.terms]
-    if any(g == 0 for g in degs):
-        return None
-    return sorted({p for g in degs for p in _prime_factors(g)})
+    """The primes dividing the degree gcds of a's monomials, ascending, by
+    trial division; None when one of them has degree zero."""
+    primes = set()
+    for mon in a.terms:
+        g = math.gcd(*a.engine.degree(mon))
+        if g == 0:
+            return None
+        p = 2
+        while p * p <= g:
+            if g % p == 0:
+                primes.add(p)
+                while g % p == 0:
+                    g //= p
+            p += 1
+        if g > 1:
+            primes.add(g)
+    return sorted(primes)
 
 
 def recovery_products(system: ProductSystem, a: CoefficientElement) -> list[NTElement]:
@@ -659,62 +654,35 @@ def recovery_products(system: ProductSystem, a: CoefficientElement) -> list[NTEl
     if fprimes is None:
         return []
     x = NTElement.embed_coeff(system, a)
-    return [x.product(unit_projection(
-                system, math.prod(p for i, p in enumerate(fprimes) if mask & (1 << i))), diagonal)
-            for mask in range(1 << len(fprimes))]
+    return [x.product(unit_projection(system, pj), diagonal)
+            for _, pj in _subset_products(fprimes)]
 
 
 def reconstruct_trace(
     ctx: KMSContext,
     a: CoefficientElement,
     products: Optional[list[NTElement]] = None,
-) -> ReconstructionResult:
+) -> Optional[complex]:
     """Recover tau(a) from the KMS state ctx by prime inclusion-exclusion.
 
     zeta * sum over J subsets of the degree primes of (-1)^|J| omega(
     i_e(a) alpha_(p_J)(1)) kills every fiber contribution except the
     identity one, leaving tau(a); products are recovery_products(a),
-    computed here when not given.  Elements with a zero-degree monomial
-    other than a unit multiple contribute to every fiber at once, so no
-    finite prime set works and the result is marked not applicable.
-    The expected value is tau(a) under ctx's own trace.
+    computed here when not given.  A unit multiple is its own value.
+    Any other element with a zero-degree monomial contributes to every
+    fiber at once, so no finite prime set works and the result is None.
     """
-    expected = ctx.trace.eval(a)
     if a.is_unit_multiple():
-        weight = a.terms.get(a.engine.unit(), 0.0 + 0.0j)
-        return ReconstructionResult(True, weight, expected, abs(weight - expected), ())
-    fprimes = _degree_primes(a)
-    if fprimes is None:
-        return ReconstructionResult(
-            False, None, expected, None, (),
-            "zero-degree monomial present: every fiber weight is nonzero",
-        )
+        return a.terms.get(a.engine.unit(), 0.0 + 0.0j)
     if products is None:
         products = recovery_products(ctx.system, a)
+    if not products:
+        return None
     total = 0.0 + 0.0j
     for mask, y in enumerate(products):
         sign = -1.0 if bin(mask).count("1") % 2 else 1.0
         total += sign * ctx.omega(y).value
-    value = ctx.zeta * total
-    return ReconstructionResult(
-        True, value, expected, abs(value - expected), tuple(fprimes)
-    )
-
-
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    m = n
-    for p in primes_up_to(max(2, int(n**0.5) + 1)) + (n,):
-        if p < 2:
-            continue
-        while m % p == 0:
-            out.append(p)
-            m //= p
-        if m == 1:
-            break
-    if m > 1:
-        out.append(m)
-    return tuple(sorted(set(out)))
+    return ctx.zeta * total
 
 
 def reconstruction_monomials(engine) -> list[CoefficientElement]:
@@ -766,11 +734,10 @@ def check_reconstruction(
 
     def recoveries():
         for a, products in zip(family, draw):
-            res = reconstruct_trace(ctx, a, products)
+            value = reconstruct_trace(ctx, a, products)
             # every member is applicable by construction; one that is not
             # has no value and fails as a NaN deviation
-            got = math.nan if res.value is None else res.value
-            yield got, trace.eval(a), 1e-2, {"monomial": repr(a)}
+            yield (math.nan if value is None else value), trace.eval(a), 1e-2, {"monomial": repr(a)}
 
     return _compare("reconstruct:trace-recovery", recoveries(), monomials=len(family),
                     trace=trace.name, beta=beta, bound=bound)
@@ -863,9 +830,7 @@ SUITE_NAMES = ("structure", "kms", "trace", "ground", "reconstruct", "euler", "a
 def default_traces(system: ProductSystem) -> list[TraceSpec]:
     if system.engine.degree_dim == 0:
         return [identity_trace()]
-    theta = 0.7 if system.engine.degree_dim == 1 else tuple(
-        0.7 for _ in range(system.engine.degree_dim)
-    )
+    theta = tuple(0.7 for _ in range(system.engine.degree_dim))
     return [haar_trace(system.engine), point_mass_trace(system.engine, theta)]
 
 

@@ -137,30 +137,38 @@ def test_inclusion_exclusion_skips_ungraded_engines():
 
 def test_reconstruct_unit_multiple_is_immediate():
     a = CoefficientElement.unit(AFFINE.engine, 2.5)
-    res = reconstruct_trace(KMSContext(AFFINE, haar_trace(AFFINE.engine), 4.0, 100), a)
-    assert res.applicable and res.fprimes == ()
-    assert res.value == 2.5 + 0j and res.error == 0.0
+    assert verify._degree_primes(a) is None
+    value = reconstruct_trace(KMSContext(AFFINE, haar_trace(AFFINE.engine), 4.0, 100), a)
+    assert value == 2.5 + 0j
 
 
 def test_reconstruct_refuses_mixed_zero_degree():
     # S S* has degree zero but is not a unit multiple: every fiber weight
     # is nonzero, so no finite prime set can isolate the identity fiber
     a = CoefficientElement.monomial(AFFINE.engine, (1, 1))
-    res = reconstruct_trace(KMSContext(AFFINE, haar_trace(AFFINE.engine), 4.0, 100), a)
-    assert not res.applicable and res.value is None
-    assert "zero-degree" in res.reason
+    assert verify.recovery_products(AFFINE, a) == []
+    assert reconstruct_trace(KMSContext(AFFINE, haar_trace(AFFINE.engine), 4.0, 100), a) is None
 
 
-@pytest.mark.parametrize("degree,primes", [(2, (2,)), (6, (2, 3)), (30, (2, 3, 5))])
+# 10^16 factors by trial division down to 1 by 2 and 5 alone, with no
+# table of the primes up to 10^8
+@pytest.mark.parametrize("degree,primes",
+                         [(2, (2,)), (6, (2, 3)), (30, (2, 3, 5)), (10**16, (2, 5))])
 def test_reconstruct_recovers_both_traces(degree, primes):
     haar = haar_trace(AFFINE.engine)
     point = point_mass_trace(AFFINE.engine, 0.0)
     a = CoefficientElement.monomial(AFFINE.engine, (degree, 0))
+    assert verify._degree_primes(a) == list(primes)
     for trace, want in ((haar, 0j), (point, 1.0 + 0j)):
-        res = reconstruct_trace(KMSContext(AFFINE, trace, 4.0, 2000), a)
-        assert res.applicable and res.fprimes == primes
-        assert abs(res.expected - want) <= 1e-12
-        assert res.error <= 1e-2
+        assert abs(trace.eval(a) - want) <= 1e-12
+        assert abs(reconstruct_trace(KMSContext(AFFINE, trace, 4.0, 2000), a) - want) <= 1e-2
+
+
+def test_degree_primes_keep_a_large_prime_cofactor():
+    a = CoefficientElement.monomial(AFFINE.engine, (2 * 10007, 0))
+    assert verify._degree_primes(a) == [2, 10007]
+    mixed = a + CoefficientElement.monomial(AFFINE.engine, (0, 9))
+    assert verify._degree_primes(mixed) == [2, 3, 10007]
 
 
 def test_reconstruction_family_shapes():
