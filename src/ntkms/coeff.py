@@ -58,7 +58,11 @@ class EngineMismatch(ValueError):
 
 
 class Engine:
-    """Base for monomial arithmetic; subclasses fix the monomial shape."""
+    """Base for monomial arithmetic; subclasses fix the monomial shape.
+
+    mul and adjoint also act elementwise on monomials given as tuples of
+    numpy int arrays, one array per component, under broadcasting.
+    """
 
     tag = "abstract"
     degree_dim = 0
@@ -93,11 +97,11 @@ class ToeplitzEngine(Engine):
         return (0, 0)
 
     def mul(self, a, b):
+        # S*^n S^p cancels min(n, p)
         m, n = a
         p, q = b
-        if p >= n:
-            return (m + p - n, q)
-        return (m, q + n - p)
+        d = p - n
+        return (m + d * (d > 0), q - d * (d < 0))
 
     def adjoint(self, a):
         return (a[1], a[0])

@@ -19,8 +19,11 @@ a coefficient engine A:
   as its one nonzero entry (v, monomial), or None.  Module products,
   fiber traces and the left-action laws, coherence included, read
   columns; ``left_matrix`` gathers them into a plain {(v, j): entry}
-  dict.  The associativity law runs on index grids, in blocks of
-  consecutive j of about 2^16 cells per triple.
+  dict.
+
+Index maps, their splits and the left columns act elementwise on numpy
+int arrays, fibers and monomial components included, so the structure
+laws run on grids over the whole window, in blocks of about 2^16 cells.
 
 Vectors in a fiber are sparse: only their nonzero coordinates over A
 relative to the orthonormal basis are stored, keyed by basis index, so
@@ -50,6 +53,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -191,6 +195,48 @@ def _strict_json(v):
     return v
 
 
+# cells per block of a structure-law grid
+_BLOCK = 2**16
+
+
+def _ragged(sizes) -> tuple[np.ndarray, np.ndarray]:
+    """(g, c) over the cells of consecutive groups of the given sizes: the
+    group of each cell and its index within the group."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    g = np.repeat(np.arange(sizes.size), sizes)
+    return g, np.arange(g.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _grid(groups: list[tuple], sizes: list[int]) -> Iterator[tuple]:
+    """The cells of consecutive groups of int fields, sizes[g] cells for
+    group g, in blocks of about _BLOCK cells (a larger group alone).
+
+    Yields (g, fields, c) per block: the group of each cell, the fields
+    of its group as one array per field, and its index within the group.
+    """
+    if not groups:
+        return
+    table = np.array(groups, dtype=np.int64)
+    lo = 0
+    while lo < len(groups):
+        hi, cells = lo + 1, sizes[lo]
+        while hi < len(groups) and cells + sizes[hi] <= _BLOCK:
+            cells += sizes[hi]
+            hi += 1
+        g, c = _ragged(sizes[lo:hi])
+        g += lo
+        yield g, table[g].T, c
+        lo = hi
+
+
+def _same(x: tuple, y: tuple):
+    """Elementwise equality of two monomials given as component arrays."""
+    out = np.True_
+    for a, b in zip(x, y):
+        out = out & (a == b)
+    return out
+
+
 class ProductSystem:
     """Base class; subclasses provide counts, index maps and left actions."""
 
@@ -207,22 +253,28 @@ class ProductSystem:
     def index_map(self, s: int, r: int, j: int, k: int) -> int:
         """m(s, r; j, k), the index in the fiber at s*r of 1_j x 1_k.
 
-        j and k may also be numpy int arrays: the map then acts
-        elementwise under broadcasting.  It never mutates its inputs.
+        Any argument, the fibers included, may also be a numpy int array:
+        the map then acts elementwise under broadcasting.  It never
+        mutates its inputs.
         """
         raise NotImplementedError
 
     def index_split(self, s: int, r: int, i: int) -> tuple[int, int]:
         """Inverse of index_map: i in the fiber at s*r as (j, k).
 
-        Like index_map, it acts elementwise on a numpy int array i and
-        never mutates it.
+        Like index_map, it acts elementwise on numpy int arrays, fibers
+        included, and never mutates them.
         """
         raise NotImplementedError
 
     def left_column(self, s: int, mon: tuple, j: int) -> Optional[tuple[int, tuple]]:
         """The one nonzero entry of column j of L_s(mon) as (nu, monomial),
-        or None when the column is zero."""
+        or None when the column is zero.
+
+        Like index_map, it acts elementwise when s, j or the components of
+        mon are numpy int arrays; the monomial is then a tuple of
+        component arrays, and nu = -1 marks a zero column.
+        """
         raise NotImplementedError
 
     def generator_monomials(self) -> list[tuple]:
@@ -301,15 +353,16 @@ class ProductSystem:
         return ModuleVector(self, self.semigroup.mul(s, r), out)
 
     def fiber_trace(self, s: int, a: CoefficientElement) -> CoefficientElement:
-        """sum_j <1_j, a . 1_j>, the unnormalised trace of L_s(a)."""
+        """sum_j <1_j, a . 1_j>, the unnormalised trace of L_s(a), read off
+        one grid of columns per monomial of a."""
+        j = np.arange(self.basis_count(s))
         out = CoefficientElement.zero(self.engine)
         for mon, w in a.terms.items():
-            diag = CoefficientElement.zero(self.engine)
-            for j in range(self.basis_count(s)):
-                col = self.left_column(s, mon, j)
-                if col is not None and col[0] == j:
-                    diag = diag + CoefficientElement.monomial(self.engine, col[1])
-            out = out + diag.scale(w)
+            nu, x = self.left_column(s, mon, j)
+            diag = np.broadcast_to(nu == j, j.shape)
+            cols = [np.broadcast_to(c, j.shape)[diag].tolist() for c in x]
+            count = Counter(zip(*cols)) if cols else {(): int(diag.sum())}
+            out = out + CoefficientElement(self.engine, count).scale(w)
         return out
 
     def generator_elements(self) -> list[CoefficientElement]:
@@ -326,121 +379,158 @@ class ProductSystem:
         structure:<law> with metrics {"bound": trunc.bound}, the first
         "witness" of a failure and, on the coprime law, the number of
         meet-trivial "pairs" in the window.  Each law is a lazy stream of
-        witnesses read by CheckReport.from_witnesses.  Index-map laws run
-        on numpy index grids, associativity in bounded blocks of j;
-        coherence reads L_(sr) one column at a time, keyed by index_split,
-        and assumes the bijectivity checked before it: a non-bijective
-        index map still fails it, with a witness that may name another cell.
+        witnesses read by CheckReport.from_witnesses.
+
+        The laws run on whole-window grids: one array call of index_map,
+        index_split or left_column covers every fiber, pair, generator
+        and index of a block of about 2^16 cells, and only a failing
+        block is searched for the witness the scalar loops would find
+        first.  Associativity runs once per (s, r), with every q of the
+        window concatenated along the l axis of its (k, l) grid.
+        Coherence reads every column of L_(sr) of every pair, keyed by
+        index_split, and assumes the bijectivity checked before it: a
+        non-bijective index map still fails it, with a witness that may
+        name another cell.
         """
         checks: list[CheckReport] = []
-        sg = self.semigroup
+        sg, eng = self.semigroup, self.engine
         e = sg.identity_value
         vals = trunc.values
-        n, im, split = self.basis_count, self.index_map, self.index_split
-        L, column, left = self.left_matrix, self._column, self.left_column
+        n, im, split, left = self.basis_count, self.index_map, self.index_split, self.left_column
         gens = self.generator_elements()
+        # component c of generator a is gen[c, a]
+        gen = np.array(self.generator_monomials(), dtype=np.int64).reshape(len(gens), -1).T
+        fibers = [(s,) for s in vals]
+        ranks = [n(s) for s in vals]
+        pairs = [(s, r, n(s), n(r)) for s in vals for r in vals]
 
         def law(name: str, witnesses: Iterable[dict], detail: str = "", **metrics) -> None:
             checks.append(CheckReport.from_witnesses(f"structure:{name}", witnesses, detail,
                                                      bound=trunc.bound, **metrics))
 
         def unit_witnesses():
-            for s in vals:
-                j = np.arange(n(s))
-                for j0 in np.flatnonzero((im(s, e, j, 0) != j) | (im(e, s, 0, j) != j))[:1]:
-                    yield {"s": s, "j": int(j0)}
+            for _, (s,), j in _grid(fibers, ranks):
+                for c in np.flatnonzero((im(s, e, j, 0) != j) | (im(e, s, 0, j) != j))[:1]:
+                    yield {"s": int(s[c]), "j": int(j[c])}
 
         def bijective_witnesses():
-            for s in vals:
-                for r in vals:
-                    ns, nr = n(s), n(r)
-                    j, k = np.indices((ns, nr)).reshape(2, -1)
-                    i = im(s, r, j, k)
-                    _, first, inv = np.unique(i, return_index=True, return_inverse=True)
-                    clash = first[inv]
-                    out = (i < 0) | (i >= ns * nr)
-                    sj, sk = split(s, r, i)
-                    flagged = out | (clash != np.arange(i.size)) | (sj != j) | (sk != k)
-                    for p in np.flatnonzero(flagged)[:1]:
-                        w = {"s": s, "r": r, "j": int(j[p]), "k": int(k[p])}
-                        v = int(i[p])
-                        if out[p] or clash[p] != p:
-                            yield {**w, "value": v,
-                                   "clash": None if out[p] else divmod(int(clash[p]), nr)}
-                        else:
-                            yield {**w, "split": split(s, r, v)}
+            # a value met twice fails the split at its first cell or at this
+            # one, so the first cell out of range or off the split is the
+            # first bad cell; only there is an earlier equal value sought
+            for _, (s, r, ns, nr), p in _grid(pairs, [ns * nr for *_, ns, nr in pairs]):
+                j, k = p // nr, p % nr
+                i = im(s, r, j, k)
+                sj, sk = split(s, r, i)
+                for x in np.flatnonzero((i < 0) | (i >= ns * nr) | (sj != j) | (sk != k))[:1]:
+                    w = {"s": int(s[x]), "r": int(r[x]), "j": int(j[x]), "k": int(k[x])}
+                    v = int(i[x])
+                    seen = np.flatnonzero(i[x - p[x]:x] == v)[:1]
+                    if not 0 <= v < ns[x] * nr[x]:
+                        yield {**w, "value": v, "clash": None}
+                    elif seen.size:
+                        yield {**w, "value": v, "clash": divmod(int(seen[0]), int(nr[x]))}
+                    else:
+                        yield {**w, "split": split(w["s"], w["r"], v)}
 
         def associative_witnesses():
+            # the (q, l) axis of every q of the window, q ascending; per r,
+            # m(r, q; k, l) on the (k, (q, l)) plane and r q along the axis
+            g, l = _ragged(ranks)
+            q = np.asarray(vals)[g]
+            plane = {r: (im(r, q, np.arange(n(r))[:, None], l), sg.mul(r, q)) for r in vals}
             for s in vals:
                 for r in vals:
-                    for q in vals:
-                        k, l = np.indices((n(r), n(q)))
-                        kl = im(r, q, k, l)
-                        # j runs in blocks of about 2^16 cells
-                        step = max(1, 2**16 // (n(r) * n(q)))
-                        for j0 in range(0, n(s), step):
-                            j = np.arange(j0, min(j0 + step, n(s)))[:, None, None]
-                            lhs = im(sg.mul(s, r), q, im(s, r, j, k), l)
-                            rhs = im(s, sg.mul(r, q), j, kl)
+                    kl, rq = plane[r]
+                    sr, ns, nr = sg.mul(s, r), n(s), n(r)
+                    # blocks of about 2^16 cells: runs of j by runs of k, the
+                    # runs of j long, since m(r, q; k, l) is read once per block
+                    rows = min(ns, max(1, _BLOCK // g.size))
+                    width = max(1, _BLOCK // (rows * g.size))
+                    worst = None
+                    for j0 in range(0, ns, rows):
+                        j = np.arange(j0, min(j0 + rows, ns))[:, None, None]
+                        for k0 in range(0, nr, width):
+                            k = np.arange(k0, min(k0 + width, nr))[:, None]
+                            lhs = im(sr, q, im(s, r, j, k), l)
+                            rhs = im(s, rq, j, kl[k0:k0 + width])
                             if not (lhs != rhs).any():
                                 continue
-                            shape = (len(j), n(r), n(q))
-                            lhs, rhs = np.broadcast_to(lhs, shape), np.broadcast_to(rhs, shape)
-                            dj, k0, l0 = np.argwhere(lhs != rhs)[0]
-                            yield {"s": s, "r": r, "q": q, "j": j0 + int(dj), "k": int(k0),
-                                   "l": int(l0), "lhs": int(lhs[dj, k0, l0]),
-                                   "rhs": int(rhs[dj, k0, l0])}
+                            # the least cell by (q, j, k, l) of the block
+                            dj, dk, dt = np.nonzero(lhs != rhs)
+                            x = np.lexsort((dt, dk, dj, g[dt]))[0]
+                            cell = (g[dt[x]], j0 + dj[x], k0 + dk[x], dt[x],
+                                    lhs[dj[x], dk[x], dt[x]], rhs[dj[x], dk[x], dt[x]])
+                            worst = cell if worst is None else min(worst, cell)
+                    if worst is not None:
+                        _, jw, kw, tw, lv, rv = (int(v) for v in worst)
+                        yield {"s": s, "r": r, "q": int(q[tw]), "j": jw, "k": kw,
+                               "l": int(l[tw]), "lhs": lv, "rhs": rv}
+
+        def unital_witnesses():
+            one = eng.unit()
+            for _, (s,), j in _grid(fibers, ranks):
+                nu, x = left(s, one, j)
+                for c in np.flatnonzero((nu != j) | ~_same(x, one))[:1]:
+                    yield {"s": int(s[c])}
+
+        def homomorphism_witnesses():
+            # column j of L_s(ab) against L_s(a) applied to column j of L_s(b)
+            sab = [(s, a, b) for s in vals for a in range(len(gens)) for b in range(len(gens))]
+            for _, (s, a, b), j in _grid(sab, [n(s) for s, _, _ in sab]):
+                nu, y = left(s, tuple(gen[:, b]), j)
+                mu, x = left(s, tuple(gen[:, a]), nu)
+                got, z = left(s, eng.mul(tuple(gen[:, a]), tuple(gen[:, b])), j)
+                zero = (nu < 0) | (mu < 0)
+                bad = ((got < 0) != zero) | (~zero & ((got != mu) | ~_same(z, eng.mul(x, y))))
+                for c in np.flatnonzero(bad)[:1]:
+                    yield {"s": int(s[c]), "a": repr(gens[a[c]]), "b": repr(gens[b[c]])}
+
+        def star_witnesses():
+            # L_s(a*) = L_s(a)*: column j of either side, (nu, x), must meet
+            # column nu of the other at (j, x*)
+            sa = [(s, a) for s in vals for a in range(len(gens))]
+            for _, (s, a), j in _grid(sa, [n(s) for s, _ in sa]):
+                bad = np.zeros(j.shape, dtype=bool)
+                for mon in (tuple(gen[:, a]), eng.adjoint(tuple(gen[:, a]))):
+                    nu, x = left(s, mon, j)
+                    back, y = left(s, eng.adjoint(mon), nu)
+                    bad |= (nu >= 0) & ((back != j) | ~_same(y, eng.adjoint(x)))
+                for c in np.flatnonzero(bad)[:1]:
+                    yield {"s": int(s[c]), "a": repr(gens[a[c]])}
 
         def coherent_witnesses():
-            # L_(sr)(a)[m(nu, u), m(j, k)] = L_r(L_s(a)[nu, j])[u, k], one
-            # column m(j, k) at a time; a split outside N_s x N_r wants a zero
-            # column.  The window stays capped: ranks grow like s^2 on
-            # lattice-dilation(2), and the pinned witnesses lie inside it
-            small = [v for v in vals if n(v) <= 12]
-            for s in small:
-                for r in small:
-                    for mon, a in zip(self.generator_monomials(), gens):
-                        cells = []
-                        for i in range(n(sg.mul(s, r))):
-                            j, k = split(s, r, i)
-                            outer = left(s, mon, j) if 0 <= j < n(s) and 0 <= k < n(r) else None
-                            inner = outer and left(r, outer[1], k)
-                            want = inner and (im(s, r, outer[0], inner[0]), inner[1])
-                            got = left(sg.mul(s, r), mon, i)
-                            if got != want:
-                                cells += [(j, *split(s, r, c[0]), k) for c in (got, want) if c]
-                        if cells:
-                            j, nu, u, k = min(cells, key=lambda c: (c[0], c[1], c[3], c[2]))
-                            yield {"s": s, "r": r, "a": repr(a),
-                                   "nu": nu, "j": j, "u": u, "k": k}
-
-        def product_column(s, a, b, j):
-            # column j of L_s(a) L_s(b): L_s(a) applied to column j of L_s(b)
-            out: dict[int, CoefficientElement] = {}
-            for nu, c in column(s, b, j).items():
-                for mu, x in column(s, a, nu).items():
-                    out[mu] = out[mu] + x * c if mu in out else x * c
-            return {mu: v for mu, v in out.items() if not v.is_zero()}
+            # L_(sr)(a)[m(nu, u), m(j, k)] = L_r(L_s(a)[nu, j])[u, k] on every
+            # column m(j, k); a split outside N_s x N_r wants a zero column
+            cells = [(*pair, a) for pair in pairs for a in range(len(gens))]
+            for g, (s, r, ns, nr, a), i in _grid(cells, [n(sg.mul(s, r)) for s, r, *_ in cells]):
+                mon = tuple(gen[:, a])
+                j, k = split(s, r, i)
+                nu, x = left(s, mon, j)
+                u, y = left(r, x, k)
+                want = im(s, r, nu, u)
+                zero = (j < 0) | (j >= ns) | (k < 0) | (k >= nr) | (nu < 0) | (u < 0)
+                got, z = left(sg.mul(s, r), mon, i)
+                bad = ((got < 0) != zero) | (~zero & ((got != want) | ~_same(z, y)))
+                for c in np.flatnonzero(bad)[:1]:
+                    fs, fr = int(s[c]), int(r[c])
+                    bad &= g == g[c]
+                    # the cells of both sides, least by (j, nu, k, u)
+                    rows = [(j[keep], *split(fs, fr, row[keep]), k[keep])
+                            for row, keep in ((got, bad & (got >= 0)), (want, bad & ~zero))]
+                    jj, nn, uu, kk = (np.concatenate(t) for t in zip(*rows))
+                    x = np.lexsort((uu, kk, nn, jj))[0]
+                    yield {"s": fs, "r": fr, "a": repr(gens[a[c]]),
+                           "nu": int(nn[x]), "j": int(jj[x]), "u": int(uu[x]), "k": int(kk[x])}
 
         law("identity-fiber-rank", [{}] if n(e) != 1 else [], f"N_e = {n(e)}")
         law("basis-count-multiplicative",
-            ({"s": s, "r": r} for s in vals for r in vals
-             if n(sg.mul(s, r)) != n(s) * n(r)))
+            ({"s": s, "r": r} for s, r, ns, nr in pairs if n(sg.mul(s, r)) != ns * nr))
         law("index-map-unit", unit_witnesses())
         law("index-map-bijective", bijective_witnesses())
         law("index-map-associative", associative_witnesses())
-
-        one = self.engine.unit()
-        law("left-action-unital",
-            ({"s": s} for s in vals
-             if any(left(s, one, j) != (j, one) for j in range(n(s)))))
-
-        law("left-action-homomorphism",
-            ({"s": s, "a": repr(a), "b": repr(b)} for s in vals for a in gens for b in gens
-             if any(column(s, a * b, j) != product_column(s, a, b, j) for j in range(n(s)))))
-        law("left-action-star",
-            ({"s": s, "a": repr(a)} for s in vals for a in gens
-             if L(s, a.adjoint()) != {(j, nu): c.adjoint() for (nu, j), c in L(s, a).items()}))
+        law("left-action-unital", unital_witnesses())
+        law("left-action-homomorphism", homomorphism_witnesses())
+        law("left-action-star", star_witnesses())
         law("left-action-coherent", coherent_witnesses())
 
         # the series code sums the profile's closed form in place of N_s; with
@@ -458,38 +548,57 @@ class ProductSystem:
         For glb(s, r) = e the same product index must never arise from
         two different (right factor) choices on either side:
         m(s,r; j, m) = m(r,s; l, g) and m(s,r; j, n) = m(r,s; l, h)
-        forces m = n and g = h.  Both maps are evaluated on index grids;
-        for each j, every value m(r,s; l, g) is looked up in the row
-        m(s,r; j, .), the last m winning where the row repeats a value,
-        and the first l with two hits is a witness with its first two.
+        forces m = n and g = h.  Both maps are evaluated on whole-window
+        grids, and every value m(r,s; l, g) is joined with each row
+        m(s,r; j, .) that holds it, the last m winning where the row
+        repeats a value.  The first (pair, j, l) with two hits is a
+        witness with its first two.
         """
-        for s, r in pairs:
-            ns, nr = self.basis_count(s), self.basis_count(r)
-            rows = self.index_map(s, r, *np.indices((ns, nr)))
-            other = self.index_map(r, s, *np.indices((nr, ns)))
-            for j, row in enumerate(rows):
-                order = np.argsort(row, kind="stable")
-                ranked = row[order]
-                # the last position of each value, so the last m wins
-                pos = np.searchsorted(ranked, other, side="right") - 1
-                hit = (pos >= 0) & (ranked[pos] == other)
-                for l in np.flatnonzero(hit.sum(axis=1) > 1)[:1]:
-                    hits = [(int(order[pos[l, g]]), int(g)) for g in np.flatnonzero(hit[l])]
-                    yield {"s": s, "r": r, "j": j, "l": int(l), "collisions": hits[:2]}
+        n, im = self.basis_count, self.index_map
+        groups = [(s, r, n(s), n(r)) for s, r in pairs]
+        for g, (s, r, ns, nr), p in _grid(groups, [ns * nr for *_, ns, nr in groups]):
+            j, m = p // nr, p % nr
+            l, h = p // ns, p % ns
+            row, other = im(s, r, j, m), im(r, s, l, h)
+            # one key per (pair, value)
+            low = min(row.min(), other.min())
+            span = max(row.max(), other.max()) - low + 1
+            rkey, okey = g * span + row - low, g * span + other - low
+            # row entries by (key, j), keeping the last m of each
+            order = np.lexsort((m, j, rkey))
+            rkey, rj, rm = rkey[order], j[order], m[order]
+            last = np.append((rkey[1:] != rkey[:-1]) | (rj[1:] != rj[:-1]), True)
+            rkey, rj, rm = rkey[last], rj[last], rm[last]
+            lo = np.searchsorted(rkey, okey, "left")
+            who, at = _ragged(np.searchsorted(rkey, okey, "right") - lo)
+            at += lo[who]
+            # the hits of each (pair, j, l), g ascending
+            hg, hj, hl = g[who], rj[at], l[who]
+            order = np.lexsort((h[who], hl, hj, hg))
+            hg, hj, hl = hg[order], hj[order], hl[order]
+            twice = np.flatnonzero((hg[1:] == hg[:-1]) & (hj[1:] == hj[:-1]) & (hl[1:] == hl[:-1]))
+            # the first such l of each (pair, j)
+            first = np.ones(twice.size, dtype=bool)
+            first[1:] = (hg[twice[1:]] != hg[twice[:-1]]) | (hj[twice[1:]] != hj[twice[:-1]])
+            for x in twice[first]:
+                hits = order[x:x + 2]
+                yield {"s": int(s[who[hits[0]]]), "r": int(r[who[hits[0]]]), "j": int(hj[x]),
+                       "l": int(hl[x]),
+                       "collisions": [(int(rm[at[y]]), int(h[who[y]])) for y in hits]}
 
     def corrupted(self, s: int, r: int, pair_a: tuple[int, int], pair_b: tuple[int, int]):
         """A copy with two index-map values swapped, for negative tests.
 
         The copy is an instance of a subclass of this system's class that
         overrides only index_map and index_split: at the fiber pair (s, r)
-        the images of pair_a and pair_b trade places, elementwise.
+        the images of pair_a and pair_b trade places, elementwise, fibers
+        included.
         """
         a, b = self.index_map(s, r, *pair_a), self.index_map(s, r, *pair_b)
 
         def swap(fs, fr, i):
-            if (fs, fr) != (s, r):
-                return i
-            out = np.where(i == a, b, np.where(i == b, a, i))
+            hit = (fs == s) & (fr == r)
+            out = np.where(hit & (i == a), b, np.where(hit & (i == b), a, i))
             return int(out) if out.ndim == 0 else out
 
         class Corrupted(type(self)):
@@ -543,11 +652,12 @@ class AffineToeplitzSystem(ProductSystem):
         return (_ceil_div(a, s), _ceil_div(b, s))
 
     def left_column(self, s, mon, j):
-        # S*^nu (S^m S*^n) S^j has degree m - n + j - nu, and the transfer
-        # keeps it exactly when that degree is divisible by s
+        # S*^nu (S^m S*^n) S^j has degree m - n + j - nu, which this nu makes
+        # divisible by s, so the transfer keeps it: no column is zero
         eng = self.engine
         nu = (mon[0] - mon[1] + j) % s
-        return nu, self.transfer_monomial(s, eng.mul(eng.mul((0, nu), mon), (j, 0)))
+        a, b = eng.mul(eng.mul((0, nu), mon), (j, 0))
+        return nu, (-(-a // s), -(-b // s))
 
     def generator_monomials(self):
         return [(1, 0), (0, 1)]
@@ -577,14 +687,14 @@ class TorusDilationSystem(ProductSystem):
     def _digits(self, s: int, i: int) -> tuple[int, ...]:
         out = []
         for _ in range(self.d):
-            out.append(i % s)
-            i = i // s
+            i, x = divmod(i, s)
+            out.append(x)
         return tuple(out)
 
     def _undigits(self, s: int, v: Iterable[int]) -> int:
         out = 0
-        for c, x in enumerate(v):
-            out += x * s**c
+        for x in reversed(tuple(v)):
+            out = out * s + x
         return out
 
     def index_map(self, s, r, j, k):

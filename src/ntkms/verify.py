@@ -27,8 +27,10 @@ with ``{"skipped": True}``.
 Each check runs in one configuration, the one ``ntkms verify`` uses:
 sample counts, windows and tolerances are constants of the check, and
 run_suites passes the run's beta, bound and seed.  It builds the default
-traces once per call, inclusion-exclusion one per sample, and each build
-runs eigvalsh on the trace's Gram matrix.
+traces once per call, and only for the kms, trace, ground and
+reconstruct suites; inclusion-exclusion builds one haar trace and a point
+mass per sample that keeps one.  Each build runs eigvalsh on the trace's
+Gram matrix.
 
 Random inputs use seeded generators and Gaussian-integer coefficients.
 Integer real and imaginary parts keep products exactly representable in
@@ -595,6 +597,7 @@ def check_inclusion_exclusion(
             "needs a graded engine over nat-mult",
         )
     rng = Random(seed)
+    haar = haar_trace(system.engine)
     # counted as the samples run, so the report shows the final tally
     sizes = {1: 0, 2: 0, 3: 0}
 
@@ -611,12 +614,10 @@ def check_inclusion_exclusion(
                 gamma = [0] * system.engine.d
                 gamma[rng.randrange(system.engine.d)] = d * rng.choice((1, -1))
                 a = CoefficientElement.monomial(system.engine, tuple(gamma), _gauss_int(rng))
-            # the angle(s) come before the 2-way choice, and only the kept trace is built
+            # the angle(s) come before the 2-way choice; a point mass is built
+            # only when kept, the one haar trace before the samples
             theta = tuple(rng.uniform(0, 6) for _ in range(system.engine.degree_dim))
-            if rng.choice((False, True)):
-                trace = point_mass_trace(system.engine, theta)
-            else:
-                trace = haar_trace(system.engine)
+            trace = point_mass_trace(system.engine, theta) if rng.choice((False, True)) else haar
             lam = {s: lambda_weight(system, trace, beta, s, a)
                    for _, s in _subset_products(ps)[1:]}
             yield (inclusion_exclusion_residual(ps, lam), 0.0, 1e-9,
@@ -849,7 +850,9 @@ def run_suites(
     unknown = wanted - set(SUITE_NAMES)
     if unknown:
         raise ValueError(f"unknown suites {sorted(unknown)}; known: {SUITE_NAMES}")
-    traces = traces if traces is not None else default_traces(system)
+    # only the kms, trace, ground and reconstruct suites read the traces
+    if traces is None and wanted & {"kms", "trace", "ground", "reconstruct"}:
+        traces = default_traces(system)
 
     # the structure laws time themselves; every other check is timed here
     reports = structure_reports(system) if "structure" in wanted else []

@@ -375,12 +375,13 @@ class _LateAssociativity(CuntzSystem):
     """m(6, 12; j, k) is off by one for j >= 40, elementwise on arrays."""
 
     def index_map(self, s, r, j, k):
-        return super().index_map(s, r, j, k) + ((s, r) == (6, 12)) * (np.asarray(j) >= 40)
+        return super().index_map(s, r, j, k) + (s == 6) * (r == 12) * (np.asarray(j) >= 40)
 
 
 def test_associativity_witness_in_a_later_j_block():
-    # the triple (6, 6, 6) has 64^3 cells, scanned 16 values of j at a
-    # time, so j = 40 lies in its third block
+    # the pair (6, 6) has 64 x 64 x 127 cells, every q of the window along
+    # the last axis, scanned 8 values of j at a time, so j = 40 lies in
+    # its sixth block
     report = _LateAssociativity(2).validate(TruncationSet(CUNTZ.semigroup, 6))
     assert [(c.name, c.metrics.get("witness")) for c in report if not c.passed] == [
         ("structure:index-map-associative",
@@ -390,7 +391,8 @@ def test_associativity_witness_in_a_later_j_block():
 def scans_by_loops(system, bound):
     """The scans the validator must reproduce: the first associativity
     mismatch in (s, r, q, j, k, l) order by scalar loops, and the first
-    coherence mismatch of the whole matrices, least cell by (j, nu, k, u)."""
+    coherence mismatch of the whole matrices over the whole window, least
+    cell by (j, nu, k, u)."""
     sg, n = system.semigroup, system.basis_count
     im, split, L = system.index_map, system.index_split, system.left_matrix
     vals = TruncationSet(sg, bound).values
@@ -399,9 +401,8 @@ def scans_by_loops(system, bound):
                   for j in range(n(s)) for k in range(n(r)) for l in range(n(q))
                   if (lhs := im(sg.mul(s, r), q, im(s, r, j, k), l))
                   != (rhs := im(s, sg.mul(r, q), j, im(r, q, k, l)))), None)
-    small = [v for v in vals if n(v) <= 12]
-    for s in small:
-        for r in small:
+    for s in vals:
+        for r in vals:
             for a in system.generator_elements():
                 want = {(im(s, r, nu, u), im(s, r, j, k)): v
                         for (nu, j), c in L(s, a).items() for (u, k), v in L(r, c).items()}
@@ -435,8 +436,10 @@ class _AddedIndices(AffineToeplitzSystem):
 
 
 class _FoldedIndices(AffineToeplitzSystem):
+    """m(s, r; j, k) = j + s * (k % 2) for r > 2, elementwise on arrays."""
+
     def index_map(self, s, r, j, k):
-        return j + s * (k % 2) if r > 2 else j + s * k
+        return j + s * (k % 2 + 2 * (k // 2) * (r <= 2))
 
 
 class _ShiftedIndices(AffineToeplitzSystem):
@@ -457,11 +460,28 @@ def test_non_bijective_index_map_names_the_first_bad_pair(system, witness):
 
 
 def broken_column(base, s0, mon0, change, *args, **kwargs):
-    """An instance of base whose column j of L_s0(mon0) is change(j, column)."""
+    """An instance of base whose column j of L_s0(mon0) is change(j, column).
+
+    change reads and returns one column, (nu, monomial) or None.  On
+    arrays it runs cell by cell where the fiber and the monomial match,
+    with nu = -1 for None.
+    """
     class Broken(base):
         def left_column(self, s, mon, j):
             col = super().left_column(s, mon, j)
-            return change(j, col) if (s, mon) == (s0, mon0) else col
+            if all(np.ndim(v) == 0 for v in (s, j, *mon)):
+                return change(j, col) if (s, mon) == (s0, mon0) else col
+            s, j, nu, *cells = (np.array(v) for v in np.broadcast_arrays(s, j, col[0], *mon,
+                                                                         *col[1]))
+            mon, x = cells[:len(mon)], cells[len(mon):]
+            hit = (s == s0) & np.logical_and.reduce([m == m0 for m, m0 in zip(mon, mon0)])
+            for c in zip(*np.nonzero(hit)):
+                old = None if nu[c] < 0 else (int(nu[c]), tuple(int(v[c]) for v in x))
+                new = change(int(j[c]), old)
+                nu[c] = -1 if new is None else new[0]
+                for v, w in zip(x, new[1] if new else ()):
+                    v[c] = w
+            return nu, tuple(x)
     return Broken(*args, **kwargs)
 
 
@@ -532,6 +552,79 @@ def test_coherence_scan_reaches_the_last_column():
          {"s": 12, "r": 12, "a": "(1+0j)*S", "nu": 0, "j": 11, "u": 0, "k": 11})]
 
 
+def _at_five(s, five, other):
+    """five where the fiber is 5 and other elsewhere, elementwise; ints stay ints."""
+    out = np.where(np.asarray(s) == 5, five, other)
+    return int(out) if out.ndim == 0 else out
+
+
+class _SwappedFive(TorusDilationSystem):
+    """L_5 conjugated by the swap of basis indices 0 and 1: still a unital
+    *-homomorphism, but no longer coherent with the index maps."""
+
+    def left_column(self, s, mon, j):
+        def swap(i):
+            return _at_five(s, np.where((i == 0) | (i == 1), 1 - i, i), i)
+        nu, x = super().left_column(s, mon, swap(j))
+        return swap(nu), x
+
+
+class _DiagonalFive(TorusDilationSystem):
+    """L_5(z^gamma) = diag(z^gamma), a unital *-homomorphism of its own."""
+
+    def left_column(self, s, mon, j):
+        nu, x = super().left_column(s, mon, j)
+        return _at_five(s, j, nu), tuple(_at_five(s, g, c) for g, c in zip(mon, x))
+
+
+@pytest.mark.parametrize("system, witness", [
+    (_SwappedFive(2), {"s": 2, "r": 5, "a": "(1+0j)*z1", "nu": 0, "j": 1, "u": 1, "k": 0}),
+    (_DiagonalFive(2), {"s": 2, "r": 5, "a": "(1+0j)*z1", "nu": 0, "j": 1, "u": 0, "k": 0}),
+], ids=["swapped", "diagonal"])
+def test_fiber_five_left_action_faults_fail_coherence(system, witness):
+    # N_5 = 25 on lattice-dilation(2); coherence first meets L_5 at
+    # (s, r) = (2, 5), which needs the fiber 10 in the window
+    report = system.validate(TruncationSet(system.semigroup, 10))
+    assert [(c.name, c.metrics.get("witness")) for c in report if not c.passed] == [
+        ("structure:left-action-coherent", witness)]
+
+
+def parity_monomials(system):
+    """The unit, the generators, and monomials with negative and 10^6
+    exponents where the engine has them."""
+    eng = system.engine
+    mons = [eng.unit()] + system.generator_monomials()
+    if eng.tag == "toeplitz":
+        mons += [(10**6, 0), (3, 10**6), (10**6, 10**6 - 1)]
+    elif eng.tag == "laurent":
+        mons += [tuple(-7 - c for c in range(eng.d)), tuple((-1)**c * 10**6 for c in range(eng.d))]
+    return mons
+
+
+@pytest.mark.parametrize("system", ALL, ids=lambda s: s.name)
+def test_array_calls_match_scalar_calls(system):
+    """Over the structure window, one array call of left_column, index_map
+    and index_split, fibers and monomial components included, equals the
+    scalar calls elementwise."""
+    sg, n = system.semigroup, system.basis_count
+    vals = TruncationSet(sg, 12 if sg.is_multiplicative else 6).values
+    cells = [(s, *mon, j) for s in vals for mon in parity_monomials(system) for j in range(n(s))]
+    s, *mon, j = np.array(cells).T
+    nu, x = system.left_column(s, tuple(mon), j)
+    nu, x = np.broadcast_to(nu, s.shape).tolist(), [np.broadcast_to(c, s.shape).tolist() for c in x]
+    got = [(a, tuple(c[p] for c in x)) for p, a in enumerate(nu)]
+    assert got == [system.left_column(c[0], tuple(c[1:-1]), c[-1]) for c in cells]
+    # every (s, r, j, k) of the window in one call, checked on a sample
+    pairs = [(s, r, j, k) for s in vals for r in vals for j in range(n(s)) for k in range(n(r))]
+    s, r, j, k = np.array(pairs).T
+    i = system.index_map(s, r, j, k)
+    sj, sk = system.index_split(s, r, i)
+    for p in sorted(Random(3).sample(range(len(pairs)), min(len(pairs), 4000))):
+        fs, fr, fj, fk = pairs[p]
+        assert i[p] == system.index_map(fs, fr, fj, fk)
+        assert (sj[p], sk[p]) == system.index_split(fs, fr, int(i[p])) == (fj, fk)
+
+
 @pytest.mark.parametrize("system", ALL, ids=lambda s: s.name)
 def test_corrupted_system_subclasses_its_base(system):
     name = system.name
@@ -583,8 +676,11 @@ class _TabledIndices(AffineToeplitzSystem):
               (3, 2): np.array([[3, 5], [1, 4], [4, 0]])}
 
     def index_map(self, s, r, j, k):
-        table = self.TABLES.get((s, r))
-        return super().index_map(s, r, j, k) if table is None else table[j, k]
+        out = super().index_map(s, r, j, k)
+        for (ts, tr), table in self.TABLES.items():
+            hit = (s == ts) & (r == tr)
+            out = np.where(hit, table[j * hit, k * hit], out)
+        return out if out.ndim else int(out)
 
 
 def coprime_scan_by_loops(system, pairs):
