@@ -353,17 +353,21 @@ class ProductSystem:
         return ModuleVector(self, self.semigroup.mul(s, r), out)
 
     def fiber_trace(self, s: int, a: CoefficientElement) -> CoefficientElement:
-        """sum_j <1_j, a . 1_j>, the unnormalised trace of L_s(a), read off
-        one grid of columns per monomial of a."""
+        """sum_j <1_j, a . 1_j>, the unnormalised trace of L_s(a), exactly: one
+        int64 grid of columns per monomial, or the diagonal of left_matrix, in
+        Python ints, once a component reaches 2^61 and index sums could wrap."""
+        if any(abs(c) >= 2**61 for mon in a.terms for c in mon):
+            return sum((c for (nu, j), c in self.left_matrix(s, a).items() if nu == j),
+                       CoefficientElement.zero(self.engine))
         j = np.arange(self.basis_count(s))
-        out = CoefficientElement.zero(self.engine)
+        out: dict[tuple, complex] = {}
         for mon, w in a.terms.items():
             nu, x = self.left_column(s, mon, j)
-            diag = np.broadcast_to(nu == j, j.shape)
-            cols = [np.broadcast_to(c, j.shape)[diag].tolist() for c in x]
-            count = Counter(zip(*cols)) if cols else {(): int(diag.sum())}
-            out = out + CoefficientElement(self.engine, count).scale(w)
-        return out
+            hit = (nu == j).nonzero()[0]
+            cols = [(c + 0 * j)[hit].tolist() for c in x]  # + 0 * j broadcasts a constant
+            for m, c in (Counter(zip(*cols)) if cols else {(): hit.size}).items():
+                out[m] = out.get(m, 0.0) + c * w
+        return CoefficientElement(self.engine, out)
 
     def generator_elements(self) -> list[CoefficientElement]:
         return [CoefficientElement.monomial(self.engine, m) for m in self.generator_monomials()]
@@ -652,12 +656,15 @@ class AffineToeplitzSystem(ProductSystem):
         return (_ceil_div(a, s), _ceil_div(b, s))
 
     def left_column(self, s, mon, j):
-        # S*^nu (S^m S*^n) S^j has degree m - n + j - nu, which this nu makes
-        # divisible by s, so the transfer keeps it: no column is zero
-        eng = self.engine
-        nu = (mon[0] - mon[1] + j) % s
-        a, b = eng.mul(eng.mul((0, nu), mon), (j, 0))
-        return nu, (-(-a // s), -(-b // s))
+        # S*^nu (S^m S*^n) S^j = S^a S*^b, b = max(n + max(nu - m, 0) - j, 0): this nu
+        # makes a - b = t - nu divisible by s, so no column is zero, and the
+        # transfer gives ceil(a/s) = ceil(b/s) + (a - b)/s
+        m, n = mon
+        t = m - n + j
+        nu = t % s
+        w = n + (nu - m) * (nu > m) - j
+        b = -(-(w * (w > 0)) // s)
+        return nu, (b + (t - nu) // s, b)
 
     def generator_monomials(self):
         return [(1, 0), (0, 1)]

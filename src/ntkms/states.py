@@ -19,7 +19,8 @@ i_r(xi) i_r(1_l)* meets the fiber at s = r q through the fiberwise trace
 
 and on the built-in systems tau(W_q(mon)) = N_q * c(deg(mon) / q) when q
 divides the degree componentwise and 0 otherwise, where c is the moment
-function of tau.  Evaluation therefore loops over divisors of the degree
+function of tau (``reconstruct:inclusion-exclusion`` checks it against the
+left action).  Evaluation therefore loops over divisors of the degree
 instead of the whole window; the window enters only through cached
 partial sums Z_r = sum_(r <= s) N(s)^(-beta) N_(s/r).  Writing s = r q
 and using N(r q) = N(r) N(q),

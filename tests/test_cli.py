@@ -263,14 +263,13 @@ def test_verify_marks_skipped_checks_on_stderr_only(capsys):
     reports = [json.loads(line) for line in out.splitlines()]
     skipped = [r["check"] for r in reports if r["metrics"].get("skipped")]
     assert sorted(skipped) == [
-        "reconstruct:inclusion-exclusion", "reconstruct:trace-recovery",
-        "state:core-trace", "state:euler-product",
+        "reconstruct:trace-recovery", "state:core-trace", "state:euler-product",
     ]
     rows = {line.split()[0]: line.split()[1] for line in err.splitlines()[:-1]}
     assert rows == {r["check"]: "skip" if r["check"] in skipped else "pass" for r in reports}
     n = len(reports)
     assert err.splitlines()[-1] == (
-        f"{n} checks on cuntz(2): {n - 4} passed, 4 skipped, 0 failed"
+        f"{n} checks on cuntz(2): {n - 3} passed, 3 skipped, 0 failed"
     )
 
 

@@ -269,6 +269,28 @@ def test_fiber_trace_is_the_diagonal_sum_of_the_left_matrix(system):
             assert system.fiber_trace(s, a) == first  # repeated calls agree
 
 
+@pytest.mark.parametrize("s, exponent, want, grid", [
+    # S*^nu S^(2^63 - 1) S^j would wrap in int64; no column is on the diagonal
+    (3, 2**63 - 1, {}, False),
+    # past int64 altogether: both columns give S^(5 * 10^18) on the diagonal
+    (2, 10**19, {(5 * 10**18, 0): 2}, False),
+    (3, 2**60 + 2, {(2**60 // 3 + 1, 0): 3}, True),
+], ids=["int64-max", "past-int64", "within-int64"])
+def test_fiber_trace_is_exact_near_int64(monkeypatch, s, exponent, want, grid):
+    # the literal value, and the scalar scan of left_matrix; ints within
+    # int64 keep the one grid call
+    a = CoefficientElement.monomial(AFFINE.engine, (exponent, 0))
+    diag = {(v, j): c for (v, j), c in AFFINE.left_matrix(s, a).items() if v == j}
+    calls = []
+    left_column = AffineToeplitzSystem.left_column
+    monkeypatch.setattr(AffineToeplitzSystem, "left_column", lambda self, s, mon, j:
+                        calls.append(isinstance(j, np.ndarray)) or left_column(self, s, mon, j))
+    got = AFFINE.fiber_trace(s, a)
+    assert got == CoefficientElement(AFFINE.engine, want)
+    assert got == sum(diag.values(), CoefficientElement.zero(AFFINE.engine))
+    assert calls == ([True] if grid else [False] * s)
+
+
 # -- module products ------------------------------------------------------------
 
 
@@ -552,9 +574,10 @@ def test_coherence_scan_reaches_the_last_column():
          {"s": 12, "r": 12, "a": "(1+0j)*S", "nu": 0, "j": 11, "u": 0, "k": 11})]
 
 
-def _at_five(s, five, other):
-    """five where the fiber is 5 and other elsewhere, elementwise; ints stay ints."""
-    out = np.where(np.asarray(s) == 5, five, other)
+def _on_fiber(s, value, other, fiber=5):
+    """value where the fiber s is fiber and other elsewhere, elementwise;
+    ints stay ints."""
+    out = np.where(np.asarray(s) == fiber, value, other)
     return int(out) if out.ndim == 0 else out
 
 
@@ -564,7 +587,7 @@ class _SwappedFive(TorusDilationSystem):
 
     def left_column(self, s, mon, j):
         def swap(i):
-            return _at_five(s, np.where((i == 0) | (i == 1), 1 - i, i), i)
+            return _on_fiber(s, np.where((i == 0) | (i == 1), 1 - i, i), i)
         nu, x = super().left_column(s, mon, swap(j))
         return swap(nu), x
 
@@ -572,9 +595,19 @@ class _SwappedFive(TorusDilationSystem):
 class _DiagonalFive(TorusDilationSystem):
     """L_5(z^gamma) = diag(z^gamma), a unital *-homomorphism of its own."""
 
+    fiber = 5
+
     def left_column(self, s, mon, j):
         nu, x = super().left_column(s, mon, j)
-        return _at_five(s, j, nu), tuple(_at_five(s, g, c) for g, c in zip(mon, x))
+        return (_on_fiber(s, j, nu, self.fiber),
+                tuple(_on_fiber(s, g, c, self.fiber) for g, c in zip(mon, x)))
+
+
+class _DiagonalThirteen(_DiagonalFive):
+    """L_13(z^gamma) = diag(z^gamma): 13 is prime and past the structure
+    window of 12, so no structure law reads the fiber."""
+
+    fiber = 13
 
 
 @pytest.mark.parametrize("system, witness", [

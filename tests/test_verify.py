@@ -1,7 +1,7 @@
 """Tests for the verification harness.
 
-Two kinds of assertion live here.  The alternating-sum residual and the
-trace reconstruction have independent closed-form answers, so those are
+Two kinds of assertion live here.  The fiber traces and the trace
+reconstruction have independent closed-form answers, so those are
 checked against exact values.  The suite runner is then exercised end to
 end: a healthy built-in must come back all green, a deliberately
 corrupted one must come back with the structural failure named, and the
@@ -17,8 +17,6 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ntkms import verify
 from ntkms.coeff import (
@@ -37,7 +35,7 @@ from ntkms.product_system import (
 )
 from ntkms.nt import NTElement
 from ntkms.states import KMSContext, StateValue
-from test_product_system import _AddedIndices, broken_column
+from test_product_system import _AddedIndices, _DiagonalThirteen, broken_column
 from ntkms.verify import (
     CheckReport,
     check_core_trace_property,
@@ -55,7 +53,6 @@ from ntkms.verify import (
     check_scaling_identity,
     core_trace_draw,
     default_traces,
-    inclusion_exclusion_residual,
     lambda_weight,
     reconstruct_trace,
     reconstruction_monomials,
@@ -69,47 +66,7 @@ AFFINE = AffineToeplitzSystem()
 CUNTZ = CuntzSystem(2)
 
 
-# -- the alternating identity --------------------------------------------------
-
-
-def closure_of(primes):
-    out = set()
-    for mask in range(1, 1 << len(primes)):
-        out.add(math.prod(p for i, p in enumerate(primes) if mask & (1 << i)))
-    return sorted(out)
-
-
-gauss = st.builds(complex, st.integers(-9, 9), st.integers(-9, 9))
-
-
-@given(
-    primes=st.sampled_from([(2,), (3,), (2, 3), (2, 5), (3, 5), (2, 3, 5), (2, 3, 7)]),
-    weights=st.lists(gauss, min_size=7, max_size=7),
-)
-def test_residual_cancels_for_arbitrary_weights(primes, weights):
-    # the cancellation is combinatorial, so Gaussian integer weights
-    # (exact in floating point) must give a residual of exactly zero
-    closure = closure_of(primes)
-    lam = {s: weights[i % len(weights)] for i, s in enumerate(closure)}
-    assert inclusion_exclusion_residual(primes, lam) == 0j
-
-
-def test_residual_on_indicators_spans_the_identity():
-    # by linearity, vanishing on every indicator weight proves the
-    # cancellation for all weight assignments at once
-    for primes in ((2,), (2, 3), (2, 3, 5)):
-        closure = closure_of(primes)
-        for s in closure:
-            lam = {t: (1.0 + 0j if t == s else 0j) for t in closure}
-            assert inclusion_exclusion_residual(primes, lam) == 0j
-
-
-def test_residual_needs_coprime_generators():
-    # with generators sharing a factor the subset joins collide, the
-    # alternating sum stops telescoping, and the indicator at 4 survives
-    closure = closure_of((2, 4))
-    lam = {t: (1.0 + 0j if t == 4 else 0j) for t in closure}
-    assert inclusion_exclusion_residual((2, 4), lam) == -1 + 0j
+# -- fiber traces against omega's closed form ----------------------------------
 
 
 def test_lambda_weight_of_the_unit_counts_the_fiber():
@@ -121,15 +78,44 @@ def test_lambda_weight_of_the_unit_counts_the_fiber():
 
 
 def test_inclusion_exclusion_check_passes_on_affine():
-    rep = check_inclusion_exclusion(AFFINE)
+    # the fibers 1..64 and four draws from 65..1000, two monomials per
+    # fiber past the identity, under both traces
+    rep = check_inclusion_exclusion(AFFINE, default_traces(AFFINE))
     assert rep.passed
-    assert rep.metrics["worst_deviation"] <= 1e-9
-    assert sum(rep.metrics["sizes"].values()) == 50
+    assert rep.metrics["fibers"] == 68
+    assert 0.0 < rep.metrics["worst_deviation"] <= rep.metrics["tolerance_at_worst"]
+    assert 0 < rep.metrics["nonzero"] < 2 * (2 * 68 - 1)
 
 
-def test_inclusion_exclusion_skips_ungraded_engines():
-    rep = check_inclusion_exclusion(CUNTZ)
-    assert rep.passed and rep.metrics.get("skipped")
+def test_inclusion_exclusion_runs_on_cuntz():
+    # N_q = 2^q <= 2^16 keeps the fibers 0..16; the scalar engine has only
+    # the unit, whose fiber trace is N_q
+    rep = check_inclusion_exclusion(CUNTZ, default_traces(CUNTZ))
+    assert rep.passed and not rep.metrics.get("skipped")
+    assert (rep.metrics["fibers"], rep.metrics["nonzero"]) == (17, 17)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_diagonal_left_action_past_the_structure_window_fails_inclusion_exclusion(d):
+    # L_13 diagonal keeps every structure law, which stops at 12, and
+    # omega's closed form, which never reads L_13; only the fiber traces see it
+    system = _DiagonalThirteen(d)
+    assert all(rep.passed for rep in structure_reports(system))
+    rep = check_inclusion_exclusion(system, default_traces(system), seed=7)
+    assert not rep.passed
+    assert (rep.metrics["q"], rep.metrics["trace"]) == (13, default_traces(system)[1].name)
+
+
+def test_inclusion_exclusion_reports_where_the_fiber_trace_leaves_the_closed_form():
+    system = _DiagonalThirteen(1)
+    rep = check_inclusion_exclusion(system, default_traces(system), seed=7)
+    assert (rep.passed, rep.detail) == (False, "")
+    assert rep.metrics == {
+        "beta": 4.0, "bound": 1000, "fibers": 68, "traces": ["haar", "point_mass(0.7)"],
+        "q": 13, "monomial": "(1+2j)*z^10", "trace": "point_mass(0.7)",
+        "deviation": pytest.approx(1.01778e-3, rel=1e-5),
+        "tolerance": pytest.approx(1.92094e-18, rel=1e-5),
+    }
 
 
 # -- trace reconstruction --------------------------------------------------------
@@ -392,15 +378,6 @@ def _dynamics_reversed(monkeypatch):
     return check_ground(_ReversedDynamics(), HAAR)
 
 
-def _dynamics_grows(monkeypatch):
-    # 9e-10 relative sits inside the dynamics law's tolerance of 1e-9
-    # max(1, |base|), but where N(s) = N(r) the dynamics fixes the value,
-    # so |shifted| exceeds |base| by more than 1e-9 once |base| > 1.12
-    dynamics = NTElement.dynamics
-    monkeypatch.setattr(NTElement, "dynamics", lambda self, z: dynamics(self, z).scale(1 + 9e-10))
-    return check_ground(AFFINE, HAAR)
-
-
 def _corner_values_zero(monkeypatch):
     unit = NTElement.unit(AFFINE)
     _ground_values(monkeypatch, lambda y, v: v if y == unit else 0j)
@@ -440,9 +417,6 @@ FAULTS = {
                                "tolerance": 0.0}),
     "contracting": (_dynamics_reversed, {**GROUND, "law": "contracting", "sample": 2, "s": 3,
                                          "r": 1, "deviation": 6.0, "tolerance": 1e-12}),
-    "bounded": (_dynamics_grows, {**GROUND, "law": "bounded", "sample": 0,
-                                  "deviation": pytest.approx(1.44e-8, rel=1e-6),
-                                  "tolerance": 1e-9}),
     "ground-informative": (_corner_values_zero, {**GROUND, "law": "informative", "floor": 6,
                                                  "deviation": 6, "tolerance": 0.0}),
     "final": (_one_ground_value_off, {**LIMIT, "law": "final", "monomial": 2,
@@ -559,7 +533,7 @@ def test_only_compare_and_skipped_checks_build_a_check_report():
     skipped = "{'skipped': True}"
     assert built == [("_compare", None), ("_compare", None),
                      ("check_core_trace_property", skipped), ("check_euler", skipped),
-                     ("check_inclusion_exclusion", skipped), ("check_reconstruction", skipped)]
+                     ("check_reconstruction", skipped)]
 
 
 def test_fock_checks_refuse_matrix_engines():
@@ -691,17 +665,18 @@ def test_trace_recovery_fails_when_the_state_reads_a_moment_off(monkeypatch):
 
 
 def test_inclusion_exclusion_fails_on_an_overflowing_weight(monkeypatch):
-    # the residual cancels exactly for every finite weight assignment, so
-    # only a weight past float range reaches the failure: inf - inf is NaN
+    # an infinite N(6)^(-beta) times a zero fiber trace is NaN, which
+    # compares false against any tolerance
     weight = verify.lambda_weight
-    monkeypatch.setattr(verify, "lambda_weight",
-                        lambda system, trace, beta, s, a:
-                        math.inf if s == 6 else weight(system, trace, beta, s, a))
-    rep = check_inclusion_exclusion(AFFINE)
+    monkeypatch.setattr(verify, "lambda_weight", lambda system, trace, beta, s, a:
+                        weight(system, trace, beta, s, a) * (math.inf if s == 6 else 1.0))
+    rep = check_inclusion_exclusion(AFFINE, default_traces(AFFINE))
     assert not rep.passed
     assert math.isnan(rep.metrics.pop("deviation"))
-    assert rep.metrics == {"samples": 50, "sizes": {1: 1, 2: 1, 3: 1}, "beta": 4.0,
-                           "primes": [2, 3, 5], "sample": 2, "tolerance": 1e-9}
+    assert rep.metrics == {"beta": 4.0, "bound": 1000, "fibers": 68,
+                           "traces": ["haar", "point_mass(0.7)"], "q": 6,
+                           "monomial": "(-2-1j)*S^12", "trace": "haar",
+                           "tolerance": pytest.approx(1.14932e-17, rel=1e-5)}
 
 
 # -- suite assembly ---------------------------------------------------------------
@@ -770,12 +745,16 @@ def test_a_fault_under_one_trace_fails_only_its_reports(monkeypatch, system, fau
     both = run_suites(system, suites)
     assert [r.name for r in both if not r.passed]
     assert all(r.passed for r in both if r.metrics.get("trace") != name)
-    # keyed by (check, trace): each single-trace run also has its own
-    # inclusion-exclusion line, which reads no trace
+    # keyed by (check, trace); inclusion-exclusion, which reads no
+    # weight_pow and so passed above, compares under every trace of its run
+    # in one line, so a single-trace run prints a line of its own
+    lines = {(r.name, r.metrics.get("trace")): r.json_line()
+             for r in both if r.name != "reconstruct:inclusion-exclusion"}
     alone = {(r.name, r.metrics.get("trace")): r.json_line()
-             for t in default_traces(system) for r in run_suites(system, suites, traces=[t])}
-    assert {(r.name, r.metrics.get("trace")): r.json_line() for r in both} == alone
-    assert len(alone) == len(both)
+             for t in default_traces(system) for r in run_suites(system, suites, traces=[t])
+             if r.name != "reconstruct:inclusion-exclusion"}
+    assert lines == alone
+    assert len(alone) == len(both) - 1
 
 
 def test_a_draw_replays_what_an_early_reader_left():
