@@ -29,10 +29,13 @@ and using N(r q) = N(r) N(q),
 
 a partial sum of the zeta terms: the first floor(B/r) of them on nat-mult
 and the first B - r + 1 on nat-add.  At most PREFIX_TERMS = 2^20 terms are
-held.  A partial sum of n <= 2^20 terms is a slice sum over them; past the
-held prefix, the prefix sum is completed in closed form, by Euler-Maclaurin
-with six Bernoulli terms on the power profile (terms s^(-a), a = p(beta-1))
-and by the geometric sum on the geometric one (terms x^n, x = k^(1-beta)).
+held, in one float64 buffer (8 MB) that is filled in place; on the
+geometric profile the terms past exp's underflow are exact zeros and are
+not evaluated.  A partial sum of n <= 2^20 terms is a slice sum over
+them; past the held prefix, the prefix sum is completed in closed form,
+by Euler-Maclaurin with six Bernoulli terms on the power profile (terms
+s^(-a), a = p(beta-1)) and by the geometric sum on the geometric one
+(terms x^n, x = k^(1-beta)).
 So a window of any size costs the same time and memory.  A literal
 evaluator that walks every fiber basis vector symbolically, within the
 held prefix, is kept as a slow cross-check.
@@ -107,6 +110,9 @@ _EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
                     -691 / 1307674368000)
 _EULER_MACLAURIN_REMAINDER = abs(_EULER_MACLAURIN[-1])
 
+# exp(x) rounds to +0.0 for every x below log(2^-1075) = -745.13...
+_EXP_UNDERFLOW = -746.0
+
 
 def tail_bound(profile: tuple[str, int], beta: float, bound: int) -> float:
     """Bound sum of N(s)**(-beta) * N_s over elements beyond ``bound``.
@@ -133,15 +139,28 @@ def tail_bound(profile: tuple[str, int], beta: float, bound: int) -> float:
 
 def _zeta_terms(system: ProductSystem, beta: float, bound: int) -> np.ndarray:
     """N(s)^(-beta) * N_s for the first min(PREFIX_TERMS, window size) elements
-    s = e, e + 1, ... up to bound, in overflow-safe closed form."""
+    s = e, e + 1, ... up to bound, in overflow-safe closed form.
+
+    One float64 buffer holds s and is overwritten by its term in place.
+    On the geometric profile exp(x) is exactly +0.0 below _EXP_UNDERFLOW,
+    so only the head of s above that point is evaluated and the rest of
+    the buffer is zero-filled.  The terms are bitwise those of evaluating
+    the closed form on every s.
+    """
     kind, p = system.profile
     e = system.identity_fiber()
-    last = min(bound, e + PREFIX_TERMS - 1)
-    svals = np.arange(e, last + 1, dtype=np.int64).astype(float)
+    n = min(bound, e + PREFIX_TERMS - 1) - e + 1
     if kind == "power":
-        return svals ** (p * (1.0 - beta))
+        buf = np.arange(e, e + n, dtype=float)
+        return np.power(buf, p * (1.0 - beta), out=buf)
     if kind == "geometric":
-        return np.exp((1.0 - beta) * math.log(p) * svals)
+        rate = (1.0 - beta) * math.log(p)
+        # rate * s < _EXP_UNDERFLOW for every s past the head, with a margin of one
+        head = min(n, max(math.floor(_EXP_UNDERFLOW / rate) - e + 2, 0))
+        buf = np.arange(e, e + head, dtype=float)
+        np.exp(np.multiply(buf, rate, out=buf), out=buf)
+        buf.resize(n, refcheck=False)  # grows this buffer; the new tail is +0.0
+        return buf
     raise ValueError(f"no closed-form series for the scaling profile {system.profile!r}")
 
 

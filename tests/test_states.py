@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -22,7 +23,7 @@ from ntkms.states import (
     tail_bound,
     zeta_series,
 )
-from ntkms.verify import sample_element
+from ntkms.verify import default_traces, sample_element
 
 AFFINE = AffineToeplitzSystem()
 TORUS = TorusDilationSystem(1)
@@ -163,6 +164,49 @@ def test_windows_within_the_prefix_sum_the_full_array_bitwise(name):
         for r in (e, 2, 3, 7, 999, bound, bound + 1):
             n = max(terms_in_z(system, bound, r), 0)
             assert ctx.z_value(r) == ctx.weight_pow(r) * float(np.sum(terms[:n]))
+
+
+PREFIX_SYSTEMS = {**BUILTINS, "cuntz(3)": CuntzSystem(3)}
+
+
+def prefix_betas(name):
+    """The betas whose held prefix is pinned: just above the critical
+    exponent, where the geometric head spans the whole prefix; the sweep
+    midpoint (that of cuntz(2) on cuntz(3)); 40, where the geometric head is a few dozen terms ending in
+    subnormals; and on affine-toeplitz 3, whose exponent is exactly -2."""
+    system = PREFIX_SYSTEMS[name]
+    betas = [system.beta_c + 1e-6, sum(SWEEP_BETAS.get(name, SWEEP_BETAS["cuntz(2)"])) / 2, 40.0]
+    return betas + [3.0] if name == "affine-toeplitz" else betas
+
+
+@pytest.mark.parametrize("name", PREFIX_SYSTEMS)
+def test_held_prefix_is_the_full_array_formula_bit_for_bit(name):
+    system = PREFIX_SYSTEMS[name]
+    e = system.identity_fiber()
+    for beta in prefix_betas(name):
+        for bound in (1000, e + states.PREFIX_TERMS - 1, 10**7):
+            ctx = context(system, beta=beta, bound=bound)
+            want = all_terms(system, beta, min(bound, e + states.PREFIX_TERMS - 1))
+            assert ctx._zeta_terms.dtype == want.dtype
+            assert ctx._zeta_terms.tobytes() == want.tobytes(), (beta, bound)
+        if system.profile[0] == "geometric" and beta == 40.0:
+            assert 0.0 < want[want > 0.0].min() < np.finfo(float).tiny
+        terms = all_terms(system, beta, 10**6)
+        assert zeta_series(system, beta, 10**6).value == float(np.sum(terms))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_context_construction_holds_one_prefix_buffer(name):
+    system = BUILTINS[name]
+    trace = default_traces(system)[0]
+    for beta in (system.beta_c + 1e-6, sum(SWEEP_BETAS[name]) / 2):
+        tracemalloc.start()
+        try:
+            KMSContext(system, trace, beta, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * states.PREFIX_TERMS, (beta, peak)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
