@@ -18,24 +18,24 @@ Elements are finite complex combinations of monomials held in canonical
 dict form with zero coefficients dropped, so equality of elements is
 exact.  Every monomial has a degree in Z^d (S^m S*^n has degree m - n,
 z^gamma has degree gamma, scalars have the empty degree) and traces are
-evaluated through moment functions on those degrees.
+evaluated through their moments on those degrees.
 
-Trace data is a moment function k |-> c(k) with c(0) = 1, c(-k) equal to
-the conjugate of c(k), and positive semidefinite Gram matrices on a
-finite window.  Violations raise at construction.  On these engines any
-valid moment functional is automatically tracial: a product of two
-monomials is a single monomial whose degree is the sum of the factors'
-degrees, so trace(ab) and trace(ba) read the same moment.
+Trace data is a probability measure on the torus T^d: a Haar weight
+plus finitely many point masses, each the character k |-> exp(i k.theta)
+on degrees.  Its moments c(k) are normalised, hermitian and positive
+semidefinite by construction, so only the weights and angles are
+checked.  On these engines every such moment functional is
+automatically tracial: a product of two monomials is a single monomial
+whose degree is the sum of the factors' degrees, so trace(ab) and
+trace(ba) read the same moment.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-from itertools import product as iter_product
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import Iterable
 
 __all__ = [
     "Engine",
@@ -301,77 +301,54 @@ class CoefficientElement:
         return " + ".join(bits)
 
 
-def _zero_degree(dim: int) -> tuple[int, ...]:
-    return (0,) * dim
-
-
-# degrees per axis on which TraceSpec checks its moments
-MOMENT_WINDOW = 8
-
-
-def _moment_gram(moment: Callable[[tuple[int, ...]], complex], dim: int, w: int) -> np.ndarray:
-    """The Gram matrix [c(g - h)] over the degrees g, h in {0..w-1}^d, in
-    ``iter_product`` order.
-
-    It is block Toeplitz, so c is called once per difference in
-    {1-w..w-1}^d and one gather fills the matrix.  Read in base 2w - 1
-    with digits shifted by w - 1, a difference g - h sits at
-    pos(g) - pos(h) + center in the table of differences, and reversing
-    the table maps k to -k.  A non-finite moment, or a pair with
-    c(-k) != conj(c(k)), raises ValueError naming the first such degree.
-    """
-    degrees = list(iter_product(range(1 - w, w), repeat=dim))
-    table = np.array([moment(k) for k in degrees], dtype=complex)
-    for i in np.flatnonzero(~np.isfinite(table))[:1]:
-        raise ValueError(f"moment at degree {degrees[i]} is {table[i]}, not finite")
-    for i in np.flatnonzero(np.abs(table[::-1] - table.conj()) > 1e-9)[:1]:
-        raise ValueError(f"moment not hermitian at degree {degrees[i]}")
-    strides = (2 * w - 1) ** np.arange(dim - 1, -1, -1)
-    pos = np.indices((w,) * dim).reshape(dim, -1).T @ strides
-    return table[np.subtract.outer(pos, pos) + (w - 1) * int(strides.sum())]
-
-
-@dataclass
+@dataclass(frozen=True)
 class TraceSpec:
-    """Moment data defining a state on a coefficient engine.
+    """A probability measure on the torus T^d, read as a state on an engine.
 
-    ``moment_fn`` maps a degree in Z^d to a complex number.  Construction
-    validates c(0) = 1, hermitian symmetry and positive semidefiniteness
-    of the Gram matrix over the degrees {0..MOMENT_WINDOW-1}^d, which
-    caps the torus rank d at 4; violations raise ValueError.  ``moment``
-    returns exactly 1.0 at the zero degree, which downstream
-    normalisation relies on.
+    The measure is ``haar`` times normalised Haar measure plus a point
+    mass of weight ``w`` at the angles ``theta`` for each ``(w, theta)``
+    in ``atoms``.  Construction checks only the data: the weights are
+    finite, nonnegative and sum to 1 within 1e-12, and each angle tuple
+    has d finite entries; violations raise ValueError.  ``moment`` is the
+    closed form c(k) = haar*[k = 0] + sum of w*exp(i k.theta), so c(0) = 1,
+    c(-k) = conj(c(k)) and positive semidefiniteness hold at every degree.
+    It returns exactly 1.0 at the zero degree, which downstream
+    normalisation relies on, and raises ValueError naming the degree when
+    a phase k.theta is not finite.  On the scalar engine (d = 0) the torus
+    is a point and every such measure is the identity state.
     """
 
     engine: Engine
-    moment_fn: Callable[[tuple[int, ...]], complex]
+    haar: float
+    atoms: tuple[tuple[float, tuple[float, ...]], ...] = ()
     name: str = "trace"
 
     def __post_init__(self):
-        self._validate()
-
-    def _validate(self):
+        weights = [self.haar] + [w for w, _ in self.atoms]
+        for w in weights:
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"trace weight {w} must be finite and nonnegative")
+        total = sum(weights)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"trace weights sum to {total}, must be 1")
         dim = self.engine.degree_dim
-        zero = _zero_degree(dim)
-        raw0 = complex(self.moment_fn(zero))
-        if not abs(raw0 - 1.0) <= 1e-12:
-            raise ValueError(f"moment at degree zero is {raw0}, must be 1")
-        if dim == 0:
-            return
-        w = MOMENT_WINDOW
-        if w**dim > 4096:
-            raise ValueError(f"cannot check moments on torus rank d = {dim}: "
-                             f"window {w}^{dim} exceeds 4096 degrees")
-        low = float(np.linalg.eigvalsh(_moment_gram(self.moment, dim, w)).min())
-        if low < -1e-9:
-            raise ValueError(
-                f"moment data not positive semidefinite on window {w}: min eig {low:.3e}"
-            )
+        for _, theta in self.atoms:
+            if len(theta) != dim:
+                raise ValueError(f"need {dim} angles, got {len(theta)}")
+            for t in theta:
+                if not math.isfinite(t):
+                    raise ValueError(f"angle {t} is not finite")
 
     def moment(self, k: tuple[int, ...]) -> complex:
         if not any(k):
             return complex(1.0)
-        return complex(self.moment_fn(k))
+        total = 0j
+        for w, theta in self.atoms:
+            phase = sum(ki * ti for ki, ti in zip(k, theta))
+            if not math.isfinite(phase):
+                raise ValueError(f"moment at degree {k}: phase {phase} is not finite")
+            total += w * cmath.exp(1j * phase)
+        return total
 
     def eval(self, a: CoefficientElement) -> complex:
         """Linear extension of the moments to a full element."""
@@ -386,35 +363,20 @@ class TraceSpec:
 
 
 def haar_trace(engine: Engine) -> TraceSpec:
-    """Moments of normalised arc length: 1 at degree zero, else 0."""
-    dim = engine.degree_dim
-    zero = _zero_degree(dim)
-
-    def moment(k):
-        return 1.0 if k == zero else 0.0
-
-    return TraceSpec(engine, moment, name="haar")
+    """Normalised arc length: moment 1 at degree zero, else 0."""
+    return TraceSpec(engine, 1.0, (), "haar")
 
 
 def point_mass_trace(engine: Engine, theta) -> TraceSpec:
-    """Moments of a point evaluation at angle(s) theta: c(k) = exp(i k.theta)."""
-    dim = engine.degree_dim
-    if dim == 0:
+    """The point evaluation at angle(s) theta: c(k) = exp(i k.theta)."""
+    if engine.degree_dim == 0:
         raise ValueError("point mass needs a torus engine")
     if isinstance(theta, (int, float)):
-        if dim != 1:
-            raise ValueError(f"need {dim} angles")
         thetas = (float(theta),)
     else:
         thetas = tuple(float(t) for t in theta)
-        if len(thetas) != dim:
-            raise ValueError(f"need {dim} angles, got {len(thetas)}")
-
-    def moment(k):
-        return cmath.exp(1j * sum(ki * ti for ki, ti in zip(k, thetas)))
-
     label = "point_mass(" + ",".join(f"{t:g}" for t in thetas) + ")"
-    return TraceSpec(engine, moment, name=label)
+    return TraceSpec(engine, 0.0, ((1.0, thetas),), label)
 
 
 def mixture_trace(components: Iterable[tuple[float, TraceSpec]]) -> TraceSpec:
@@ -423,22 +385,15 @@ def mixture_trace(components: Iterable[tuple[float, TraceSpec]]) -> TraceSpec:
     if not comps:
         raise ValueError("empty mixture")
     engine = comps[0][1].engine
-    for w, t in comps:
-        if w < 0:
-            raise ValueError("mixture weights must be nonnegative")
+    for _, t in comps:
         if t.engine.tag != engine.tag or t.engine.degree_dim != engine.degree_dim:
             raise EngineMismatch("mixture components over different engines")
-    total = sum(w for w, _ in comps)
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"mixture weights sum to {total}, must be 1")
-
-    def moment(k):
-        return sum(w * t.moment(k) for w, t in comps)
-
+    haar = sum(w * t.haar for w, t in comps)
+    atoms = tuple((w * a, theta) for w, t in comps for a, theta in t.atoms)
     label = "mixture(" + ",".join(f"{w:g}*{t.name}" for w, t in comps) + ")"
-    return TraceSpec(engine, moment, name=label)
+    return TraceSpec(engine, haar, atoms, label)
 
 
 def identity_trace() -> TraceSpec:
     """The unique state on the scalar engine."""
-    return TraceSpec(SCALAR, lambda k: 1.0, name="identity")
+    return TraceSpec(SCALAR, 1.0, (), "identity")

@@ -29,7 +29,6 @@ sample counts, windows and tolerances are constants of the check, and
 run_suites passes the run's beta, bound and seed.  It builds the default
 traces once per call, and only for the kms, trace, ground and
 reconstruct suites; inclusion-exclusion compares under all of them.
-Each build runs eigvalsh on the trace's Gram matrix.
 
 Random inputs use seeded generators and Gaussian-integer coefficients.
 Integer real and imaginary parts keep products exactly representable in

@@ -25,10 +25,10 @@ from pathlib import Path
 import pytest
 
 from ntkms.cli import main
-from ntkms.coeff import haar_trace
-from ntkms.dsl import format_element
+from ntkms.coeff import haar_trace, point_mass_trace
+from ntkms.dsl import format_element, parse_element
 from ntkms.nt import get_term_budget, unit_projection
-from ntkms.product_system import AffineToeplitzSystem, CuntzSystem
+from ntkms.product_system import AffineToeplitzSystem, CuntzSystem, TorusDilationSystem
 from ntkms.states import KMSContext, zeta_series
 
 AFFINE = AffineToeplitzSystem()
@@ -481,13 +481,16 @@ def test_system_parameters_are_checked(capsys):
     assert code == 0 and json.loads(out)["value"] == [1.0, 0.0]
 
 
-def test_torus_rank_beyond_the_moment_window_is_a_usage_error(capsys):
+def test_torus_rank_five_evaluates_as_in_process(capsys):
     code, out, err = run(
-        capsys, "eval", "--system", "lattice-dilation", "--d", "5",
-        "--expr", "i[1](1@0)",
+        capsys, "eval", "--system", "lattice-dilation", "--d", "5", "--trace", "point-mass",
+        "--theta", "0.1,0.2,0.3,0.4,0.5", "--expr", "i[1](z1 z5^-2@0)",
     )
-    assert code == 2 and out == ""
-    assert "torus rank d = 5" in err
+    assert (code, err) == (0, "")
+    system = TorusDilationSystem(5)
+    trace = point_mass_trace(system.engine, (0.1, 0.2, 0.3, 0.4, 0.5))
+    sv = KMSContext(system, trace, 3.0, 1000).kms(parse_element("i[1](z1 z5^-2@0)", system))
+    assert out == json.dumps(sv.as_dict(), sort_keys=True) + "\n"
 
 
 def test_trace_options_are_checked(capsys):
@@ -522,17 +525,20 @@ def test_trace_options_are_checked(capsys):
     assert code == 0 and json.loads(out)["value"] == [1.0, 0.0]
 
 
-@pytest.mark.parametrize("theta, degree", [("nan", "zero"), ("inf", "zero"),
-                                           ("1e308", "(-7,)")])
-def test_non_finite_trace_moments_are_usage_errors(capsys, theta, degree):
-    # 0 * inf is nan at degree zero; 1e308 overflows to inf at degree -7
+@pytest.mark.parametrize("theta, expr, named", [
+    ("nan", "i[1](S@0)", "angle nan is not finite"),
+    ("inf", "i[1](S@0)", "angle inf is not finite"),
+    ("1e308", "i[1](S^7@0)", "moment at degree (7,): phase inf is not finite"),
+], ids=["nan", "inf", "1e308"])
+def test_non_finite_trace_moments_are_usage_errors(capsys, theta, expr, named):
+    # a non-finite angle is rejected when the trace is built; the phase
+    # 7 * 1e308 overflows only when the state reads degree 7
     code, out, err = run(
         capsys, "eval", "--system", "affine-toeplitz", "--trace", "point-mass",
-        "--theta", theta, "--expr", "i[1](S@0)",
+        "--theta", theta, "--expr", expr,
     )
     assert code == 2 and out == ""
-    assert f"moment at degree {degree} is (nan+nanj)" in err
-    assert "Eigenvalues" not in err
+    assert named in err
 
 
 def test_corrupt_flag_is_checked(capsys):

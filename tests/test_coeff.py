@@ -1,4 +1,5 @@
 import cmath
+import struct
 from itertools import product as iter_product
 
 import numpy as np
@@ -7,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntkms.coeff import (
-    MOMENT_WINDOW,
     SCALAR,
     TOEPLITZ,
     CoefficientElement,
     LaurentEngine,
     TraceSpec,
-    _moment_gram,
     haar_trace,
     identity_trace,
     mixture_trace,
@@ -186,53 +185,120 @@ def test_point_mass_needs_matching_angles():
 
 
 def test_trace_validation_rejects_bad_moments():
-    with pytest.raises(ValueError):
-        TraceSpec(TOEPLITZ, lambda k: 2.0)  # wrong normalisation
-    with pytest.raises(ValueError):
-        TraceSpec(TOEPLITZ, lambda k: 1.0 if k == (0,) else 1j)  # not hermitian
-    with pytest.raises(ValueError):
-        TraceSpec(TOEPLITZ, lambda k: 1.0 if k == (0,) else 3.0)  # not psd
+    # weights off 1 break c(0) = 1; a non-finite weight makes every moment non-finite
+    with pytest.raises(ValueError, match="trace weights sum to 2.0, must be 1"):
+        TraceSpec(TOEPLITZ, 2.0)
+    with pytest.raises(ValueError, match="trace weights sum to 0.5"):
+        TraceSpec(TOEPLITZ, 0.25, ((0.25, (0.7,)),))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"trace weight {bad} must be finite"):
+            TraceSpec(TOEPLITZ, 0.0, ((bad, (0.7,)),))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_moment_gram_is_the_double_loop_matrix_bitwise(dim):
-    theta = (0.3, 1.1, 2.9)[:dim]
-    moment = point_mass_trace(LaurentEngine(dim), theta).moment
-    w = MOMENT_WINDOW
+def gram(moment, dim, w=8):
+    """The Gram matrix [c(g - h)] over the degrees g, h in {0..w-1}^d."""
     grid = list(iter_product(range(w), repeat=dim))
-    want = np.empty((len(grid), len(grid)), dtype=complex)
-    for i, gi in enumerate(grid):
-        for j, gj in enumerate(grid):
-            want[i, j] = moment(tuple(a - b for a, b in zip(gi, gj)))
-    got = _moment_gram(moment, dim, w)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
+    return np.array([[moment(tuple(a - b for a, b in zip(g, h))) for h in grid] for g in grid])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_moments_that_are_not_positive_definite_are_rejected(dim):
-    # hermitian, but c(k) = 0.9 at every unit degree outweighs c(0) = 1
+    # a signed measure: its moments 1.5*[k = 0] - 0.5*exp(i k.theta) have a
+    # negative Gram eigenvalue, and the negative weight alone rejects it
+    theta = (0.3, 1.1, 2.9)[:dim]
+
     def moment(k):
-        return 0.9 if sum(map(abs, k)) == 1 else (1.0 if not any(k) else 0.0)
+        return 1.5 * (not any(k)) - 0.5 * cmath.exp(1j * sum(a * t for a, t in zip(k, theta)))
 
-    with pytest.raises(ValueError, match="not positive semidefinite on window 8"):
-        TraceSpec(LaurentEngine(dim), moment)
+    assert np.linalg.eigvalsh(gram(moment, dim)).min() < -1
+    with pytest.raises(ValueError, match="trace weight -0.5 must be finite and nonnegative"):
+        TraceSpec(LaurentEngine(dim), 1.5, ((-0.5, theta),))
 
 
-def test_non_finite_moments_are_named_before_the_eigenvalues():
-    # inf only at a mixed-sign degree; the finiteness check runs before the hermitian one
-    def moment(k):
-        return float("inf") if k == (1, -2) else (1.0 if not any(k) else 0.0)
+def test_angle_tuples_of_the_wrong_length_are_rejected():
+    with pytest.raises(ValueError, match="need 2 angles, got 1"):
+        TraceSpec(LaurentEngine(2), 0.5, ((0.5, (0.7,)),))
+    with pytest.raises(ValueError, match="need 0 angles, got 1"):
+        TraceSpec(SCALAR, 0.0, ((1.0, (0.7,)),))
 
-    with pytest.raises(ValueError, match=r"moment at degree \(1, -2\) is \(inf\+0j\), not finite"):
-        TraceSpec(LaurentEngine(2), moment)
-    with pytest.raises(ValueError, match="moment at degree zero is"):
-        TraceSpec(TOEPLITZ, lambda k: float("nan"))
+
+def test_non_finite_angles_are_named():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"angle {bad} is not finite"):
+            point_mass_trace(LaurentEngine(2), (0.3, bad))
+
+
+def test_a_phase_that_overflows_names_its_degree():
+    tr = point_mass_trace(TOEPLITZ, 1e307)
+    assert tr.moment((17,)) == cmath.exp(1.7e308j)
+    with pytest.raises(ValueError, match=r"moment at degree \(18,\): phase inf is not finite"):
+        tr.moment((18,))
+    # inf - inf is nan, which is not finite either
+    tr2 = point_mass_trace(LaurentEngine(2), (1e308, 1e308))
+    assert tr2.moment((1, -1)) == 1.0
+    with pytest.raises(ValueError, match=r"moment at degree \(2, -2\): phase nan"):
+        tr2.moment((2, -2))
 
 
 def test_zero_degree_moment_is_exactly_one():
-    tr = TraceSpec(TOEPLITZ, lambda k: 1.0 if k == (0,) else 1.0 + 1e-13)
-    assert tr.moment((0,)) == complex(1.0)
+    for total in (1.0 + 1e-13, 1.0 - 1e-13):
+        point = point_mass_trace(TOEPLITZ, 0.7)
+        tr = mixture_trace([(0.5, haar_trace(TOEPLITZ)), (total - 0.5, point)])
+        assert tr.moment((0,)) == complex(1.0)
+
+
+def bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def pinned_degrees(dim):
+    """All of {-7..7}^d, then +-10^18 on each axis and on all axes at once."""
+    yield from iter_product(range(-7, 8), repeat=dim)
+    for sign in (1, -1):
+        for i in range(dim):
+            yield tuple(sign * 10**18 * (j == i) for j in range(dim))
+        yield (sign * 10**18,) * dim
+
+
+@pytest.mark.parametrize("theta", [(0.7,), (0.7, 0.7), (0.3, 1.1, 2.9)], ids=["d1", "d2", "d3"])
+def test_moments_are_the_moment_function_formulas_bitwise(theta):
+    # the formulas of the former moment-function traces, written out
+    dim = len(theta)
+    engine = TOEPLITZ if dim == 1 else LaurentEngine(dim)
+
+    def haar_formula(k):
+        return complex(1.0) if not any(k) else complex(0.0)
+
+    def point_formula(k):
+        if not any(k):
+            return complex(1.0)
+        return cmath.exp(1j * sum(ki * ti for ki, ti in zip(k, theta)))
+
+    haar, point = haar_trace(engine), point_mass_trace(engine, theta)
+    for k in pinned_degrees(dim):
+        assert bits(haar.moment(k)) == bits(haar_formula(k)), k
+        assert bits(point.moment(k)) == bits(point_formula(k)), k
+    assert bits(identity_trace().moment(())) == bits(complex(1.0))
+
+    # a mixture was the weighted sum of its components' moments
+    comps = [(0.25, haar), (0.5, point), (0.25, point_mass_trace(engine, [-t for t in theta]))]
+    mix = mixture_trace(comps)
+    for k in pinned_degrees(dim):
+        assert abs(mix.moment(k) - sum(w * t.moment(k) for w, t in comps)) <= 1e-15, k
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_random_mixtures_have_positive_hermitian_moments(dim):
+    rng = np.random.default_rng(2024 + dim)
+    engine = TOEPLITZ if dim == 1 else LaurentEngine(dim)
+    for _ in range(25):
+        weights = rng.random(1 + rng.integers(0, 5))
+        weights /= weights.sum()
+        atoms = tuple((float(w), tuple(rng.uniform(-10, 10, dim))) for w in weights[1:])
+        tr = TraceSpec(engine, float(weights[0]), atoms)
+        assert np.linalg.eigvalsh(gram(tr.moment, dim)).min() >= -1e-12
+        for k in iter_product(range(-7, 8), repeat=dim):
+            assert tr.moment(tuple(-x for x in k)) == tr.moment(k).conjugate(), k
 
 
 def test_mixture_is_convex_combination():
@@ -248,13 +314,3 @@ def test_identity_trace_on_scalars():
     tr = identity_trace()
     x = CoefficientElement.unit(SCALAR, 2.5 + 1j)
     assert tr.eval(x) == 2.5 + 1j
-
-
-def test_moments_not_hermitian_at_a_mixed_sign_degree_are_rejected():
-    # c(1, -1) = c(-1, 1) = 0.1i: c(-k) must be conj(c(k)), so the pair
-    # breaks the symmetry at a degree no single-sign index reaches
-    def moment(k):
-        return 0.1j if k in ((1, -1), (-1, 1)) else (1.0 if not any(k) else 0.0)
-
-    with pytest.raises(ValueError, match=r"moment not hermitian at degree \(-1, 1\)"):
-        TraceSpec(LaurentEngine(2), moment)

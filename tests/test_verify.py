@@ -650,9 +650,12 @@ def test_fock_nica_fails_on_a_perturbed_defect(monkeypatch):
 
 def test_trace_recovery_fails_when_the_state_reads_a_moment_off(monkeypatch):
     # the state sees c(2) = c(-2) = 0.05 while tau is the Haar trace
+    class Skewed(TraceSpec):
+        def moment(self, k):
+            return super().moment(k) + (0.05 if k in ((2,), (-2,)) else 0)
+
     def skewed_context(system, trace, beta, bound):
-        off = TraceSpec(trace.engine, lambda k: trace.moment(k) + (0.05 if k in ((2,), (-2,)) else 0),
-                        trace.name)
+        off = Skewed(trace.engine, trace.haar, trace.atoms, trace.name)
         return KMSContext(system, off, beta, bound)
 
     monkeypatch.setattr(verify, "KMSContext", skewed_context)
