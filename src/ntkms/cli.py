@@ -191,13 +191,6 @@ def _make_trace(args, config, system: ProductSystem) -> TraceSpec:
     raise UsageError(f"unknown trace {name!r}; use haar, point-mass or identity")
 
 
-def _term_budget(args, config) -> int:
-    budget = _int_opt(args, config, "term_budget", get_term_budget())
-    if budget < 1:
-        raise UsageError("term_budget must be positive")
-    return budget
-
-
 def _parse_expression(expr: str, system: ProductSystem) -> NTElement:
     if expr is None:
         raise UsageError("an expression is required (--expr)")
@@ -415,7 +408,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config) if args.config else {}
-        with term_budget(_term_budget(args, config)):
+        with term_budget(_int_opt(args, config, "term_budget", get_term_budget())):
             return args.fn(args, config)
     except TermBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -79,7 +79,7 @@ def term_budget(n: int):
     of one state evaluation; it is the only way to set it.
     """
     if n < 1:
-        raise ValueError("term budget must be positive")
+        raise ValueError("term_budget must be positive")
     token = _budget.set(int(n))
     try:
         yield

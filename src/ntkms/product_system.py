@@ -392,9 +392,10 @@ class ProductSystem:
         first.  Associativity runs once per (s, r), with every q of the
         window concatenated along the l axis of its (k, l) grid.
         Coherence reads every column of L_(sr) of every pair, keyed by
-        index_split, and assumes the bijectivity checked before it: a
-        non-bijective index map still fails it, with a witness that may
-        name another cell.
+        index_split, and the coprime law reads index_split alone.  Both
+        assume the bijectivity checked before them: on a non-bijective
+        index map they may name another witness or pass, and the
+        bijectivity law fails either way.
         """
         checks: list[CheckReport] = []
         sg, eng = self.semigroup, self.engine
@@ -552,43 +553,26 @@ class ProductSystem:
         For glb(s, r) = e the same product index must never arise from
         two different (right factor) choices on either side:
         m(s,r; j, m) = m(r,s; l, g) and m(s,r; j, n) = m(r,s; l, h)
-        forces m = n and g = h.  Both maps are evaluated on whole-window
-        grids, and every value m(r,s; l, g) is joined with each row
-        m(s,r; j, .) that holds it, the last m winning where the row
-        repeats a value.  The first (pair, j, l) with two hits is a
-        witness with its first two.
+        forces m = n and g = h.  The law assumes the bijectivity that
+        index-map-bijective checks, under which it says i |-> (j, l) is
+        injective: every cell i of the window splits as (j, m) on (s, r)
+        and as (l, h) on (r, s), and the first (pair, j, l) of each
+        (pair, j) met twice is a witness with the (m, h) of its two
+        least h.
         """
-        n, im = self.basis_count, self.index_map
+        n, split = self.basis_count, self.index_split
         groups = [(s, r, n(s), n(r)) for s, r in pairs]
-        for g, (s, r, ns, nr), p in _grid(groups, [ns * nr for *_, ns, nr in groups]):
-            j, m = p // nr, p % nr
-            l, h = p // ns, p % ns
-            row, other = im(s, r, j, m), im(r, s, l, h)
-            # one key per (pair, value)
-            low = min(row.min(), other.min())
-            span = max(row.max(), other.max()) - low + 1
-            rkey, okey = g * span + row - low, g * span + other - low
-            # row entries by (key, j), keeping the last m of each
-            order = np.lexsort((m, j, rkey))
-            rkey, rj, rm = rkey[order], j[order], m[order]
-            last = np.append((rkey[1:] != rkey[:-1]) | (rj[1:] != rj[:-1]), True)
-            rkey, rj, rm = rkey[last], rj[last], rm[last]
-            lo = np.searchsorted(rkey, okey, "left")
-            who, at = _ragged(np.searchsorted(rkey, okey, "right") - lo)
-            at += lo[who]
-            # the hits of each (pair, j, l), g ascending
-            hg, hj, hl = g[who], rj[at], l[who]
-            order = np.lexsort((h[who], hl, hj, hg))
-            hg, hj, hl = hg[order], hj[order], hl[order]
-            twice = np.flatnonzero((hg[1:] == hg[:-1]) & (hj[1:] == hj[:-1]) & (hl[1:] == hl[:-1]))
+        for g, (s, r, *_), i in _grid(groups, [ns * nr for *_, ns, nr in groups]):
+            (j, m), (l, h) = split(s, r, i), split(r, s, i)
+            order = np.lexsort((h, l, j, g))
+            g, s, r, j, m, l, h = (t[order] for t in (g, s, r, j, m, l, h))
+            twice = np.flatnonzero((g[1:] == g[:-1]) & (j[1:] == j[:-1]) & (l[1:] == l[:-1]))
             # the first such l of each (pair, j)
             first = np.ones(twice.size, dtype=bool)
-            first[1:] = (hg[twice[1:]] != hg[twice[:-1]]) | (hj[twice[1:]] != hj[twice[:-1]])
+            first[1:] = (g[twice[1:]] != g[twice[:-1]]) | (j[twice[1:]] != j[twice[:-1]])
             for x in twice[first]:
-                hits = order[x:x + 2]
-                yield {"s": int(s[who[hits[0]]]), "r": int(r[who[hits[0]]]), "j": int(hj[x]),
-                       "l": int(hl[x]),
-                       "collisions": [(int(rm[at[y]]), int(h[who[y]])) for y in hits]}
+                yield {"s": int(s[x]), "r": int(r[x]), "j": int(j[x]), "l": int(l[x]),
+                       "collisions": [(int(m[y]), int(h[y])) for y in (x, x + 1)]}
 
     def corrupted(self, s: int, r: int, pair_a: tuple[int, int], pair_b: tuple[int, int]):
         """A copy with two index-map values swapped, for negative tests.

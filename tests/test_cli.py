@@ -300,6 +300,9 @@ STRUCTURE_RUNS = {
     "affine-toeplitz-corrupt": ("--system", "affine-toeplitz", "--corrupt", "2,2,0,1,1,0"),
     "lattice-dilation-corrupt": ("--system", "lattice-dilation", "--corrupt", "2,2,0,1,1,0"),
     "cuntz-corrupt": ("--system", "cuntz", "--corrupt", "1,1,0,0,1,0"),
+    # a collision on the meet-trivial pair (2, 3) fails the coprime law
+    "affine-toeplitz-coprime-corrupt": ("--system", "affine-toeplitz", "--corrupt", "2,3,0,0,1,0"),
+    "lattice-dilation-coprime-corrupt": ("--system", "lattice-dilation", "--corrupt", "2,3,0,0,1,0"),
 }
 
 

@@ -703,7 +703,7 @@ def test_coprime_scan_names_the_first_collision(pair_b, witness):
 
 class _TabledIndices(AffineToeplitzSystem):
     """Row 0 of m(2, 3; ., .) repeats the value 3, at m = 1 and m = 2,
-    and two values of m(3, 2; 0, .) hit it, so the last m must win."""
+    and two values of m(3, 2; 0, .) hit it: no bijection."""
 
     TABLES = {(2, 3): np.array([[5, 3, 3], [1, 1, 0]]),
               (3, 2): np.array([[3, 5], [1, 4], [4, 0]])}
@@ -731,14 +731,19 @@ def coprime_scan_by_loops(system, pairs):
 
 
 def test_coprime_scan_matches_the_scalar_loop():
-    pairs = meet_trivial_pairs(TruncationSet(NAT_MULT, 6))
-    systems = [_TabledIndices(), _AddedIndices(), _FoldedIndices(), TORUS2]
+    window = TruncationSet(NAT_MULT, 6)
+    pairs = meet_trivial_pairs(window)
+    systems = [TORUS2]
     for base in (AFFINE, TorusDilationSystem(1)):
         for s, r in ((2, 3), (3, 2), (2, 5), (3, 4)):
             cells = [(j, k) for j in range(min(s, 3)) for k in range(min(r, 3))]
             systems += [base.corrupted(s, r, a, b) for a in cells for b in cells if a < b]
     for system in systems:
         assert list(system.coprime_witnesses(pairs)) == list(coprime_scan_by_loops(system, pairs))
+    # the scan assumes the bijectivity that validate checks on its own line
+    for system in (_TabledIndices(), _AddedIndices(), _FoldedIndices()):
+        passed = {c.name: c.passed for c in system.validate(window)}
+        assert not passed["structure:index-map-bijective"]
 
 
 def test_vector_is_sparse_and_checks_its_indices():
