@@ -359,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--trace", help="haar, point-mass or identity")
     common.add_argument("--theta", help="angle(s) for point-mass, comma separated")
     common.add_argument("--term-budget", dest="term_budget", type=int,
-                        help="abort products and divisor scans past this much raw work")
+                        help="cap on raw terms per product and trial divisions per state")
 
     parser = argparse.ArgumentParser(
         prog="ntkms",

@@ -32,9 +32,9 @@ and split by m(r, g''; .), keeping those whose first index is l.  The
 hits are taken in increasing u either way, so every output key
 accumulates in the same order and the floats agree bitwise.  Raw work
 is capped: the number of raw terms emitted during a product, and the
-total length of the divisor scans of one state evaluation, may not
-cross the term budget, and crossing it raises TermBudgetExceeded rather
-than grinding on.
+trial divisions made by the divisor scans of one state evaluation, may
+not cross the term budget, and crossing it raises TermBudgetExceeded
+rather than grinding on.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ _budget: ContextVar[int] = ContextVar("term_budget", default=DEFAULT_TERM_BUDGET
 
 class TermBudgetExceeded(RuntimeError):
     """A computation would do more raw work than the configured cap: a
-    product emitting more raw terms, or one evaluation's divisor scans."""
+    product emitting more raw terms, or one evaluation's trial divisions."""
 
 
 def get_term_budget() -> int:
@@ -76,7 +76,7 @@ def term_budget(n: int):
     """The raw-work cap n within the block, restored on exit.
 
     The cap bounds the raw terms of one product and the trial divisions
-    of one state evaluation; it is the only way to set it.
+    made by one state evaluation; it is the only way to set it.
     """
     if n < 1:
         raise ValueError("term_budget must be positive")

@@ -20,10 +20,10 @@ i_r(xi) i_r(1_l)* meets the fiber at s = r q through the fiberwise trace
 and on the built-in systems tau(W_q(mon)) = N_q * c(deg(mon) / q) when q
 divides the degree componentwise and 0 otherwise, where c is the moment
 function of tau (``reconstruct:inclusion-exclusion`` checks it against the
-left action).  Evaluation therefore loops over divisors of the degree
-instead of the whole window; the window enters only through cached
-partial sums Z_r = sum_(r <= s) N(s)^(-beta) N_(s/r).  Writing s = r q
-and using N(r q) = N(r) N(q),
+left action).  Evaluation therefore loops over the divisors of the degree,
+from ``factor``, whose trial divisions the term budget counts, not over the
+window, which enters only through cached partial sums Z_r = sum_(r <= s)
+N(s)^(-beta) N_(s/r).  Writing s = r q and using N(r q) = N(r) N(q),
 
     Z_r = N(r)^(-beta) * sum_(q in T(B/r)) N(q)^(-beta) N_q,
 
@@ -279,7 +279,7 @@ class KMSContext:
         eng = self.system.engine
         total = 0.0 + 0.0j
         mass = 0.0
-        scanned = 0
+        spent = 0  # the trial divisions of one evaluation share the raw-work cap
         for (s, r, l), vec in y.sorted_terms():
             if s != r:
                 raise ValueError(
@@ -297,21 +297,10 @@ class KMSContext:
                 g = math.gcd(*(abs(c) for c in deg))
                 # only the divisors q with r*q in the window contribute
                 limit = self.bound // r if sg.is_multiplicative else self.bound - r
-                # the divisor scans of one evaluation share the raw-work cap
-                scanned += min(limit, math.isqrt(g))
-                if scanned > get_term_budget():
-                    raise TermBudgetExceeded(
-                        f"the divisor scans of this evaluation reach {scanned} trial divisions "
-                        f"at degree {g}, past the raw-work cap ({get_term_budget()}); raise the "
-                        "budget or shrink the window")
-                for q in _divisors(g, limit):
-                    rq = sg.mul(r, q)
-                    total += (
-                        w
-                        * self.weight_pow(rq)
-                        * self.system.weight(q)
-                        * self.trace.moment(tuple(c // q for c in deg))
-                    )
+                divisors, _, spent = factor(g, limit, spent)
+                for q in divisors:
+                    total += (w * self.weight_pow(sg.mul(r, q)) * self.system.weight(q)
+                              * self.trace.moment(tuple(c // q for c in deg)))
         value = total / self.zeta
         return StateValue(value, self.zeta_tail * mass / self.zeta, self.bound)
 
@@ -432,14 +421,28 @@ def euler_truncation_gap(exponent: float, prime_bound: int, series_bound: int) -
     return series_tail + product * (math.exp(2.0 * prime_tail) - 1.0)
 
 
-def _divisors(n: int, limit: int) -> list[int]:
-    """The divisors of n >= 1 that are at most limit, ascending.
-
-    Trial division runs to min(limit, isqrt(n)): past isqrt(n) only the
-    cofactors n // d of smaller divisors d remain.  KMSContext.omega
-    charges that scan length to the term budget before it calls this.
-    """
-    scan = min(limit, math.isqrt(n))
-    low = [d for d in range(1, scan + 1) if n % d == 0]
-    high = [n // d for d in reversed(low) if d * d != n and n // d <= limit]
-    return low + high
+def factor(n: int, limit: int, spent: int = 0) -> tuple[list[int], list[int], int]:
+    """The divisors of n >= 1 up to limit, ascending, the primes among
+    them, and spent plus the trial divisions made: p = 2, 3, ... divides
+    the shrinking cofactor m while p^2 <= m (past that, m is 1 or prime)
+    and p <= limit (no larger prime divides a divisor up to limit), and
+    each trial is charged to the term budget as it is made."""
+    budget, m, p, primes = get_term_budget(), n, 2, []
+    divisors = [1] if limit >= 1 else []
+    while p * p <= m and p <= limit:
+        spent += 1
+        if spent > budget:
+            raise TermBudgetExceeded(
+                f"the divisor scans of this evaluation reach {spent} trial divisions at degree "
+                f"{n}, past the raw-work cap ({budget}); raise the budget or shrink the window")
+        if m % p == 0:
+            primes.append(p)
+            base, pk = divisors, 1
+            while m % p == 0:
+                m, pk = m // p, pk * p
+                divisors = divisors + [d * pk for d in base if d * pk <= limit]
+        p += 1
+    if 1 < m <= limit:
+        primes.append(m)
+        divisors += [d * m for d in divisors if d * m <= limit]
+    return sorted(divisors), primes, spent

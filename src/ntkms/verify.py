@@ -70,9 +70,11 @@ from .nt import NTElement, diagonal, unit_projection
 from .product_system import CheckReport, ModuleVector, ProductSystem
 from .semigroup import TruncationSet
 from .states import (
+    PREFIX_TERMS,
     KMSContext,
     euler_product,
     euler_truncation_gap,
+    factor,
     ground_state,
     zeta_series,
 )
@@ -130,6 +132,12 @@ def _compare(name: str, comparisons: Iterable[tuple[complex, complex, float, dic
         name, True,
         {**metrics, "worst_deviation": dev, "tolerance_at_worst": tol, "nonzero": nonzero},
     )
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u = 2^-53, the relative error bound of n rounded
+    operations (Higham, Accuracy and Stability of Numerical Algorithms, section 3)."""
+    return n * 2.0**-53 / (1.0 - n * 2.0**-53)
 
 
 class Draw:
@@ -460,25 +468,28 @@ def _limit_monomials(system: ProductSystem) -> list[NTElement]:
 def check_ground_limit(system: ProductSystem, trace: TraceSpec, bound: int = 1000) -> CheckReport:
     """KMS states approach the ground state as beta runs 5, 10, 20.
 
-    On ten fixed core elements the final beta sits within 1e-4 of the
-    ground value, and each step at least halves a difference above 1e-14
-    (or a NaN one, which fails).
+    The identity fiber contributes ground(y)/zeta to the windowed state
+    and every other fiber s at most N(s)^(-beta) N_s |y|_1/zeta, so on ten
+    fixed core elements, at each beta, |kms_beta(y) - ground(y)| is at
+    most (|y|_1 + |ground(y)|)(zeta - 1)/zeta, with zeta from zeta_series,
+    not from the state under test.  Rounding adds 4 gamma_n (|y|_1 +
+    |ground(y)|), n = 16 plus the held zeta terms: one gamma_n each for the
+    state's sum (of terms whose moduli add up to |y|_1 zeta), its division
+    by zeta, the ground value and the bound.
     """
     betas = (5.0, 10.0, 20.0)
     monomials = _limit_monomials(system)
+    rounding = 4.0 * _gamma(min(bound, PREFIX_TERMS) + 16)
 
     def comparisons():
         ground = [ground_state(system, trace, y).value for y in monomials]
-        kms = [[ctx.kms(y).value for y in monomials]
-               for ctx in (KMSContext(system, trace, beta, bound) for beta in betas)]
-        for m, (value, g) in enumerate(zip(kms[-1], ground)):
-            yield value, g, 1e-4, {"law": "final", "monomial": m}
-        diffs = [[abs(v - g) for v, g in zip(row, ground)] for row in kms]
-        for i in range(1, len(betas)):
-            for m, (prev, cur) in enumerate(zip(diffs[i - 1], diffs[i])):
-                if not prev <= 1e-14:  # a NaN prev is compared, and fails
-                    yield cur, 0.0, 0.5 * prev, {"law": "geometric", "monomial": m,
-                                                 "beta_from": betas[i - 1], "beta_to": betas[i]}
+        for beta in betas:
+            ctx = KMSContext(system, trace, beta, bound)
+            zeta = zeta_series(system, beta, bound).value.real
+            for m, (y, g) in enumerate(zip(monomials, ground)):
+                yield (ctx.kms(y).value, g,
+                       (y.one_norm() + abs(g)) * ((zeta - 1.0) / zeta + rounding),
+                       {"beta": beta, "monomial": m})
 
     return _compare("state:ground-limit", comparisons(),
                     betas=list(betas), monomials=len(monomials), trace=trace.name)
@@ -586,9 +597,8 @@ def check_inclusion_exclusion(system: ProductSystem, traces: Sequence[TraceSpec]
     four seeded draws from the rest, all with N_q <= 2^16; each gets the
     monomials of _fiber_monomials, of degree 0 on every third fiber.  Both
     sides sum at most N_q terms w c(.) with |c| <= 1, so the tolerance is
-    gamma_(N_q + 4) |w| N_q N(q)^(-beta), with gamma_n = n u / (1 - n u)
-    and u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 3); the four covers the products around the sum.
+    gamma_(N_q + 4) |w| N_q N(q)^(-beta) (see _gamma); the four covers the
+    products around the sum.
     """
     rng = Random(seed)
     eng = system.engine
@@ -601,7 +611,6 @@ def check_inclusion_exclusion(system: ProductSystem, traces: Sequence[TraceSpec]
         for i, q in enumerate(fibers):
             n = system.basis_count(q)
             scale = system.weight(q) ** (-beta)
-            u = (n + 4) * 2.0**-53
             for a in _fiber_monomials(rng, eng, q, zero=i % 3 == 0):
                 (mon, w), = a.terms.items()
                 deg = eng.degree(mon)
@@ -609,7 +618,7 @@ def check_inclusion_exclusion(system: ProductSystem, traces: Sequence[TraceSpec]
                 for t in traces:
                     c = 0.0 if any(x % q for x in deg) else t.moment(tuple(x // q for x in deg))
                     yield (lambda_weight(system, t, beta, q, a), scale * (w * n * c),
-                           u / (1.0 - u) * abs(w) * n * scale, {**where, "trace": t.name})
+                           _gamma(n + 4) * abs(w) * n * scale, {**where, "trace": t.name})
 
     return _compare("reconstruct:inclusion-exclusion", comparisons(), beta=beta, bound=bound,
                     fibers=len(fibers), traces=[t.name for t in traces])
@@ -617,22 +626,9 @@ def check_inclusion_exclusion(system: ProductSystem, traces: Sequence[TraceSpec]
 
 def _degree_primes(a: CoefficientElement) -> Optional[list[int]]:
     """The primes dividing the degree gcds of a's monomials, ascending, by
-    trial division; None when one of them has degree zero."""
-    primes = set()
-    for mon in a.terms:
-        g = math.gcd(*a.engine.degree(mon))
-        if g == 0:
-            return None
-        p = 2
-        while p * p <= g:
-            if g % p == 0:
-                primes.add(p)
-                while g % p == 0:
-                    g //= p
-            p += 1
-        if g > 1:
-            primes.add(g)
-    return sorted(primes)
+    states.factor; None when one of them has degree zero."""
+    degrees = [math.gcd(*a.engine.degree(mon)) for mon in a.terms]
+    return None if 0 in degrees else sorted({p for g in degrees for p in factor(g, g)[1]})
 
 
 def recovery_products(system: ProductSystem, a: CoefficientElement) -> list[NTElement]:

@@ -642,22 +642,23 @@ def test_hostile_exponent_evaluates_fast(capsys):
 
 
 def test_hostile_exponent_in_a_hostile_window_exits_three_fast(capsys):
-    # the divisor scan of 10^18 would run to isqrt(10^18) = 10^9 inside this
-    # window, which is past the default budget, so it is refused up front
+    # the prime 10^18 + 3 leaves its cofactor whole, so trial division
+    # would run to its square root inside this window; the budget stops it
+    # at the division past the default cap
     start = time.perf_counter()
     code, out, err = run(
         capsys, "eval", "--system", "affine-toeplitz",
-        "--expr", "i[1](S^1000000000000000000@0)", "--beta", "3", "--bound", "1000000000000",
+        "--expr", "i[1](S^1000000000000000003@0)", "--beta", "3", "--bound", "1000000000000",
     )
     assert time.perf_counter() - start < 5.0
     assert code == 3 and out == ""
-    assert "degree 1000000000000000000" in err and "1000000000 trial divisions" in err
+    assert "degree 1000000000000000003" in err and "1000001 trial divisions" in err
     assert "(1000000)" in err
 
 
 def test_divisor_scans_share_one_budget_per_evaluation(capsys):
-    # each scan of 10^12 - 2j runs to about 10^6, just under the cap; the
-    # hundred of them together are far past it
+    # factoring each 10^12 - 2j alone takes at most about 7 * 10^5 trial
+    # divisions, under the cap; the hundred together take 7.5 * 10^6
     expr = " + ".join(f"i[1](S^{10**12 - 2 * j}@0)" for j in range(100))
     start = time.perf_counter()
     code, out, err = run(

@@ -7,7 +7,7 @@ import pytest
 
 from ntkms import states
 from ntkms.coeff import CoefficientElement, haar_trace, identity_trace, point_mass_trace
-from ntkms.nt import NTElement, unit_projection
+from ntkms.nt import NTElement, TermBudgetExceeded, term_budget, unit_projection
 from ntkms.product_system import (
     AffineToeplitzSystem,
     CuntzSystem,
@@ -375,6 +375,52 @@ def test_omega_visits_only_the_divisors_in_the_window(system):
                     total += (w * ctx.weight_pow(r * q) * system.weight(q)
                               * ctx.trace.moment(tuple(c // q for c in deg)))
             assert ctx.omega(y).value == total / ctx.zeta, (r, g)
+
+
+def test_factor_matches_brute_force_divisors_and_primes():
+    """Divisors up to each limit and the primes among them, for every
+    n < 5000, against divisor lists built by marking multiples."""
+    n_max = 5000
+    divisors = [[] for _ in range(n_max)]
+    for d in range(1, n_max):
+        for m in range(d, n_max, d):
+            divisors[m].append(d)
+    for limit in (0, 1, 7, 60, 4999, 10**7):
+        for n in range(1, n_max):
+            want = [d for d in divisors[n] if d <= limit]
+            got, primes, _ = states.factor(n, limit)
+            assert got == want, (n, limit)
+            assert primes == [p for p in want if len(divisors[p]) == 2], (n, limit)
+
+
+def _huge_degree(g):
+    return NTElement.embed_coeff(AFFINE, CoefficientElement.monomial(AFFINE.engine, (g, 0)))
+
+
+@pytest.mark.parametrize("k", [12, 14, 18])
+def test_omega_at_a_huge_degree_is_its_exact_divisor_sum(k):
+    """At bound 10^12 the divisors q = 2^i 5^j <= B of g = 10^k carry the
+    state: under haar every moment c(g/q) is 0, and under a point mass at
+    0 it is 1, so the value is the sum of q^(-2) over them, over zeta."""
+    g = 10**k
+    haar = KMSContext(AFFINE, haar_trace(AFFINE.engine), 3.0, 10**12)
+    assert haar.omega(_huge_degree(g)).value == 0.0
+    ctx = KMSContext(AFFINE, point_mass_trace(AFFINE.engine, 0.0), 3.0, 10**12)
+    got = ctx.omega(_huge_degree(g))
+    qs = [2**i * 5**j for i in range(k + 1) for j in range(k + 1) if 2**i * 5**j <= 10**12]
+    assert abs(got.value - math.fsum(q**-2.0 for q in qs) / ctx.zeta) <= got.tail
+
+
+def test_term_budget_counts_the_trial_divisions_made():
+    """10^18 = 2^18 5^18 factors in four trial divisions; a prime near
+    10^18 needs 10^9 and trips the budget, naming its degree."""
+    ctx = KMSContext(AFFINE, haar_trace(AFFINE.engine), 3.0, 10**12)
+    with term_budget(100):
+        assert ctx.omega(_huge_degree(10**18)).value == 0.0
+        assert states.factor(10**18, 10**12)[2] == 4
+        with pytest.raises(TermBudgetExceeded, match=r"101 trial divisions at degree "
+                                                      r"1000000000000000003,"):
+            ctx.omega(_huge_degree(10**18 + 3))
 
 
 def test_kms_condition_spot_samples():
