@@ -28,14 +28,12 @@ N(s)^(-beta) N_(s/r).  Writing s = r q and using N(r q) = N(r) N(q),
     Z_r = N(r)^(-beta) * sum_(q in T(B/r)) N(q)^(-beta) N_q,
 
 a partial sum of the zeta terms: the first floor(B/r) of them on nat-mult
-and the first B - r + 1 on nat-add.  At most PREFIX_TERMS = 2^20 terms are
-held, in one float64 buffer (8 MB) that is filled in place; on the
-geometric profile the terms past exp's underflow are exact zeros and are
-not evaluated.  A partial sum of n <= 2^20 terms is a slice sum over
-them; past the held prefix, the prefix sum is completed in closed form,
-by Euler-Maclaurin with six Bernoulli terms on the power profile (terms
-s^(-a), a = p(beta-1)) and by the geometric sum on the geometric one
-(terms x^n, x = k^(1-beta)).
+and the first B - r + 1 on nat-add.  At most PREFIX_TERMS = 2^12 terms are
+held, in one float64 buffer (32 KB) that is filled in place.  A partial
+sum of n <= 2^12 terms is a slice sum over them; past the held prefix,
+the prefix sum is completed in closed form, by Euler-Maclaurin with six
+Bernoulli terms on the power profile (terms s^(-a), a = p(beta-1)) and
+by the geometric sum on the geometric one (terms x^n, x = k^(1-beta)).
 So a window of any size costs the same time and memory.  A literal
 evaluator that walks every fiber basis vector symbolically, within the
 held prefix, is kept as a slow cross-check.
@@ -48,7 +46,8 @@ Dropped series tails are bounded in closed form: each term beyond the
 window contributes at most N(s)^(-beta) N_s times the coordinate
 one-norm, so the reported tail is the zeta tail bound, plus the
 Euler-Maclaurin remainder bound on windows past the prefix, scaled by
-the total one-norm over zeta.  The zero-degree moment is pinned to
+the total one-norm over zeta.  Every tail also counts the rounding of
+the held sums (``rounding_radius``).  The zero-degree moment is pinned to
 exactly 1.0, and the identity partial sum is the same computation as
 zeta, so the state of the unit is exactly 1.0, not 1.0 up to rounding.
 """
@@ -75,6 +74,7 @@ __all__ = [
     "euler_truncation_gap",
     "primes_up_to",
     "tail_bound",
+    "rounding_radius",
 ]
 
 
@@ -82,7 +82,8 @@ __all__ = [
 class StateValue:
     """A state evaluation with its truncation certificate.
 
-    ``tail`` bounds the modulus of the dropped series remainder.
+    ``tail`` bounds the modulus of the dropped series remainder plus the
+    rounding of the held sums.
     """
 
     value: complex
@@ -100,9 +101,10 @@ class StateValue:
         return complex(self.value)
 
 
-# The zeta terms held in memory: the smallest power of two that keeps the
-# 10^6-term window of the euler-product check on the direct slice sums.
-PREFIX_TERMS = 2**20
+# The zeta terms held in memory.  Past 2^12 terms the closed forms are
+# exact to rounding: the Euler-Maclaurin remainder at m = 2^12 is below
+# 1e-45 of zeta at every beta above the critical exponent.
+PREFIX_TERMS = 2**12
 
 # B_2k / (2k)! for k = 1..6, and 2 zeta(12) / (2 pi)^12 = |B_12| / 12!,
 # which bounds the periodic Bernoulli function in the remainder integral.
@@ -110,8 +112,37 @@ _EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
                     -691 / 1307674368000)
 _EULER_MACLAURIN_REMAINDER = abs(_EULER_MACLAURIN[-1])
 
-# exp(x) rounds to +0.0 for every x below log(2^-1075) = -745.13...
-_EXP_UNDERFLOW = -746.0
+# The rounded operations that rounding_radius does not count one by one,
+# and the factor that rounds a bound of a few operations up.
+_UNCOUNTED_OPERATIONS = 64
+_UP = 1.0 + 2.0**-50
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u = 2^-53, the relative error bound of n rounded
+    operations (Higham, Accuracy and Stability of Numerical Algorithms, section 3)."""
+    return n * 2.0**-53 / (1.0 - n * 2.0**-53)
+
+
+def rounding_radius(mass: float, held: int, accumulated: int = 0) -> float:
+    """mass * gamma_(held + accumulated + 64), rounded up: a bound on the
+    rounding error of a sum of ``accumulated`` terms, each a product of a
+    few rounded factors (weight, N(v)^(-beta) by pow or exp, fiber rank,
+    moment, quotient by zeta) and of partial sums of ``held`` held terms
+    in all, completed past the prefix in about 25 operations.
+
+    A product of k rounded factors errs by gamma_k relatively and a sum of
+    n terms by gamma_(n-1) times the sum of their moduli, recursively or
+    pairwise (Higham, Accuracy and Stability of Numerical Algorithms,
+    Lemma 3.3 and section 4.2); 64 covers the factors and closed forms.
+    The moduli sum to at most mass: zeta for zeta, whose terms are
+    positive, and the coefficient one-norm for a state value, whose terms
+    over zeta are weights times Z_r / zeta or one zeta term over zeta,
+    times moments of modulus at most 1, with |Z_r| <= zeta.  Exponents of
+    pow and exp count as exact: the moment phase and log(k) times a large
+    degree round further.  The factor 1 + 2^-50 rounds up; 0 stays 0.
+    """
+    return mass * _gamma(held + accumulated + _UNCOUNTED_OPERATIONS) * _UP
 
 
 def tail_bound(profile: tuple[str, int], beta: float, bound: int) -> float:
@@ -142,25 +173,14 @@ def _zeta_terms(system: ProductSystem, beta: float, bound: int) -> np.ndarray:
     s = e, e + 1, ... up to bound, in overflow-safe closed form.
 
     One float64 buffer holds s and is overwritten by its term in place.
-    On the geometric profile exp(x) is exactly +0.0 below _EXP_UNDERFLOW,
-    so only the head of s above that point is evaluated and the rest of
-    the buffer is zero-filled.  The terms are bitwise those of evaluating
-    the closed form on every s.
     """
     kind, p = system.profile
     e = system.identity_fiber()
-    n = min(bound, e + PREFIX_TERMS - 1) - e + 1
+    buf = np.arange(e, min(bound, e + PREFIX_TERMS - 1) + 1, dtype=float)
     if kind == "power":
-        buf = np.arange(e, e + n, dtype=float)
         return np.power(buf, p * (1.0 - beta), out=buf)
     if kind == "geometric":
-        rate = (1.0 - beta) * math.log(p)
-        # rate * s < _EXP_UNDERFLOW for every s past the head, with a margin of one
-        head = min(n, max(math.floor(_EXP_UNDERFLOW / rate) - e + 2, 0))
-        buf = np.arange(e, e + head, dtype=float)
-        np.exp(np.multiply(buf, rate, out=buf), out=buf)
-        buf.resize(n, refcheck=False)  # grows this buffer; the new tail is +0.0
-        return buf
+        return np.exp(np.multiply(buf, (1.0 - beta) * math.log(p), out=buf), out=buf)
     raise ValueError(f"no closed-form series for the scaling profile {system.profile!r}")
 
 
@@ -253,7 +273,7 @@ class KMSContext:
         """Z_r = sum over window elements s = r q of N(s)^(-beta) N_q.
 
         N(r)^(-beta) times the sum of the first n zeta terms (see the
-        module docstring): a slice sum over the held 2^20-term prefix
+        module docstring): a slice sum over the held 2^12-term prefix
         when n fits in it, else the prefix sum plus the closed-form rest.
         0.0 when r lies beyond the window.  Z_e is computed exactly as
         zeta is, so it is bitwise zeta.
@@ -279,6 +299,7 @@ class KMSContext:
         eng = self.system.engine
         total = 0.0 + 0.0j
         mass = 0.0
+        added = 0
         spent = 0  # the trial divisions of one evaluation share the raw-work cap
         for (s, r, l), vec in y.sorted_terms():
             if s != r:
@@ -293,35 +314,38 @@ class KMSContext:
                 deg = eng.degree(mon)
                 if not any(deg):
                     total += w * self.z_value(r)
+                    added += 1
                     continue
                 g = math.gcd(*(abs(c) for c in deg))
                 # only the divisors q with r*q in the window contribute
                 limit = self.bound // r if sg.is_multiplicative else self.bound - r
                 divisors, _, spent = factor(g, limit, spent)
+                added += len(divisors)
                 for q in divisors:
                     total += (w * self.weight_pow(sg.mul(r, q)) * self.system.weight(q)
                               * self.trace.moment(tuple(c // q for c in deg)))
-        value = total / self.zeta
-        return StateValue(value, self.zeta_tail * mass / self.zeta, self.bound)
+        return self._value(total, mass, added)
 
     def omega_literal(self, y: NTElement) -> StateValue:
         """The defining double sum, walking fiber bases symbolically.
 
         Quadratic in the window size; kept as an independent cross-check
-        of the degree fast path.  It reads every zeta term, so it refuses
-        windows longer than the held prefix.
+        of the degree fast path on windows of a few dozen elements.  It
+        reads every zeta term, so it refuses windows longer than the held
+        prefix.
         """
         if y.system is not self.system:
             raise ValueError("element is over a different product system")
         if self.trunc.size > len(self._zeta_terms):
             raise ValueError(
-                f"omega_literal walks at most PREFIX_TERMS = {PREFIX_TERMS} window "
-                f"elements; bound {self.bound} has {self.trunc.size}"
+                f"omega_literal walks at most {PREFIX_TERMS} window elements; "
+                f"bound {self.bound} has {self.trunc.size}"
             )
         sys = self.system
         sg = sys.semigroup
         total = 0.0 + 0.0j
         mass = 0.0
+        added = 0
         for (rs, r, l), vec in y.sorted_terms():
             if rs != r:
                 raise ValueError(
@@ -341,10 +365,19 @@ class KMSContext:
                     if jr != l:
                         continue
                     image = sys.module_product(vec, sys.basis_vector(q, jq))
-                    acc += self.trace.eval(probe.inner(image))
+                    inner = probe.inner(image)
+                    acc += self.trace.eval(inner)
+                    added += 1 + len(inner.terms)
                 total += w_s * acc
-        value = total / self.zeta
-        return StateValue(value, self.zeta_tail * mass / self.zeta, self.bound)
+        return self._value(total, mass, added)
+
+    def _value(self, total: complex, mass: float, added: int) -> StateValue:
+        """total / zeta, ``added`` terms summed, with the truncation share
+        of the tail and the rounding radius, their sum rounded up.  zeta
+        sums the held terms, and so does each Z_r or the literal walk."""
+        tail = (self.zeta_tail * mass / self.zeta
+                + rounding_radius(mass, 2 * len(self._zeta_terms), added))
+        return StateValue(total / self.zeta, tail * _UP, self.bound)
 
     def kms(self, y: NTElement) -> StateValue:
         """The KMS_beta state on a general element: omega after the core
@@ -373,10 +406,11 @@ def zeta_series(system: ProductSystem, beta: float, bound: int) -> StateValue:
     """The normalising series over the window, with its tail bound.
 
     Sums the held prefix of the terms and completes longer windows in
-    closed form, so every window costs the same.
+    closed form, so every window costs the same.  The tail adds the
+    rounding radius of that sum to the truncation tail.
     """
-    value, tail = _series(system, beta, bound)[3:]
-    return StateValue(complex(value), tail, bound)
+    _, terms, _, value, tail = _series(system, beta, bound)
+    return StateValue(complex(value), (tail + rounding_radius(value, len(terms))) * _UP, bound)
 
 
 @lru_cache(maxsize=8)

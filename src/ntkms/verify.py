@@ -72,10 +72,13 @@ from .semigroup import TruncationSet
 from .states import (
     PREFIX_TERMS,
     KMSContext,
+    _gamma,
     euler_product,
     euler_truncation_gap,
     factor,
     ground_state,
+    primes_up_to,
+    rounding_radius,
     zeta_series,
 )
 
@@ -132,12 +135,6 @@ def _compare(name: str, comparisons: Iterable[tuple[complex, complex, float, dic
         name, True,
         {**metrics, "worst_deviation": dev, "tolerance_at_worst": tol, "nonzero": nonzero},
     )
-
-
-def _gamma(n: int) -> float:
-    """gamma_n = n u / (1 - n u), u = 2^-53, the relative error bound of n rounded
-    operations (Higham, Accuracy and Stability of Numerical Algorithms, section 3)."""
-    return n * 2.0**-53 / (1.0 - n * 2.0**-53)
 
 
 class Draw:
@@ -542,7 +539,13 @@ def check_scaling_identity(
 
 def check_euler(system: ProductSystem, beta: float = 3.0) -> CheckReport:
     """Euler form of the normalising series for power-profile systems:
-    the product over primes up to 10^4 against the series up to 10^6."""
+    the product over primes up to 10^4 against the series up to 10^6.
+
+    The tolerance is the truncation gap plus the rounding of both sides:
+    gamma_(3P) times the product, for its P prime factors of three rounded
+    operations each (a power, a difference and a quotient), and the
+    series' rounding radius.  The Euler-Maclaurin remainder of the series
+    past the held prefix is below 1e-45 of it and is not added."""
     kind, d = system.profile
     if kind != "power" or system.semigroup.name != "nat-mult":
         return CheckReport(
@@ -554,8 +557,10 @@ def check_euler(system: ProductSystem, beta: float = 3.0) -> CheckReport:
     allowed = euler_truncation_gap(exponent, prime_bound, series_bound)
     product = euler_product(exponent, prime_bound)
     series = zeta_series(system, beta, series_bound).value.real
+    rounding = (_gamma(3 * len(primes_up_to(prime_bound))) * product
+                + rounding_radius(series, min(series_bound, PREFIX_TERMS)))
     return _compare("state:euler-product",
-                    [(product, series, max(allowed, 1e-3), {"law": "euler"})],
+                    [(product, series, allowed + rounding, {"law": "euler"})],
                     allowed=allowed, beta=beta, prime_bound=prime_bound, series_bound=series_bound)
 
 

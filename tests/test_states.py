@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import islice
 from random import Random
 
 import numpy as np
@@ -54,9 +55,11 @@ def test_zeta_sandwiched_by_integral_test():
 
 def test_zeta_geometric_closed_form():
     sv = zeta_series(CUNTZ, 3.0, 1000)
-    # sum over n of 2^n * 8^(-n) = 4/3 once the window swallows the tail
+    # sum over n of 2^n * 8^(-n) = 4/3 once the window swallows the tail,
+    # which leaves the rounding radius of the 1001 held terms
     assert abs(sv.value.real - 4.0 / 3.0) < 1e-15
-    assert sv.tail < 1e-300
+    radius = states.rounding_radius(sv.value.real, 1001)
+    assert radius <= sv.tail <= radius * (1 + 1e-15)
 
 
 def test_zeta_tail_is_honest():
@@ -64,7 +67,10 @@ def test_zeta_tail_is_honest():
         small = zeta_series(system, beta, 50)
         big = zeta_series(system, beta, 5000)
         assert abs(big.value - small.value) <= small.tail
-        assert big.tail < small.tail
+        # the truncation tail shrinks until the rounding radius of the
+        # held terms, which grows with them, is all that is left
+        radius = states.rounding_radius(big.value.real, states.PREFIX_TERMS)
+        assert big.tail < max(small.tail, 1.01 * radius)
 
 
 def test_zeta_rejects_subcritical_beta():
@@ -171,9 +177,10 @@ PREFIX_SYSTEMS = {**BUILTINS, "cuntz(3)": CuntzSystem(3)}
 
 def prefix_betas(name):
     """The betas whose held prefix is pinned: just above the critical
-    exponent, where the geometric head spans the whole prefix; the sweep
-    midpoint (that of cuntz(2) on cuntz(3)); 40, where the geometric head is a few dozen terms ending in
-    subnormals; and on affine-toeplitz 3, whose exponent is exactly -2."""
+    exponent, where no geometric term underflows; the sweep midpoint
+    (that of cuntz(2) on cuntz(3)); 40, where the geometric terms pass
+    through subnormals to zero within a few dozen; and on affine-toeplitz
+    3, whose exponent is exactly -2."""
     system = PREFIX_SYSTEMS[name]
     betas = [system.beta_c + 1e-6, sum(SWEEP_BETAS.get(name, SWEEP_BETAS["cuntz(2)"])) / 2, 40.0]
     return betas + [3.0] if name == "affine-toeplitz" else betas
@@ -191,8 +198,29 @@ def test_held_prefix_is_the_full_array_formula_bit_for_bit(name):
             assert ctx._zeta_terms.tobytes() == want.tobytes(), (beta, bound)
         if system.profile[0] == "geometric" and beta == 40.0:
             assert 0.0 < want[want > 0.0].min() < np.finfo(float).tiny
-        terms = all_terms(system, beta, 10**6)
-        assert zeta_series(system, beta, 10**6).value == float(np.sum(terms))
+
+
+@pytest.mark.parametrize("name", PREFIX_SYSTEMS)
+def test_held_sums_are_within_their_radius_across_the_prefix_edge(name):
+    """zeta and Z_r against math.fsum of the full array's terms, on windows
+    within, at and past the held prefix, up to the rounding radius of the
+    held terms they sum."""
+    system = PREFIX_SYSTEMS[name]
+    e = system.identity_fiber()
+    for beta in prefix_betas(name):
+        terms = all_terms(system, beta, 10**6).tolist()
+        for bound in (5, 1000, 4095, 4096, 4097, 10**5, 10**6):
+            ctx = context(system, beta=beta, bound=bound)
+            sv = zeta_series(system, beta, bound)
+            n = terms_in_z(system, bound, e)
+            radius = states.rounding_radius(sv.value.real, min(n, states.PREFIX_TERMS))
+            assert abs(sv.value.real - math.fsum(islice(terms, n))) <= radius, (beta, bound)
+            for r in (e, 2, 3, 7, 1000):
+                n = max(terms_in_z(system, bound, r), 0)
+                got = ctx.z_value(r)
+                want = ctx.weight_pow(r) * math.fsum(islice(terms, n))
+                radius = states.rounding_radius(got, min(n, states.PREFIX_TERMS))
+                assert abs(got - want) <= radius, (beta, bound, r)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -240,7 +268,7 @@ def test_z_value_at_identity_is_zeta_bitwise_past_the_prefix(name):
 def test_euler_maclaurin_remainder_is_negligible_at_the_prefix(name):
     system = BUILTINS[name]
     for beta in SWEEP_BETAS[name]:
-        _, err = states._closed_form_sum(system.profile, beta, 2**20, 10**7)
+        _, err = states._closed_form_sum(system.profile, beta, states.PREFIX_TERMS, 10**7)
         assert 0.0 <= err < 1e-30
         # the geometric sum is exact
         assert (err == 0.0) == (system is CUNTZ)
@@ -265,7 +293,7 @@ def test_euler_maclaurin_remainder_bounds_the_error(beta):
 def test_literal_evaluator_refuses_windows_past_the_prefix(monkeypatch):
     monkeypatch.setattr(states, "PREFIX_TERMS", 2**4)
     ctx = context(AFFINE, beta=3.0, bound=100)
-    with pytest.raises(ValueError, match="PREFIX_TERMS = 16"):
+    with pytest.raises(ValueError, match="at most 16 window elements"):
         ctx.omega_literal(NTElement.unit(AFFINE))
     sv = context(AFFINE, beta=3.0, bound=16).omega_literal(NTElement.unit(AFFINE))
     assert sv.value == pytest.approx(1.0, rel=1e-14)
@@ -278,7 +306,9 @@ def test_any_window_costs_the_same():
         assert sv.truncation == 10**15
         ctx = context(system, beta=3.0, bound=10**15)
         assert len(ctx._zeta_terms) == states.PREFIX_TERMS
-        assert ctx.zeta == sv.value.real and ctx.zeta_tail == sv.tail
+        assert ctx.zeta == sv.value.real
+        radius = states.rounding_radius(ctx.zeta, states.PREFIX_TERMS)
+        assert sv.tail == (ctx.zeta_tail + radius) * (1 + 2**-50)
         assert ctx.z_value(e) == ctx.zeta
 
 
@@ -351,7 +381,8 @@ def test_omega_matches_literal_evaluator(system, bound):
             fast = ctx.omega(y)
             slow = ctx.omega_literal(y)
             assert abs(fast.value - slow.value) < 1e-9 * max(1.0, y.one_norm())
-            assert fast.tail == slow.tail
+            # the same truncation share, plus rounding radii near 1e-8 of it
+            assert fast.tail == pytest.approx(slow.tail, rel=1e-6)
 
 
 @pytest.mark.parametrize("system", [AFFINE, TORUS2], ids=lambda s: s.name)
