@@ -4,8 +4,9 @@ The package splits into layers:
 
 * :mod:`ntkms.semigroup` - the positive cones (nat-mult, nat-add), their
   lattice order and truncation windows;
-* :mod:`ntkms.coeff` - coefficient engines (Toeplitz, Laurent, scalar),
-  canonical finite combinations of monomials, and trace/moment data;
+* :mod:`ntkms.coeff` - coefficient engines (Toeplitz, and Laurent of
+  every rank d >= 0, rank 0 being the scalars), canonical finite
+  combinations of monomials, and trace/moment data;
 * :mod:`ntkms.product_system` - fibers with orthonormal bases, index
   maps, left actions, and the built-in example systems; the fiber rank
   N_s is the scaling map of the dynamics, its ``profile`` its closed form;
@@ -24,7 +25,6 @@ from .coeff import (
     CoefficientElement,
     LaurentEngine,
     SCALAR,
-    ScalarEngine,
     TOEPLITZ,
     ToeplitzEngine,
     TraceSpec,
@@ -86,7 +86,6 @@ __all__ = [
     "ProductSystem",
     "SCALAR",
     "SUITE_NAMES",
-    "ScalarEngine",
     "Semigroup",
     "StateValue",
     "TOEPLITZ",

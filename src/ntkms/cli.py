@@ -28,7 +28,7 @@ from .coeff import TraceSpec, haar_trace, identity_trace, point_mass_trace
 from .dsl import format_element, parse_element
 from .nt import NTElement, TermBudgetExceeded, get_term_budget, term_budget
 from .product_system import BUILTIN_SYSTEMS, ProductSystem, get_system
-from .states import KMSContext, ground_state
+from .states import KMSContext, ground_state, zeta_series
 from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["main"]
@@ -156,7 +156,7 @@ def _parse_corrupt(value, system: ProductSystem):
 
 def _parse_theta(theta, dim: int):
     if theta is None:
-        return 0.7 if dim == 1 else tuple(0.7 for _ in range(dim))
+        return tuple(0.7 for _ in range(dim))
     if isinstance(theta, str):
         parts = [p.strip() for p in theta.split(",")]
         vals = tuple(float(p) for p in parts)
@@ -166,7 +166,7 @@ def _parse_theta(theta, dim: int):
         vals = tuple(float(t) for t in theta)
     if len(vals) != dim:
         raise UsageError(f"theta needs {dim} angle(s), got {len(vals)}")
-    return vals[0] if dim == 1 else vals
+    return vals
 
 
 def _make_trace(args, config, system: ProductSystem) -> TraceSpec:
@@ -277,11 +277,13 @@ def _cmd_sweep(args, config) -> int:
     betas = _parse_betas(_opt(args, config, "betas"))
     bound = _int_opt(args, config, "bound", 1000)
     observables = _parse_observables(args, config, system)
-    # every row is computed before any is printed, so an error prints nothing
+    # every row is computed before any is printed, so an error prints nothing;
+    # zeta and its certified tail, rounding included, are zeta_series's
     rows = [["beta", "zeta", "tail"] + [name for name, _ in observables]]
     for beta in betas:
         ctx = KMSContext(system, trace, beta, bound)
-        row = [_g(beta), _g(ctx.zeta), _g(ctx.zeta_tail)]
+        series = zeta_series(system, beta, bound)
+        row = [_g(beta), _g(series.value.real), _g(series.tail)]
         for _, y in observables:
             row.append(_complex_csv(ctx.kms(y).value))
         rows.append(row)

@@ -1,6 +1,6 @@
 """Coefficient algebras: exact symbolic arithmetic plus trace data.
 
-Three engines cover the built-in product systems:
+Two engines cover the built-in product systems:
 
 * Toeplitz -- monomials S^m S*^n with m, n >= 0.  The relation S*S = 1
   collapses any word to a single such monomial, so multiplication of two
@@ -11,8 +11,8 @@ Three engines cover the built-in product systems:
 
 * Laurent -- monomials z^gamma with gamma in Z^d; exponents add and the
   adjoint negates them.  d = 1 models functions on the circle, general d
-  the d-torus.
-* Scalar -- the complex numbers; the unit is the only monomial.
+  the d-torus.  The scalars are the rank d = 0: C(T^0) = C, and the
+  empty exponent () is the only monomial.
 
 Elements are finite complex combinations of monomials held in canonical
 dict form with zero coefficients dropped, so equality of elements is
@@ -41,7 +41,6 @@ __all__ = [
     "Engine",
     "ToeplitzEngine",
     "LaurentEngine",
-    "ScalarEngine",
     "TOEPLITZ",
     "SCALAR",
     "CoefficientElement",
@@ -61,7 +60,8 @@ class Engine:
     """Base for monomial arithmetic; subclasses fix the monomial shape.
 
     mul and adjoint also act elementwise on monomials given as tuples of
-    numpy int arrays, one array per component, under broadcasting.
+    numpy int arrays, one array per component, under broadcasting.  An
+    engine is identified by its tag and its degree rank degree_dim.
     """
 
     tag = "abstract"
@@ -84,6 +84,14 @@ class Engine:
 
     def format(self, a: tuple) -> str:
         raise NotImplementedError
+
+    def __eq__(self, other):
+        if not isinstance(other, Engine):
+            return NotImplemented
+        return (self.tag, self.degree_dim) == (other.tag, other.degree_dim)
+
+    def __hash__(self):
+        return hash((self.tag, self.degree_dim))
 
     def __repr__(self):
         return f"<{self.tag} engine>"
@@ -128,13 +136,15 @@ class ToeplitzEngine(Engine):
 
 
 class LaurentEngine(Engine):
-    tag = "laurent"
+    """Laurent polynomials on the d-torus, d >= 0; rank 0 is the scalars,
+    tagged "scalar", whose only monomial is ()."""
 
     def __init__(self, d: int = 1):
-        if d < 1:
-            raise ValueError("laurent engine needs d >= 1")
+        if d < 0:
+            raise ValueError("laurent engine needs d >= 0")
         self.d = d
         self.degree_dim = d
+        self.tag = "laurent" if d else "scalar"
 
     def unit(self):
         return (0,) * self.d
@@ -165,43 +175,16 @@ class LaurentEngine(Engine):
         return " ".join(parts)
 
     def __repr__(self):
-        return f"<laurent engine d={self.d}>"
-
-
-class ScalarEngine(Engine):
-    tag = "scalar"
-    degree_dim = 0
-
-    def unit(self):
-        return ()
-
-    def mul(self, a, b):
-        return ()
-
-    def adjoint(self, a):
-        return ()
-
-    def degree(self, a):
-        return ()
-
-    def check(self, a):
-        if a != ():
-            raise ValueError(f"bad scalar monomial {a!r}")
-        return ()
-
-    def format(self, a):
-        return "1"
+        return f"<laurent engine d={self.d}>" if self.d else super().__repr__()
 
 
 TOEPLITZ = ToeplitzEngine()
-SCALAR = ScalarEngine()
+SCALAR = LaurentEngine(0)
 
 
 def _same_engine(a: "CoefficientElement", b: "CoefficientElement") -> None:
     ea, eb = a.engine, b.engine
-    if ea is eb:
-        return
-    if ea.tag != eb.tag or getattr(ea, "d", None) != getattr(eb, "d", None):
+    if ea is not eb and ea != eb:
         raise EngineMismatch(f"cannot combine {ea!r} with {eb!r}")
 
 
@@ -286,10 +269,11 @@ class CoefficientElement:
     def __eq__(self, other):
         if not isinstance(other, CoefficientElement):
             return NotImplemented
-        return self.engine.tag == other.engine.tag and self.terms == other.terms
+        same = self.engine is other.engine or self.engine == other.engine
+        return same and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.engine.tag, frozenset(self.terms.items())))
+        return hash((self.engine, frozenset(self.terms.items())))
 
     def sorted_terms(self) -> list[tuple[tuple, complex]]:
         return sorted(self.terms.items())
@@ -369,8 +353,6 @@ def haar_trace(engine: Engine) -> TraceSpec:
 
 def point_mass_trace(engine: Engine, theta) -> TraceSpec:
     """The point evaluation at angle(s) theta: c(k) = exp(i k.theta)."""
-    if engine.degree_dim == 0:
-        raise ValueError("point mass needs a torus engine")
     if isinstance(theta, (int, float)):
         thetas = (float(theta),)
     else:
@@ -386,7 +368,7 @@ def mixture_trace(components: Iterable[tuple[float, TraceSpec]]) -> TraceSpec:
         raise ValueError("empty mixture")
     engine = comps[0][1].engine
     for _, t in comps:
-        if t.engine.tag != engine.tag or t.engine.degree_dim != engine.degree_dim:
+        if t.engine != engine:
             raise EngineMismatch("mixture components over different engines")
     haar = sum(w * t.haar for w, t in comps)
     atoms = tuple((w * a, theta) for w, t in comps for a, theta in t.atoms)

@@ -61,7 +61,7 @@ class TruncatedFock:
     """The compressed Fock representation over a truncation window."""
 
     def __init__(self, system: ProductSystem, bound: int):
-        if system.engine.tag != "scalar":
+        if system.engine.degree_dim != 0:
             raise ValueError("the Fock oracle needs a scalar coefficient engine")
         self.system = system
         self.trunc = TruncationSet(system.semigroup, bound)

@@ -250,7 +250,7 @@ class KMSContext:
     """A KMS_beta state over a fixed system, trace and truncation window."""
 
     def __init__(self, system: ProductSystem, trace: TraceSpec, beta: float, bound: int):
-        if trace.engine.tag != system.engine.tag or trace.engine.degree_dim != system.engine.degree_dim:
+        if trace.engine != system.engine:
             raise ValueError("trace is over a different coefficient engine")
         self.system = system
         self.trace = trace

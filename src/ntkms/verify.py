@@ -170,9 +170,7 @@ def _gauss_int(rng: Random) -> complex:
 def _sample_monomial(rng: Random, engine) -> tuple:
     if engine.tag == "toeplitz":
         return (rng.randint(0, 3), rng.randint(0, 3))
-    if engine.tag == "laurent":
-        return tuple(rng.randint(-3, 3) for _ in range(engine.d))
-    return ()
+    return tuple(rng.randint(-3, 3) for _ in range(engine.degree_dim))
 
 
 def sample_coeff(rng: Random, engine, terms: int = 2) -> CoefficientElement:
@@ -849,7 +847,7 @@ def run_suites(
     if "structure" in wanted:
         tasks.append(lambda: check_projection_covariance(system))
         tasks.append(lambda: check_corner_center(system))
-        if system.engine.tag == "scalar":
+        if system.engine.degree_dim == 0:
             tasks.append(lambda: check_fock_product(system, seed=seed))
             tasks.append(lambda: check_fock_state(system, beta=max(beta, 2.0), seed=seed))
             tasks.append(lambda: check_fock_nica(system, seed=seed))

@@ -24,8 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from ntkms.cli import main
-from ntkms.coeff import haar_trace, point_mass_trace
+from ntkms.cli import _g, main
+from ntkms.coeff import haar_trace, identity_trace, point_mass_trace
 from ntkms.dsl import format_element, parse_element
 from ntkms.nt import get_term_budget, unit_projection
 from ntkms.product_system import AffineToeplitzSystem, CuntzSystem, TorusDilationSystem
@@ -186,6 +186,22 @@ def test_sweep_tabulates_observables_over_betas(capsys):
 
     code2, out2, _ = run(capsys, *argv)
     assert code2 == 0 and out2 == out
+
+
+@pytest.mark.parametrize("system, argv", [
+    (CuntzSystem(2), ("--system", "cuntz")),
+    (AFFINE, ("--system", "affine-toeplitz")),
+])
+def test_sweep_prints_the_certified_zeta_tail(capsys, system, argv):
+    # the tail cell is zeta_series's, rounding included, not the truncation tail alone
+    code, out, _ = run(capsys, "sweep", *argv, "--betas", "3,4", "--bound", "1000")
+    assert code == 0
+    trace = identity_trace() if system.engine.degree_dim == 0 else haar_trace(system.engine)
+    for line, beta in zip(out.splitlines()[1:], (3.0, 4.0)):
+        ctx = KMSContext(system, trace, beta, 1000)
+        series = zeta_series(system, beta, 1000)
+        assert line.split(",") == [_g(beta), _g(ctx.zeta), _g(series.tail)]
+        assert series.tail > 0
 
 
 def test_sweep_reads_observables_from_config_and_flags_override(capsys, tmp_path):

@@ -11,6 +11,7 @@ from ntkms.coeff import (
     SCALAR,
     TOEPLITZ,
     CoefficientElement,
+    EngineMismatch,
     LaurentEngine,
     TraceSpec,
     haar_trace,
@@ -18,6 +19,8 @@ from ntkms.coeff import (
     mixture_trace,
     point_mass_trace,
 )
+from ntkms.product_system import TorusDilationSystem
+from ntkms.states import KMSContext
 
 toeplitz_monomials = st.tuples(
     st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)
@@ -314,3 +317,51 @@ def test_identity_trace_on_scalars():
     tr = identity_trace()
     x = CoefficientElement.unit(SCALAR, 2.5 + 1j)
     assert tr.eval(x) == 2.5 + 1j
+
+
+# -- engine identity -----------------------------------------------------------
+
+
+def test_engines_are_equal_by_tag_and_rank():
+    assert LaurentEngine(2) == LaurentEngine(2)
+    assert hash(LaurentEngine(2)) == hash(LaurentEngine(2))
+    assert LaurentEngine(1) != LaurentEngine(2)
+    # a Laurent and a Toeplitz engine share the degree rank 1, not the tag
+    assert LaurentEngine(1) != TOEPLITZ
+    assert haar_trace(LaurentEngine(2)) == haar_trace(LaurentEngine(2))
+
+
+def test_elements_over_different_ranks_differ():
+    zero1 = CoefficientElement.zero(LaurentEngine(1))
+    zero2 = CoefficientElement.zero(LaurentEngine(2))
+    assert zero1 != zero2
+    assert zero1 == CoefficientElement.zero(LaurentEngine(1))
+    assert hash(zero1) == hash(CoefficientElement.zero(LaurentEngine(1)))
+    with pytest.raises(EngineMismatch):
+        CoefficientElement.unit(LaurentEngine(1)) + CoefficientElement.unit(LaurentEngine(2))
+
+
+def test_traces_of_another_rank_are_refused():
+    system = TorusDilationSystem(2)
+    with pytest.raises(ValueError, match="different coefficient engine"):
+        KMSContext(system, haar_trace(LaurentEngine(1)), 3.0, 100)
+    # an equal engine built apart is accepted
+    KMSContext(system, haar_trace(LaurentEngine(2)), 3.0, 100)
+    with pytest.raises(EngineMismatch):
+        mixture_trace([(0.5, haar_trace(LaurentEngine(1))), (0.5, haar_trace(LaurentEngine(2)))])
+
+
+def test_scalars_are_the_laurent_engine_of_rank_zero():
+    assert SCALAR == LaurentEngine(0)
+    assert SCALAR.tag == "scalar" and SCALAR.degree_dim == 0
+    assert repr(SCALAR) == "<scalar engine>"
+    assert SCALAR.unit() == ()
+    assert SCALAR.mul((), ()) == ()
+    assert SCALAR.adjoint(()) == ()
+    assert SCALAR.degree(()) == ()
+    assert SCALAR.check(()) == ()
+    with pytest.raises(ValueError):
+        SCALAR.check((1,))
+    assert SCALAR.format(()) == "1"
+    with pytest.raises(ValueError):
+        LaurentEngine(-1)
