@@ -1,9 +1,9 @@
 """A truncated Fock representation as an independent numerical oracle.
 
-For a product system whose coefficient engine is the scalars, the Fock
-module over a window S of fibers is the finite-dimensional space with
-orthonormal basis {(s, j) : s in S, j < N_s}.  A vector xi in the fiber
-at s acts by the creation operator
+The Fock module over a window S of fibers has the orthonormal basis
+{(s, j) : s in S, j < N_s} over the coefficients.  Over the scalars it is
+a finite-dimensional space, and a vector xi in the fiber at s acts by the
+creation operator
 
     l(xi) (r, k) = sum_j xi_j (sr, m(s, r; j, k))   when sr in S,
                    0                                 otherwise,
@@ -11,7 +11,8 @@ at s acts by the creation operator
 and a normal-form term i_s(xi) i_r(1_l)* is represented by
 l(xi) l(1_l)^T-conjugate.  No symbolic layer is involved, so agreement
 with the series state is evidence for the normal-form engine, not a
-restatement of it.
+restatement of it.  Only the operators need scalar coefficients; the
+Gibbs state reads a trace of the diagonal entries of the left action.
 
 Each l(1_j) sends basis vectors to basis vectors: it is a partial
 injection, stored as an integer array from column to row (``image``),
@@ -35,12 +36,12 @@ raising clips.  Two consequences drive the checks:
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable
 
 import numpy as np
 
-from .coeff import CoefficientElement
+from .coeff import CoefficientElement, TraceSpec, identity_trace
 from .nt import NTElement
 from .product_system import ModuleVector, ProductSystem
 from .semigroup import TruncationSet
@@ -54,6 +55,9 @@ Maps = Iterable[tuple[np.ndarray, complex]]
 
 
 def _scalar(c: CoefficientElement) -> complex:
+    """A scalar coefficient as a number: the operators' one engine check."""
+    if c.engine.degree_dim != 0:
+        raise ValueError("the Fock operators need a scalar coefficient engine")
     return c.terms.get((), 0.0 + 0.0j)
 
 
@@ -61,22 +65,20 @@ class TruncatedFock:
     """The compressed Fock representation over a truncation window."""
 
     def __init__(self, system: ProductSystem, bound: int):
-        if system.engine.degree_dim != 0:
-            raise ValueError("the Fock oracle needs a scalar coefficient engine")
         self.system = system
         self.trunc = TruncationSet(system.semigroup, bound)
-        self.offsets: dict[int, int] = {}
-        dim = 0
-        for s in self.trunc.values:
-            self.offsets[s] = dim
-            dim += system.basis_count(s)
-        if dim > FOCK_DIMENSION_CAP:
+        ranks = [system.basis_count(s) for s in self.trunc.values]
+        *starts, self.dim = accumulate(ranks, initial=0)
+        if self.dim > FOCK_DIMENSION_CAP:
             raise ValueError(
-                f"Fock dimension {dim} exceeds the cap {FOCK_DIMENSION_CAP}; "
+                f"Fock dimension {self.dim} exceeds the cap {FOCK_DIMENSION_CAP}; "
                 "shrink the window"
             )
-        self.dim = dim
-        self._columns = np.arange(dim)
+        self.offsets: dict[int, int] = dict(zip(self.trunc.values, starts))
+        self._columns = np.arange(self.dim)
+        # column (q, k) as its fiber q and index k
+        self._fiber = np.repeat(self.trunc.values, ranks)
+        self._index = self._columns - np.repeat(starts, ranks)
         self._creation: dict[tuple[int, int], np.ndarray] = {}
         self._adjoint: dict[tuple[int, int], np.ndarray] = {}
 
@@ -204,21 +206,40 @@ class TruncatedFock:
 
     # -- the Gibbs state ----------------------------------------------------
 
-    def state_value(self, y: NTElement, beta: float) -> complex:
-        """Normalised Gibbs diagonal sum over the window.
+    def state_value(self, y: NTElement, beta: float, trace: TraceSpec | None = None) -> complex:
+        """Normalised Gibbs diagonal sum over the window under a trace of
+        the coefficients, by default the identity state on the scalars.
 
-        Matches the truncated series state exactly (same window, no
-        compression loss on diagonals).
+        A core term i_r(1_j c) i_r(1_l)* fixes column (rq, m(r, q; l, k))
+        when the index arrays say so, and there adds tau(L_q(c)[k, k]), read
+        from left_column for all such columns at once.  Matches the
+        truncated series state exactly (no compression loss on diagonals).
         """
+        trace = identity_trace() if trace is None else trace
+        if y.system is not self.system or trace.engine != self.system.engine:
+            raise ValueError("element or trace does not belong to this product system")
         diag = np.zeros(self.dim, dtype=complex)
-        for g, w in self._maps(y.core_expectation()):
-            diag[g[:-1] == self._columns] += w
-        num = 0.0 + 0.0j
-        zeta = 0.0
+        for (r, _, l), vec in y.core_expectation().sorted_terms():
+            adj = self._coimage(r, l)
+            for j, c in vec.entries.items():
+                cols = np.flatnonzero(self.image(r, j)[adj][:-1] == self._columns)
+                src = adj[cols]
+                q, k = self._fiber[src], self._index[src]
+                for mon, w in c.sorted_terms():
+                    if any(abs(x) >= 2**61 for x in mon):  # index sums could wrap in int64
+                        raise ValueError(f"the Fock oracle reads no exponent past 2^61: {mon}")
+                    nu, entry = self.system.left_column(q, mon, k)
+                    hit = nu == k
+                    # diagonal degrees, a row per coordinate; k's row keeps the shape at d = 0
+                    degree = np.array([k, *(x + 0 * k for x in c.engine.degree(entry))])[1:, hit]
+                    at = cols[hit]
+                    while at.size:  # one moment per distinct degree
+                        same = (degree == degree[:, :1]).all(axis=0)
+                        diag[at[same]] += w * trace.moment(tuple(int(x) for x in degree[:, 0]))
+                        at, degree = at[~same], degree[:, ~same]
+        num, zeta = 0.0 + 0.0j, 0.0
         for s in self.trunc.values:
-            w = self.system.weight(s) ** (-beta)
-            base = self.offsets[s]
-            n = self.system.basis_count(s)
-            num += w * complex(np.sum(diag[base : base + n]))
+            w, n = self.system.weight(s) ** (-beta), self.system.basis_count(s)
+            num += w * complex(np.sum(diag[self.offsets[s] : self.offsets[s] + n]))
             zeta += w * n
         return num / zeta

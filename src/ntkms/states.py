@@ -34,9 +34,10 @@ sum of n <= 2^12 terms is a slice sum over them; past the held prefix,
 the prefix sum is completed in closed form, by Euler-Maclaurin with six
 Bernoulli terms on the power profile (terms s^(-a), a = p(beta-1)) and
 by the geometric sum on the geometric one (terms x^n, x = k^(1-beta)).
-So a window of any size costs the same time and memory.  A literal
-evaluator that walks every fiber basis vector symbolically, within the
-held prefix, is kept as a slow cross-check.
+So a window of any size costs the same time and memory.  There is one
+literal evaluator, ``omega_literal``: the Gibbs diagonal sum of the Fock
+oracle under the same trace, kept as a slow cross-check on windows of up
+to FOCK_DIMENSION_CAP basis vectors.
 
 This module alone holds the closed forms of the system's ``profile``:
 N(s)^(-beta) N_s as s^(d(1-beta)) on ("power", d) and k^((1-beta)n) on
@@ -61,6 +62,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coeff import TraceSpec
+from .fock import TruncatedFock
 from .nt import NTElement, TermBudgetExceeded, get_term_budget
 from .product_system import ProductSystem
 from .semigroup import TruncationSet
@@ -220,15 +222,12 @@ def _partial_sum(
     """The sum of the first n zeta terms and a bound on its closed-form error.
 
     Within the held prefix a plain sum over a slice, not a cumulative
-    sum, with no error term; the whole prefix is prefix_sum, its sum
-    computed once; beyond it the prefix sum plus the closed form of the
-    rest.
+    sum, with no error term; beyond it prefix_sum, the sum of the whole
+    prefix computed once, plus the closed form of the rest.
     """
     m = len(prefix)
-    if n < m:
+    if n <= m:
         return float(np.sum(prefix[: max(n, 0)])), 0.0
-    if n == m:
-        return prefix_sum, 0.0
     rest, err = _closed_form_sum(profile, beta, m, n)
     return prefix_sum + rest, err
 
@@ -262,6 +261,11 @@ class KMSContext:
 
     # -- series building blocks ------------------------------------------
 
+    def _quotient_bound(self, r: int) -> int:
+        """The largest q with r q in the window: the quotients of window
+        elements by r form the window T(B/r), empty when r lies beyond."""
+        return self.bound // r if self.system.semigroup.is_multiplicative else self.bound - r
+
     def weight_pow(self, v: int) -> float:
         """N(v)^(-beta) in the same closed form as the zeta terms."""
         kind, p = self.system.profile
@@ -272,16 +276,15 @@ class KMSContext:
     def z_value(self, r: int) -> float:
         """Z_r = sum over window elements s = r q of N(s)^(-beta) N_q.
 
-        N(r)^(-beta) times the sum of the first n zeta terms (see the
-        module docstring): a slice sum over the held 2^12-term prefix
-        when n fits in it, else the prefix sum plus the closed-form rest.
-        0.0 when r lies beyond the window.  Z_e is computed exactly as
-        zeta is, so it is bitwise zeta.
+        N(r)^(-beta) times the sum of the first n zeta terms, n the size
+        of T(B/r) (see the module docstring): a slice sum over the held
+        2^12-term prefix when n fits in it, else the prefix sum plus the
+        closed-form rest.  0.0 when r lies beyond the window.  Z_e is
+        computed exactly as zeta is, so it is bitwise zeta.
         """
         out = self._z_cache.get(r)
         if out is None:
-            sg = self.system.semigroup
-            n = self.bound // r if sg.is_multiplicative else self.bound - r + 1
+            n = self._quotient_bound(r) - self.system.identity_fiber() + 1
             total, _ = _partial_sum(
                 self.system.profile, self.beta, self._zeta_terms, self._prefix_sum, n
             )
@@ -318,66 +321,41 @@ class KMSContext:
                     continue
                 g = math.gcd(*(abs(c) for c in deg))
                 # only the divisors q with r*q in the window contribute
-                limit = self.bound // r if sg.is_multiplicative else self.bound - r
-                divisors, _, spent = factor(g, limit, spent)
+                divisors, _, spent = factor(g, self._quotient_bound(r), spent)
                 added += len(divisors)
                 for q in divisors:
                     total += (w * self.weight_pow(sg.mul(r, q)) * self.system.weight(q)
                               * self.trace.moment(tuple(c // q for c in deg)))
-        return self._value(total, mass, added)
+        # zeta and each Z_r sum the held terms
+        return self._value(total / self.zeta, mass, 2 * len(self._zeta_terms), added)
 
     def omega_literal(self, y: NTElement) -> StateValue:
-        """The defining double sum, walking fiber bases symbolically.
+        """The defining double sum, read literally: the Fock oracle's Gibbs
+        diagonal sum under this trace, on windows of up to
+        FOCK_DIMENSION_CAP basis vectors.
 
-        Quadratic in the window size; kept as an independent cross-check
-        of the degree fast path on windows of a few dozen elements.  It
-        reads every zeta term, so it refuses windows longer than the held
-        prefix.
+        The tail is omega's truncation share plus a rounding radius.  Per
+        column the oracle adds at most A products w * moment, A the
+        monomials of the diagonal coefficients of y, then sums the N_s
+        columns of each fiber s and the |T| fibers times N(s)^(-beta): terms
+        whose moduli add up to at most |y|_1 zeta, as in omega.  Its
+        normaliser sums |T| positive terms, so the quotient errs by at most
+        |y|_1 gamma_(A + N_s + 2 |T| + c), c a few rounded factors, within
+        rounding_radius(|y|_1, 2 dim, A) as N_s + |T| <= dim + 1.
         """
-        if y.system is not self.system:
-            raise ValueError("element is over a different product system")
-        if self.trunc.size > len(self._zeta_terms):
-            raise ValueError(
-                f"omega_literal walks at most {PREFIX_TERMS} window elements; "
-                f"bound {self.bound} has {self.trunc.size}"
-            )
-        sys = self.system
-        sg = sys.semigroup
-        total = 0.0 + 0.0j
-        mass = 0.0
-        added = 0
-        for (rs, r, l), vec in y.sorted_terms():
-            if rs != r:
-                raise ValueError(
-                    "omega is defined on the core; use kms() for general elements"
-                )
-            mass += vec.entries[l].one_norm() if l in vec.entries else 0.0
-        for i, s in enumerate(self.trunc):
-            w_s = float(self._zeta_terms[i]) / sys.weight(s)  # N(s)^(-beta)
-            for j in range(sys.basis_count(s)):
-                probe = sys.basis_vector(s, j)
-                acc = 0.0 + 0.0j
-                for (_, r, l), vec in y.sorted_terms():
-                    if not sg.leq(r, s):
-                        continue
-                    q = sg.quotient(s, r)
-                    jr, jq = sys.index_split(r, q, j)
-                    if jr != l:
-                        continue
-                    image = sys.module_product(vec, sys.basis_vector(q, jq))
-                    inner = probe.inner(image)
-                    acc += self.trace.eval(inner)
-                    added += 1 + len(inner.terms)
-                total += w_s * acc
-        return self._value(total, mass, added)
+        if any(s != r for s, r, _ in y.terms):
+            raise ValueError("omega is defined on the core; use kms() for general elements")
+        diagonal = [vec.entries[l] for (_, _, l), vec in y.terms.items() if l in vec.entries]
+        fock = TruncatedFock(self.system, self.bound)
+        return self._value(fock.state_value(y, self.beta, self.trace),
+                           sum(a.one_norm() for a in diagonal), 2 * fock.dim,
+                           sum(len(a.terms) for a in diagonal))
 
-    def _value(self, total: complex, mass: float, added: int) -> StateValue:
-        """total / zeta, ``added`` terms summed, with the truncation share
-        of the tail and the rounding radius, their sum rounded up.  zeta
-        sums the held terms, and so does each Z_r or the literal walk."""
-        tail = (self.zeta_tail * mass / self.zeta
-                + rounding_radius(mass, 2 * len(self._zeta_terms), added))
-        return StateValue(total / self.zeta, tail * _UP, self.bound)
+    def _value(self, value: complex, mass: float, held: int, added: int) -> StateValue:
+        """value with its tail: the truncation share plus the rounding radius
+        of a sum of ``added`` terms and ``held`` held ones, rounded up."""
+        tail = self.zeta_tail * mass / self.zeta + rounding_radius(mass, held, added)
+        return StateValue(value, tail * _UP, self.bound)
 
     def kms(self, y: NTElement) -> StateValue:
         """The KMS_beta state on a general element: omega after the core

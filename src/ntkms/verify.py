@@ -474,7 +474,7 @@ def check_ground_limit(system: ProductSystem, trace: TraceSpec, bound: int = 100
     """
     betas = (5.0, 10.0, 20.0)
     monomials = _limit_monomials(system)
-    rounding = 4.0 * _gamma(min(bound, PREFIX_TERMS) + 16)
+    rounding = 4.0 * _gamma(min(TruncationSet(system.semigroup, bound).size, PREFIX_TERMS) + 16)
 
     def comparisons():
         ground = [ground_state(system, trace, y).value for y in monomials]
@@ -732,8 +732,8 @@ def check_reconstruction(
 
 
 # -- Fock oracle ------------------------------------------------------------------
-# The oracle needs a scalar engine: run_suites schedules these checks only
-# there, and TruncatedFock raises ValueError on any other.
+# The oracle's operators need a scalar engine: run_suites schedules these
+# checks only there, and they raise ValueError on any other.
 
 
 def _fock_fibers(fock: TruncatedFock) -> tuple[int, ...]:

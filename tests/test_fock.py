@@ -17,10 +17,10 @@ from random import Random
 import numpy as np
 import pytest
 
-from ntkms.coeff import identity_trace
+from ntkms.coeff import CoefficientElement, haar_trace, identity_trace
 from ntkms.fock import FOCK_DIMENSION_CAP, TruncatedFock
 from ntkms.nt import NTElement
-from ntkms.product_system import AffineToeplitzSystem, CuntzSystem
+from ntkms.product_system import BUILTIN_SYSTEMS, AffineToeplitzSystem, CuntzSystem, get_system
 from ntkms.states import KMSContext
 from ntkms.verify import (
     check_fock_nica,
@@ -110,8 +110,34 @@ def test_fock_checks_on_cuntz_3_match_the_golden_lines():
 
 
 def test_needs_scalar_coefficients():
-    with pytest.raises(ValueError, match="scalar"):
-        TruncatedFock(AffineToeplitzSystem(), 4)
+    """Every builtin has a window; the four operator methods refuse a
+    coefficient engine other than the scalars, through one error."""
+    for name in BUILTIN_SYSTEMS:
+        system = get_system(name)
+        fock = TruncatedFock(system, 5)
+        assert fock.dim == sum(system.basis_count(s) for s in fock.trunc.values)
+    affine = AffineToeplitzSystem()
+    fock = TruncatedFock(affine, 4)
+    shift = NTElement.embed_coeff(affine, CoefficientElement.monomial(affine.engine, (1, 0)))
+    xi = affine.basis_vector(2, 0)
+    calls = (lambda: fock.represent(shift), lambda: fock.product_defect(shift, shift),
+             lambda: fock.rank_one_matrix(xi, xi), lambda: fock.nica_defect(xi, xi, xi, xi))
+    for call in calls:
+        with pytest.raises(ValueError, match="^the Fock operators need a scalar coefficient engine$"):
+            call()
+
+
+def test_gibbs_sum_checks_its_trace_and_exponents():
+    affine = AffineToeplitzSystem()
+    fock = TruncatedFock(affine, 4)
+    unit = NTElement.unit(affine)
+    # the default trace is the identity state on the scalars
+    with pytest.raises(ValueError, match="trace does not belong"):
+        fock.state_value(unit, 3.0)
+    assert fock.state_value(unit, 3.0, haar_trace(affine.engine)) == complex(1.0)
+    huge = NTElement.embed_coeff(affine, CoefficientElement.monomial(affine.engine, (2**61, 0)))
+    with pytest.raises(ValueError, match="2\\^61"):
+        fock.state_value(huge, 3.0, haar_trace(affine.engine))
 
 
 def test_dimension_bookkeeping_and_cap():

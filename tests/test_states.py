@@ -8,6 +8,7 @@ import pytest
 
 from ntkms import states
 from ntkms.coeff import CoefficientElement, haar_trace, identity_trace, point_mass_trace
+from ntkms.dsl import parse_element
 from ntkms.nt import NTElement, TermBudgetExceeded, term_budget, unit_projection
 from ntkms.product_system import (
     AffineToeplitzSystem,
@@ -290,13 +291,22 @@ def test_euler_maclaurin_remainder_bounds_the_error(beta):
         assert abs(got - want) <= err + 4e-16 * want
 
 
-def test_literal_evaluator_refuses_windows_past_the_prefix(monkeypatch):
+def test_literal_evaluator_reads_windows_past_the_prefix(monkeypatch):
+    """Only the fast path reads the held prefix: the literal sum runs on
+    the Fock window and refuses only windows past the oracle's cap."""
     monkeypatch.setattr(states, "PREFIX_TERMS", 2**4)
-    ctx = context(AFFINE, beta=3.0, bound=100)
-    with pytest.raises(ValueError, match="at most 16 window elements"):
-        ctx.omega_literal(NTElement.unit(AFFINE))
-    sv = context(AFFINE, beta=3.0, bound=16).omega_literal(NTElement.unit(AFFINE))
-    assert sv.value == pytest.approx(1.0, rel=1e-14)
+    ctx = context(AFFINE, beta=3.0, bound=30)
+    assert len(ctx._zeta_terms) == 16
+    # numerator and normaliser are the same sum
+    assert ctx.omega_literal(NTElement.unit(AFFINE)).value == complex(1.0)
+    for r in (2, 3, 30):
+        y = unit_projection(AFFINE, r)
+        fast, slow = ctx.omega(y), ctx.omega_literal(y)
+        assert slow.value != 0
+        assert abs(slow.value - fast.value) <= fast.tail + slow.tail
+    # the window up to 100 stacks 5050 basis vectors, past the cap of 5000
+    with pytest.raises(ValueError, match="exceeds the cap 5000"):
+        context(AFFINE, beta=3.0, bound=100).omega_literal(NTElement.unit(AFFINE))
 
 
 def test_any_window_costs_the_same():
@@ -383,6 +393,34 @@ def test_omega_matches_literal_evaluator(system, bound):
             assert abs(fast.value - slow.value) < 1e-9 * max(1.0, y.one_norm())
             # the same truncation share, plus rounding radii near 1e-8 of it
             assert fast.tail == pytest.approx(slow.tail, rel=1e-6)
+
+
+@pytest.mark.parametrize("system,bound", [(AFFINE, 30), (TORUS2, 8)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_literal_evaluator_agrees_on_high_degree_words(system, bound):
+    """The coefficient words of the KMS sweep, S^a S*^b with a, b <= 720
+    and z1^a z2^b with |a|, |b| <= 360, at its small windows: the literal
+    sum and the fast path agree within their summed tails, under haar
+    and under a point mass.  Haar sees degree zero only: S^720 S*^720 and
+    S^17 S*^17, and no torus word."""
+    rng = Random(720)
+    if system is AFFINE:
+        words = [f"S^{a} S*^{b}" for a, b in ((720, 0), (720, 360), (361, 1), (5, 720),
+                                              (720, 720), (17, 17))]
+        words += [f"S^{rng.randint(1, 720)} S*^{rng.randint(0, 720)}" for _ in range(6)]
+    else:
+        words = [f"z1^{a} z2^{b}" for a, b in ((360, -360), (120, 240), (7, 14), (1, -1))]
+        words += [f"z1^{rng.randint(1, 360)} z2^{rng.randint(-360, 360)}" for _ in range(6)]
+    eng = system.engine
+    for trace in (haar_trace(eng), point_mass_trace(eng, (0.7,) * eng.degree_dim)):
+        ctx = KMSContext(system, trace, 3.0, bound)
+        nonzero = 0
+        for word in words:
+            y = parse_element(f"i[1]({word}@0)", system)
+            fast, slow = ctx.omega(y), ctx.omega_literal(y)
+            assert abs(fast.value - slow.value) <= fast.tail + slow.tail, word
+            nonzero += slow.value != 0
+        assert nonzero == (len(words) if trace.atoms else 2 if system is AFFINE else 0)
 
 
 @pytest.mark.parametrize("system", [AFFINE, TORUS2], ids=lambda s: s.name)
