@@ -25,7 +25,7 @@ import json
 import sys
 
 from .coeff import TraceSpec, haar_trace, identity_trace, point_mass_trace
-from .dsl import format_element, parse_element
+from .dsl import _g, format_element, parse_element
 from .nt import NTElement, TermBudgetExceeded, get_term_budget, term_budget
 from .product_system import BUILTIN_SYSTEMS, ProductSystem, get_system
 from .states import KMSContext, ground_state, zeta_series
@@ -198,10 +198,6 @@ def _parse_expression(expr: str, system: ProductSystem) -> NTElement:
 
 
 # -- formatting ----------------------------------------------------------------
-
-
-def _g(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _complex_csv(w: complex) -> str:

@@ -74,7 +74,9 @@ class TruncatedFock:
                 f"Fock dimension {self.dim} exceeds the cap {FOCK_DIMENSION_CAP}; "
                 "shrink the window"
             )
-        self.offsets: dict[int, int] = dict(zip(self.trunc.values, starts))
+        # the first column of each window fiber, indexed by the fiber
+        self.offsets = np.zeros(bound + 1, dtype=np.int64)
+        self.offsets[list(self.trunc.values)] = starts
         self._columns = np.arange(self.dim)
         # column (q, k) as its fiber q and index k
         self._fiber = np.repeat(self.trunc.values, ranks)
@@ -92,13 +94,11 @@ class TruncatedFock:
         img = self._creation.get((s, j))
         if img is not None:
             return img
-        sys = self.system
         img = np.full(self.dim + 1, -1)
-        for r in self.trunc.values:
-            sr = sys.semigroup.mul(s, r)
-            if sr in self.trunc:
-                k = np.arange(sys.basis_count(r))
-                img[self.offsets[r] + k] = self.offsets[sr] + sys.index_map(s, r, j, k)
+        sr = self.system.semigroup.mul(s, self._fiber)
+        inside = sr <= self.trunc.bound  # the window is an interval from the identity
+        r, k = self._fiber[inside], self._index[inside]
+        img[:-1][inside] = self.offsets[sr[inside]] + self.system.index_map(s, r, j, k)
         self._creation[s, j] = img
         return img
 

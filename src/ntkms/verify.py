@@ -25,9 +25,13 @@ Only a check that does not apply builds its own report, a passing one
 with ``{"skipped": True}``.
 
 Each check runs in one configuration, the one ``ntkms verify`` uses:
-sample counts, windows and tolerances are constants of the check, and
-run_suites passes the run's beta, bound and seed.  It builds the default
-traces once per call, and only for the kms, trace, ground and
+sample counts, windows and tolerances are constants of the check.  The
+state checks (kms-condition, scaling-identity, core-trace and
+trace-recovery) take the KMSContext they check and read its system,
+trace, beta and bound.  run_suites builds one state per trace and
+window: at the run's beta and bound for the kms and trace suites, and at
+(max(beta, 4), max(bound, 100)) for trace-recovery.  It builds the
+default traces once per call, and only for the kms, trace, ground and
 reconstruct suites; inclusion-exclusion compares under all of them.
 
 Random inputs use seeded generators and Gaussian-integer coefficients.
@@ -215,13 +219,13 @@ def _small_fibers(system: ProductSystem) -> tuple[int, ...]:
 def structure_reports(system: ProductSystem, bound: Optional[int] = None) -> list[CheckReport]:
     """ProductSystem.validate up to bound, by default 12 on nat-mult and 6 on nat-add."""
     if bound is None:
-        bound = 12 if system.semigroup.name == "nat-mult" else 6
+        bound = 12 if system.semigroup.is_multiplicative else 6
     return system.validate(TruncationSet(system.semigroup, bound))
 
 
 def check_projection_covariance(system: ProductSystem) -> CheckReport:
     """alpha_s(1) alpha_r(1) = alpha_(lub)(1), exactly on normal forms."""
-    bound = 4 if system.semigroup.name == "nat-add" else 6
+    bound = 6 if system.semigroup.is_multiplicative else 4
     vals = TruncationSet(system.semigroup, bound).values
     sg = system.semigroup
     return CheckReport.from_witnesses(
@@ -234,7 +238,7 @@ def check_projection_covariance(system: ProductSystem) -> CheckReport:
 
 def check_corner_center(system: ProductSystem) -> CheckReport:
     """[i_e(a), alpha_s(1)] = 0 exactly, for generator coefficients a."""
-    bound = 4 if system.semigroup.name == "nat-add" else 6
+    bound = 6 if system.semigroup.is_multiplicative else 4
     vals = TruncationSet(system.semigroup, bound).values
     gens = system.generator_elements()
 
@@ -268,19 +272,9 @@ def kms_draw(system: ProductSystem, beta: float, seed: int = 7) -> Draw:
     return Draw(pairs())
 
 
-def check_kms_condition(
-    system: ProductSystem,
-    trace: TraceSpec,
-    beta: float,
-    bound: int = 1000,
-    draw: Optional[Draw] = None,
-) -> CheckReport:
-    """omega(y1 sigma_(i beta)(y2)) = omega(y2 y1) within summed tails, on 200 samples.
-
-    draw is kms_draw(system, beta, seed) at this beta; by default seed 7.
-    """
-    ctx = KMSContext(system, trace, beta, bound)
-    draw = kms_draw(system, beta) if draw is None else draw
+def check_kms_condition(ctx: KMSContext, draw: Draw) -> CheckReport:
+    """omega(y1 sigma_(i beta)(y2)) = omega(y2 y1) within summed tails, on
+    200 samples; draw is kms_draw(ctx.system, ctx.beta, seed)."""
 
     def comparisons():
         for i, (left, right) in enumerate(draw):
@@ -289,7 +283,7 @@ def check_kms_condition(
             yield lhs.value, rhs.value, lhs.tail + rhs.tail + 1e-9, {"sample": i}
 
     return _compare("state:kms-condition", comparisons(),
-                    samples=200, beta=beta, bound=bound, trace=trace.name)
+                    samples=200, beta=ctx.beta, bound=ctx.bound, trace=ctx.trace.name)
 
 
 _CORE_TARGETS = ((False, False), (False, True), (True, False), (True, True))
@@ -299,7 +293,7 @@ def _core_pairs(system: ProductSystem):
     """The non-identity fiber pairs of the core-trace window, the
     meet-trivial ones, and those whose meet has rank above one."""
     sg = system.semigroup
-    vals = TruncationSet(sg, 6 if sg.name == "nat-mult" else 4).values
+    vals = TruncationSet(sg, 6 if sg.is_multiplicative else 4).values
     pairs = [(s, r) for s in vals for r in vals if s != sg.identity_value and r != sg.identity_value]
     coprime = [(s, r) for (s, r) in pairs if sg.glb(s, r) == sg.identity_value]
     ranked = [(s, r) for (s, r) in pairs if system.basis_count(sg.glb(s, r)) > 1]
@@ -358,21 +352,13 @@ def core_trace_draw(system: ProductSystem, seed: int = 11) -> Draw:
     return Draw(rounds())
 
 
-def check_core_trace_property(
-    system: ProductSystem,
-    trace: TraceSpec,
-    beta: float,
-    bound: int = 1000,
-    draw: Optional[Draw] = None,
-) -> CheckReport:
+def check_core_trace_property(ctx: KMSContext, draw: Draw) -> CheckReport:
     """omega(uv) = omega(vu) on the core, in the 12 rounds of
-    core_trace_draw(system, seed); by default seed 11."""
-    ctx = KMSContext(system, trace, beta, bound)
-    _, coprime, _ = _core_pairs(system)
+    draw = core_trace_draw(ctx.system, seed)."""
+    _, coprime, _ = _core_pairs(ctx.system)
     if not coprime:
         return CheckReport("state:core-trace", True, {"skipped": True},
                            "no meet-trivial pairs in the window")
-    draw = core_trace_draw(system) if draw is None else draw
     # counted as the rounds run, so the report shows the final tally
     cases = {f"{a}/{b}": 0 for a, b in _CORE_TARGETS}
 
@@ -383,8 +369,8 @@ def check_core_trace_property(
             b = ctx.omega(vu)
             yield a.value, b.value, a.tail + b.tail + 1e-9, {"round": i, "s": s, "r": r}
 
-    return _compare("state:core-trace", comparisons(), rounds=12, beta=beta, trace=trace.name,
-                    meet_trivial_pairs=len(coprime), cases=cases)
+    return _compare("state:core-trace", comparisons(), rounds=12, beta=ctx.beta,
+                    trace=ctx.trace.name, meet_trivial_pairs=len(coprime), cases=cases)
 
 
 # -- ground states ------------------------------------------------------------
@@ -490,20 +476,15 @@ def check_ground_limit(system: ProductSystem, trace: TraceSpec, bound: int = 100
                     betas=list(betas), monomials=len(monomials), trace=trace.name)
 
 
-def check_scaling_identity(
-    system: ProductSystem,
-    trace: TraceSpec,
-    beta: float,
-    bound: int = 1000,
-) -> CheckReport:
+def check_scaling_identity(ctx: KMSContext) -> CheckReport:
     """omega(i_s(1_j a) i_s(1_l)*) = delta_(jl) N(s)^(-beta) omega(i_e(a)),
     exhaustively over the fibers up to 6, exactly zero off the diagonal.
     a runs over the generators and g g* of the first one, S S* or 1, whose
     haar moment is nonzero where those of the generators vanish."""
-    ctx = KMSContext(system, trace, beta, bound)
+    system, beta = ctx.system, ctx.beta
     sg = system.semigroup
     vals = [v for v in TruncationSet(sg, 6).values if v != sg.identity_value]
-    if sg.name == "nat-add":
+    if not sg.is_multiplicative:
         vals = vals[:3]
     gens = system.generator_elements()
     square = gens[0] * gens[0].adjoint()
@@ -529,7 +510,7 @@ def check_scaling_identity(
 
     return _compare("state:scaling-identity", comparisons(),
                     cases=len(gens) * sum(system.basis_count(s) ** 2 for s in vals),
-                    beta=beta, trace=trace.name)
+                    beta=beta, trace=ctx.trace.name)
 
 
 # -- euler product -------------------------------------------------------------
@@ -545,7 +526,7 @@ def check_euler(system: ProductSystem, beta: float = 3.0) -> CheckReport:
     series' rounding radius.  The Euler-Maclaurin remainder of the series
     past the held prefix is below 1e-45 of it and is not added."""
     kind, d = system.profile
-    if kind != "power" or system.semigroup.name != "nat-mult":
+    if kind != "power":
         return CheckReport(
             "state:euler-product", True, {"skipped": True},
             f"not applicable to the {kind} profile",
@@ -702,23 +683,16 @@ def recovery_draw(system: ProductSystem) -> Draw:
     return Draw(products())
 
 
-def check_reconstruction(
-    system: ProductSystem,
-    trace: TraceSpec,
-    beta: float = 4.0,
-    bound: int = 10**4,
-    draw: Optional[Draw] = None,
-) -> CheckReport:
+def check_reconstruction(ctx: KMSContext, draw: Draw) -> CheckReport:
     """Recover tau on the degree-graded monomial family, within 1e-2;
-    draw is recovery_draw(system), made here when not given."""
-    if system.semigroup.name != "nat-mult" or system.engine.degree_dim == 0:
+    draw is recovery_draw(ctx.system)."""
+    system, trace = ctx.system, ctx.trace
+    if not system.semigroup.is_multiplicative or system.engine.degree_dim == 0:
         return CheckReport(
             "reconstruct:trace-recovery", True, {"skipped": True},
             "needs a graded engine over nat-mult",
         )
     family = reconstruction_monomials(system.engine)
-    ctx = KMSContext(system, trace, beta, bound)
-    draw = recovery_draw(system) if draw is None else draw
 
     def recoveries():
         for a, products in zip(family, draw):
@@ -728,7 +702,7 @@ def check_reconstruction(
             yield (math.nan if value is None else value), trace.eval(a), 1e-2, {"monomial": repr(a)}
 
     return _compare("reconstruct:trace-recovery", recoveries(), monomials=len(family),
-                    trace=trace.name, beta=beta, bound=bound)
+                    trace=trace.name, beta=ctx.beta, bound=ctx.bound)
 
 
 # -- Fock oracle ------------------------------------------------------------------
@@ -851,16 +825,19 @@ def run_suites(
             tasks.append(lambda: check_fock_product(system, seed=seed))
             tasks.append(lambda: check_fock_state(system, beta=max(beta, 2.0), seed=seed))
             tasks.append(lambda: check_fock_nica(system, seed=seed))
-    # one draw per run, read by the check under every trace
+    # one state per trace and window, and one draw per run, read by the
+    # checks under every trace
+    if wanted & {"kms", "trace"}:
+        contexts = [KMSContext(system, t, beta, bound) for t in traces]
     if "kms" in wanted:
         pairs = kms_draw(system, beta, seed)
-        for t in traces:
-            tasks.append(lambda t=t: check_kms_condition(system, t, beta, bound, pairs))
-            tasks.append(lambda t=t: check_scaling_identity(system, t, beta, bound))
+        for ctx in contexts:
+            tasks.append(lambda ctx=ctx: check_kms_condition(ctx, pairs))
+            tasks.append(lambda ctx=ctx: check_scaling_identity(ctx))
     if "trace" in wanted:
         rounds = core_trace_draw(system, seed)
-        for t in traces:
-            tasks.append(lambda t=t: check_core_trace_property(system, t, beta, bound, rounds))
+        for ctx in contexts:
+            tasks.append(lambda ctx=ctx: check_core_trace_property(ctx, rounds))
     if "ground" in wanted:
         for t in traces:
             tasks.append(lambda t=t: check_ground(system, t, seed=seed))
@@ -869,10 +846,8 @@ def run_suites(
         tasks.append(lambda: check_inclusion_exclusion(system, traces, max(beta, 4.0), bound, seed))
         products = recovery_draw(system)
         for t in traces:
-            tasks.append(
-                lambda t=t: check_reconstruction(system, t, max(beta, 4.0), max(bound, 100),
-                                                 products)
-            )
+            ctx = KMSContext(system, t, max(beta, 4.0), max(bound, 100))
+            tasks.append(lambda ctx=ctx: check_reconstruction(ctx, products))
     if "euler" in wanted:
         tasks.append(lambda: check_euler(system, beta=max(beta, 3.0)))
 

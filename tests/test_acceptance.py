@@ -33,8 +33,10 @@ from ntkms.verify import (
     check_kms_condition,
     check_reconstruction,
     check_scaling_identity,
+    core_trace_draw,
     default_traces,
     kms_draw,
+    recovery_draw,
     structure_reports,
 )
 
@@ -110,7 +112,7 @@ def test_criterion_04_the_kms_condition_holds_on_random_samples():
     worst = 0.0
     draw = kms_draw(system, 3.0, seed=7)
     for trace in (haar_trace(system.engine), point_mass_trace(system.engine, 0.7)):
-        rep = check_kms_condition(system, trace, beta=3.0, bound=1000, draw=draw)
+        rep = check_kms_condition(KMSContext(system, trace, 3.0, 1000), draw)
         ok = ok and rep.passed
         worst = max(worst, rep.metrics.get("worst_deviation", math.inf))
     elapsed = time.perf_counter() - start
@@ -121,7 +123,8 @@ def test_criterion_04_the_kms_condition_holds_on_random_samples():
 
 def test_criterion_05_the_state_is_tracial_on_the_core():
     system = AffineToeplitzSystem()
-    rep = check_core_trace_property(system, haar_trace(system.engine), beta=3.0)
+    rep = check_core_trace_property(KMSContext(system, haar_trace(system.engine), 3.0, 1000),
+                                    core_trace_draw(system, 11))
     cases = rep.metrics.get("cases", {})
     ok = (rep.passed
           and len(cases) == 4 and all(n > 0 for n in cases.values())
@@ -136,7 +139,7 @@ def test_criterion_06_the_scaling_identity_is_exhaustive_to_fiber_six():
     cases = 0
     worst = 0.0
     for trace in (haar_trace(system.engine), point_mass_trace(system.engine, 0.7)):
-        rep = check_scaling_identity(system, trace, beta=3.0, bound=1000)
+        rep = check_scaling_identity(KMSContext(system, trace, 3.0, 1000))
         ok = ok and rep.passed
         cases += rep.metrics.get("cases", 0)
         worst = max(worst, rep.metrics.get("worst_deviation", math.inf))
@@ -192,7 +195,7 @@ def test_criterion_10_traces_are_reconstructed_from_the_state():
     ok = True
     worst = 0.0
     for trace in (haar_trace(system.engine), point_mass_trace(system.engine, 0.0)):
-        rep = check_reconstruction(system, trace, beta=4.0, bound=10**4)
+        rep = check_reconstruction(KMSContext(system, trace, 4.0, 10**4), recovery_draw(system))
         ok = ok and rep.passed and rep.metrics.get("monomials") == 37
         worst = max(worst, rep.metrics.get("worst_deviation", math.inf))
     elapsed = time.perf_counter() - start

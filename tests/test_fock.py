@@ -166,6 +166,33 @@ def test_creation_matrix_agrees_with_index_map():
         assert not mat[:, fock.basis_index(3, k)].any()
 
 
+def image_by_fiber(fock, s, j):
+    """image(s, j) built fiber by fiber, one index_map call per window fiber."""
+    system = fock.system
+    img = np.full(fock.dim + 1, -1)
+    for r in fock.trunc.values:
+        sr = system.semigroup.mul(s, r)
+        if sr in fock.trunc:
+            k = np.arange(system.basis_count(r))
+            img[fock.offsets[r] + k] = fock.offsets[sr] + system.index_map(s, r, j, k)
+    return img
+
+
+@pytest.mark.parametrize("system", [
+    *(get_system(name) for name in BUILTIN_SYSTEMS),
+    get_system("lattice-dilation", d=2), CuntzSystem(3),
+    AffineToeplitzSystem().corrupted(2, 2, (0, 1), (1, 0)),
+    CUNTZ.corrupted(1, 1, (0, 0), (1, 0)),
+], ids=lambda system: system.name)
+def test_creation_arrays_match_the_fiber_by_fiber_construction(system):
+    fock = TruncatedFock(system, 5)
+    for s in fock.trunc.values:
+        for j in range(system.basis_count(s)):
+            img = fock.image(s, j)
+            want = image_by_fiber(fock, s, j)
+            assert img.dtype == want.dtype and np.array_equal(img, want), (s, j)
+
+
 def test_creation_ranges_are_orthogonal():
     fock = TruncatedFock(CUNTZ, 4)
     a = fock.creation(1, 0)

@@ -62,9 +62,11 @@ from ntkms.verify import (
     check_scaling_identity,
     core_trace_draw,
     default_traces,
+    kms_draw,
     lambda_weight,
     reconstruct_trace,
     reconstruction_monomials,
+    recovery_draw,
     run_suites,
     sample_coeff,
     sample_element,
@@ -284,14 +286,15 @@ def test_fock_product_fails_on_a_corrupted_index_map():
 
 
 def test_kms_condition_check_small():
-    rep = check_kms_condition(AFFINE, haar_trace(AFFINE.engine), 3.0, bound=400)
+    rep = check_kms_condition(KMSContext(AFFINE, haar_trace(AFFINE.engine), 3.0, 400),
+                              kms_draw(AFFINE, 3.0, 7))
     assert rep.passed
     assert rep.metrics["samples"] == 200
     assert rep.metrics["worst_deviation"] <= rep.metrics["tolerance_at_worst"]
 
 
 def test_scaling_identity_check_small():
-    rep = check_scaling_identity(AFFINE, haar_trace(AFFINE.engine), 3.0, bound=400)
+    rep = check_scaling_identity(KMSContext(AFFINE, haar_trace(AFFINE.engine), 3.0, 400))
     assert rep.passed
     assert rep.metrics["cases"] > 0
 
@@ -572,8 +575,8 @@ def test_core_trace_draws_every_index_pattern_on_every_seed(name, d):
     system = get_system(name, d=d)
     trace = haar_trace(system.engine)
     for seed in range(1, 21):
-        rep = check_core_trace_property(system, trace, 3.0, bound=60,
-                                        draw=core_trace_draw(system, seed))
+        rep = check_core_trace_property(KMSContext(system, trace, 3.0, 60),
+                                        core_trace_draw(system, seed))
         assert rep.passed
         assert all(n > 0 for n in rep.metrics["cases"].values()), (seed, rep.metrics["cases"])
 
@@ -584,7 +587,7 @@ POINT = point_mass_trace(AFFINE.engine, 0.7)
 
 
 def test_kms_condition_reports_its_worst_comparison():
-    rep = check_kms_condition(AFFINE, POINT, 3.0)
+    rep = check_kms_condition(KMSContext(AFFINE, POINT, 3.0, 1000), kms_draw(AFFINE, 3.0, 7))
     assert rep.passed
     assert 0.0 < rep.metrics["worst_deviation"] <= rep.metrics["tolerance_at_worst"]
     assert 0 < rep.metrics["nonzero"] <= 200
@@ -599,7 +602,7 @@ def skewed_weights(monkeypatch):
 
 
 def test_kms_condition_fails_on_skewed_weights(skewed_weights):
-    rep = check_kms_condition(AFFINE, POINT, 3.0)
+    rep = check_kms_condition(KMSContext(AFFINE, POINT, 3.0, 1000), kms_draw(AFFINE, 3.0, 7))
     assert not rep.passed
     assert rep.metrics == {
         "samples": 200, "beta": 3.0, "bound": 1000, "trace": "point_mass(0.7)", "sample": 66,
@@ -614,7 +617,7 @@ def test_kms_condition_fails_on_skewed_weights(skewed_weights):
     (haar_trace(AFFINE.engine), 1.17332e-3),
 ], ids=["point-mass", "haar"])
 def test_scaling_identity_fails_on_skewed_weights(skewed_weights, trace, deviation):
-    rep = check_scaling_identity(AFFINE, trace, 3.0)
+    rep = check_scaling_identity(KMSContext(AFFINE, trace, 3.0, 1000))
     assert not rep.passed
     assert rep.metrics == {
         "cases": 270, "beta": 3.0, "trace": trace.name, "s": 2, "j": 0, "l": 0,
@@ -635,7 +638,8 @@ def test_core_trace_fails_on_a_non_tracial_state(monkeypatch):
                           sum(v.tail for _, v in parts), self.bound)
 
     monkeypatch.setattr(KMSContext, "omega", skewed)
-    rep = check_core_trace_property(AFFINE, POINT, 3.0, bound=10**5)
+    rep = check_core_trace_property(KMSContext(AFFINE, POINT, 3.0, 10**5),
+                                    core_trace_draw(AFFINE, 11))
     assert not rep.passed
     assert rep.metrics == {
         "rounds": 12, "beta": 3.0, "trace": "point_mass(0.7)", "meet_trivial_pairs": 12,
@@ -675,12 +679,12 @@ def test_trace_recovery_fails_when_the_state_reads_a_moment_off(monkeypatch):
         def moment(self, k):
             return super().moment(k) + (0.05 if k in ((2,), (-2,)) else 0)
 
-    def skewed_context(system, trace, beta, bound):
-        off = Skewed(trace.engine, trace.haar, trace.atoms, trace.name)
-        return KMSContext(system, off, beta, bound)
-
-    monkeypatch.setattr(verify, "KMSContext", skewed_context)
-    rep = check_reconstruction(AFFINE, haar_trace(AFFINE.engine))
+    haar = haar_trace(AFFINE.engine)
+    ctx = KMSContext(AFFINE, haar, 4.0, 10**4)
+    # the check compares against ctx.trace, so only the state reads the skew
+    off = KMSContext(AFFINE, Skewed(haar.engine, haar.haar, haar.atoms, haar.name), 4.0, 10**4)
+    monkeypatch.setattr(ctx, "omega", off.omega)
+    rep = check_reconstruction(ctx, recovery_draw(AFFINE))
     assert not rep.passed
     assert rep.metrics == {
         "monomials": 37, "trace": "haar", "beta": 4.0, "bound": 10**4, "monomial": "(1+0j)*S^2",
@@ -779,6 +783,20 @@ def test_a_fault_under_one_trace_fails_only_its_reports(monkeypatch, system, fau
              if r.name != "reconstruct:inclusion-exclusion"}
     assert lines == alone
     assert len(alone) == len(both) - 1
+
+
+def test_the_kms_and_trace_suites_build_one_state_per_trace(monkeypatch):
+    built = []
+    init = KMSContext.__init__
+
+    def counting(self, system, trace, beta, bound):
+        built.append((trace.name, beta, bound))
+        init(self, system, trace, beta, bound)
+
+    monkeypatch.setattr(KMSContext, "__init__", counting)
+    reports = run_suites(AFFINE, ["kms", "trace"])
+    assert len(reports) == 6 and all(r.passed for r in reports)
+    assert built == [(t.name, 3.0, 1000) for t in default_traces(AFFINE)]
 
 
 def test_a_draw_replays_what_an_early_reader_left():
