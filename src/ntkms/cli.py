@@ -15,7 +15,8 @@ from --config (a JSON object with the same names, strictly validated);
 explicit flags win over config values.
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad usage or
-configuration, 3 term budget exceeded.
+configuration, 3 term budget exceeded, 4 an internal error (any other
+exception, reported on one line without a traceback).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 _INTEGER = ("an integer", (int, float, type(None)), ())
 _NUMBERS = (int, float, str)
@@ -415,6 +417,10 @@ def main(argv=None) -> int:
         # OverflowError: a number too large for a float, such as --bound 1e400
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a fault of the program, never to be read as a failed check
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

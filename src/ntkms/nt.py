@@ -246,7 +246,13 @@ class NTElement:
     # -- structure maps -------------------------------------------------------
 
     def core_expectation(self) -> "NTElement":
-        """Keep the terms with equal fibers; the projection onto the core."""
+        """Keep the terms with equal fibers; the projection onto the core.
+
+        A core element is its own core expectation: elements are immutable
+        values, so one whose terms all have s == r is returned as it is.
+        """
+        if all(s == r for s, r, _ in self.terms):
+            return self
         return NTElement(
             self.system, {k: v for k, v in self.terms.items() if k[0] == k[1]}
         )

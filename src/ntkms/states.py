@@ -39,6 +39,11 @@ literal evaluator, ``omega_literal``: the Gibbs diagonal sum of the Fock
 oracle under the same trace, kept as a slow cross-check on windows of up
 to FOCK_DIMENSION_CAP basis vectors.
 
+A core element is its own core expectation, so ``kms`` reads it with no
+copy, and ``omega`` reads a diagonal coefficient of one monomial in
+place, with no one-norm sum and no sort.  Both keep the summation
+order, so every value and tail is the same to the bit as without them.
+
 This module alone holds the closed forms of the system's ``profile``:
 N(s)^(-beta) N_s as s^(d(1-beta)) on ("power", d) and k^((1-beta)n) on
 ("geometric", k), their partial sums and their tails.
@@ -312,8 +317,15 @@ class KMSContext:
             a = vec.entries.get(l)
             if a is None:
                 continue
-            mass += a.one_norm()
-            for mon, w in a.sorted_terms():
+            if len(a.terms) == 1:
+                # one monomial, read in place: abs(w) is its one-norm bitwise
+                (mon, w), = a.terms.items()
+                mass += abs(w)
+                monomials = ((mon, w),)
+            else:
+                mass += a.one_norm()
+                monomials = a.sorted_terms()
+            for mon, w in monomials:
                 deg = eng.degree(mon)
                 if not any(deg):
                     total += w * self.z_value(r)
@@ -353,7 +365,10 @@ class KMSContext:
 
     def _value(self, value: complex, mass: float, held: int, added: int) -> StateValue:
         """value with its tail: the truncation share plus the rounding radius
-        of a sum of ``added`` terms and ``held`` held ones, rounded up."""
+        of a sum of ``added`` terms and ``held`` held ones, rounded up; 0.0
+        at once for a zero mass, where that formula gives 0.0 too."""
+        if mass == 0.0:
+            return StateValue(value, 0.0, self.bound)
         tail = self.zeta_tail * mass / self.zeta + rounding_radius(mass, held, added)
         return StateValue(value, tail * _UP, self.bound)
 

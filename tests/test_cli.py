@@ -8,7 +8,7 @@ The contract pinned here:
   ``parse`` print what their names say.
 * exit 0 on success, 1 when a verification check fails, 2 for usage
   errors of any flavour (bad flags, bad config, bad expressions), 3
-  when the symbolic term budget trips.
+  when the symbolic term budget trips, 4 for any other exception.
 * repeated runs with the same arguments emit byte-identical stdout.
 
 Everything runs in process through ``main(argv)``.  The term budget is
@@ -28,7 +28,12 @@ from ntkms.cli import _g, main
 from ntkms.coeff import haar_trace, identity_trace, point_mass_trace
 from ntkms.dsl import format_element, parse_element
 from ntkms.nt import get_term_budget, unit_projection
-from ntkms.product_system import AffineToeplitzSystem, CuntzSystem, TorusDilationSystem
+from ntkms.product_system import (
+    AffineToeplitzSystem,
+    CuntzSystem,
+    ProductSystem,
+    TorusDilationSystem,
+)
 from ntkms.states import KMSContext, zeta_series
 
 AFFINE = AffineToeplitzSystem()
@@ -299,6 +304,17 @@ def test_verify_exits_one_when_a_check_fails(capsys):
     failed = [r["check"] for r in reports if not r["passed"]]
     assert "structure:index-map-associative" in failed
     assert f"{len(failed)} failed" in err.splitlines()[-1]
+
+
+def test_internal_error_exits_four_not_one(capsys, monkeypatch):
+    def broken(self, *args, **kwargs):
+        raise RuntimeError("validator broke")
+
+    monkeypatch.setattr(ProductSystem, "validate", broken)
+    code, out, err = run(capsys, "verify", "--system", "affine-toeplitz", "--suite", "structure")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal: RuntimeError: validator broke\n"
 
 
 def test_verify_stdout_is_deterministic_across_runs_and_threads(capsys):

@@ -1,6 +1,8 @@
+import json
 import math
 import tracemalloc
 from itertools import islice
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -16,6 +18,7 @@ from ntkms.product_system import (
     TorusDilationSystem,
     get_system,
 )
+from ntkms.semigroup import TruncationSet
 from ntkms.states import (
     KMSContext,
     euler_product,
@@ -31,6 +34,7 @@ AFFINE = AffineToeplitzSystem()
 TORUS = TorusDilationSystem(1)
 TORUS2 = TorusDilationSystem(2)
 CUNTZ = CuntzSystem(2)
+DATA = Path(__file__).parent / "data"
 
 
 def context(system, beta=3.0, bound=200):
@@ -360,6 +364,72 @@ def test_omega_rejects_offcore_elements():
         ctx.omega(y)
     # kms() routes through the expectation instead
     assert ctx.kms(y).value == 0j
+
+
+def test_a_core_element_is_its_own_core_expectation():
+    core = unit_projection(AFFINE, 2) + NTElement.unit(AFFINE)
+    assert core.core_expectation() is core
+    mixed = core + NTElement.embed(AFFINE, 2, AFFINE.basis_vector(2, 0))
+    assert mixed.core_expectation() is not mixed
+    assert mixed.core_expectation() == core
+    ctx = context(AFFINE)
+    with pytest.raises(ValueError, match="core"):
+        ctx.omega(mixed)
+    with pytest.raises(ValueError, match="different product system"):
+        ctx.omega(unit_projection(TORUS, 2))
+
+
+# Coefficient words per engine: a generator, a second monomial, a
+# monomial of degree with several divisors (a number on the scalars), and
+# a sum of four monomials whose state value depends on the order of its
+# terms (one monomial on the scalars).
+_WORDS = {
+    ("toeplitz", 1): ("S", "S*", "S^6", "0.1 + 0.7 S S* + 0.3 S^2 S*^2 + S^3 S*^3"),
+    ("laurent", 1): ("z", "z^-1", "z^6", "0.1 + 0.7 z^2 + 0.3 z^-3 + z^6"),
+    ("laurent", 2): ("z1", "z2^-1", "z1^6 z2^-4", "0.1 + 0.7 z1^2 + 0.3 z2^-3 + z1 z2"),
+    ("scalar", 0): ("(0.5+1.5i)", "2", "(2-0.5i)", "0.1"),
+}
+
+# e is the identity fiber, s and t the next two fibers of the window
+_KMS_EXPRESSIONS = (
+    "i[{e}](1@0)",
+    "alpha[{s}](i[{e}](1@0)) + alpha[{t}](i[{e}](1@0))",
+    "i[{s}](1@1) adj(i[{s}](1@1))",
+    "i[{s}](1@0) adj(i[{s}](1@1))",
+    "i[{s}](1@0) adj(i[{t}](1@0)) + i[{t}](1@1) adj(i[{t}](1@1))",
+    "i[{e}]({c}@0) + i[{s}]({c}@1) adj(i[{s}](1@1))",
+    "i[{s}](({a} + 2 {b})@1) adj(i[{s}](1@1))",
+    "i[{e}](({m})@0) + i[{s}](({m})@1) adj(i[{s}](1@1))",
+)
+
+_KMS_SYSTEMS = (("affine-toeplitz", None, None), ("additive-toeplitz", None, None),
+                ("lattice-dilation", 1, None), ("lattice-dilation", 2, None),
+                ("cuntz", None, 2), ("cuntz", None, 3))
+
+
+def _kms_value_rows():
+    """kms at beta 3 of every expression, under each default trace and at
+    bounds 1000 and 10^7, as float.hex strings."""
+    for name, d, k in _KMS_SYSTEMS:
+        system = get_system(name, d=d, k=k)
+        a, b, c, m = _WORDS[system.engine.tag, system.engine.degree_dim]
+        e, s, t = TruncationSet(system.semigroup, 10).values[:3]
+        for trace in default_traces(system):
+            for bound in (1000, 10**7):
+                ctx = KMSContext(system, trace, 3.0, bound)
+                for template in _KMS_EXPRESSIONS:
+                    expr = template.format(e=e, s=s, t=t, a=a, b=b, c=c, m=m)
+                    sv = ctx.kms(parse_element(expr, system))
+                    yield {"system": system.name, "d": d, "k": k, "trace": trace.name,
+                           "bound": bound, "expr": expr, "re": sv.value.real.hex(),
+                           "im": sv.value.imag.hex(), "tail": sv.tail.hex()}
+
+
+def test_kms_values_match_the_golden_bits():
+    """Every value and tail, bit for bit, as recorded in
+    tests/data/kms-values.jsonl (one JSON line per row of _kms_value_rows)."""
+    want = [json.loads(line) for line in (DATA / "kms-values.jsonl").read_text().splitlines()]
+    assert list(_kms_value_rows()) == want
 
 
 # -- fast path against the literal evaluator ----------------------------------------
