@@ -36,12 +36,12 @@ raising clips.  Two consequences drive the checks:
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from typing import Iterable
 
 import numpy as np
 
-from .coeff import CoefficientElement, TraceSpec, identity_trace
+from .coeff import CoefficientElement, TraceSpec
 from .nt import NTElement
 from .product_system import ModuleVector, ProductSystem
 from .semigroup import TruncationSet
@@ -67,13 +67,13 @@ class TruncatedFock:
     def __init__(self, system: ProductSystem, bound: int):
         self.system = system
         self.trunc = TruncationSet(system.semigroup, bound)
-        ranks = [system.basis_count(s) for s in self.trunc.values]
+        # every rank is at least one, so cap + 1 fibers tell an oversized
+        # window before anything of its size is built
+        ranks = [system.basis_count(s) for s in islice(self.trunc, FOCK_DIMENSION_CAP + 1)]
         *starts, self.dim = accumulate(ranks, initial=0)
         if self.dim > FOCK_DIMENSION_CAP:
-            raise ValueError(
-                f"Fock dimension {self.dim} exceeds the cap {FOCK_DIMENSION_CAP}; "
-                "shrink the window"
-            )
+            raise ValueError(f"the Fock window up to {bound} exceeds the cap "
+                             f"{FOCK_DIMENSION_CAP} on its dimension; shrink the window")
         # the first column of each window fiber, indexed by the fiber
         self.offsets = np.zeros(bound + 1, dtype=np.int64)
         self.offsets[list(self.trunc.values)] = starts
@@ -206,16 +206,15 @@ class TruncatedFock:
 
     # -- the Gibbs state ----------------------------------------------------
 
-    def state_value(self, y: NTElement, beta: float, trace: TraceSpec | None = None) -> complex:
-        """Normalised Gibbs diagonal sum over the window under a trace of
-        the coefficients, by default the identity state on the scalars.
+    def state_value(self, y: NTElement, beta: float, trace: TraceSpec) -> complex:
+        """Normalised Gibbs diagonal sum over the window under trace, a
+        trace of the coefficients that the caller always names.
 
         A core term i_r(1_j c) i_r(1_l)* fixes column (rq, m(r, q; l, k))
         when the index arrays say so, and there adds tau(L_q(c)[k, k]), read
         from left_column for all such columns at once.  Matches the
         truncated series state exactly (no compression loss on diagonals).
         """
-        trace = identity_trace() if trace is None else trace
         if y.system is not self.system or trace.engine != self.system.engine:
             raise ValueError("element or trace does not belong to this product system")
         diag = np.zeros(self.dim, dtype=complex)

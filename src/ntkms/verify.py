@@ -40,17 +40,20 @@ floats, so the exact-equality checks stay exact under sampling.
 
 The products a state check evaluates are exact algebra and do not
 depend on the trace; only the final omega does.  So kms-condition,
-core-trace and trace-recovery read their products from a Draw, which
-run_suites makes once per run and hands to the check under every
-trace.  A Draw computes each item when a check first asks for it, so
-its time lands on the first report that reads it, and it replays the
-same objects to later readers: every trace compares the same floats as
-a run of its own.  scaling-identity has no samples and rebuilds its
-basis vectors per trace.  state:ground keeps its own generator: its
-samples skip an rng draw on a zero corner value, which depends on the
-trace, so they differ from trace to trace.  reconstruct_trace returns
-tau(a), or None (a NaN to trace-recovery) when a has a zero-degree
-monomial and is not a unit multiple.
+core-trace and trace-recovery read them from a generator (kms_draw,
+core_trace_draw, recovery_draw) that run_suites starts once per run and
+splits with itertools.tee, a branch per trace.  An item is computed
+when the first branch asks for it, so its time lands on the first
+report, and later branches get the same objects: every trace compares
+the same floats as a run of its own, and a check that stops early
+leaves the rest to the next branch.  scaling-identity has no samples
+and rebuilds its basis vectors per trace.  The fock: checks share the
+run's one TruncatedFock and read the system and window from it.
+state:ground keeps its own generator: its samples skip an rng draw on
+a zero corner value, which depends on the trace, so they differ from
+trace to trace.  reconstruct_trace returns tau(a), or None (a NaN to
+trace-recovery) when a has a zero-degree monomial and is not a unit
+multiple.
 """
 
 from __future__ import annotations
@@ -58,9 +61,9 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from itertools import islice, takewhile
+from itertools import islice, takewhile, tee
 from random import Random
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coeff import (
     CoefficientElement,
@@ -93,7 +96,6 @@ __all__ = [
     "check_corner_center",
     "check_kms_condition",
     "check_core_trace_property",
-    "Draw",
     "kms_draw",
     "core_trace_draw",
     "recovery_draw",
@@ -139,25 +141,6 @@ def _compare(name: str, comparisons: Iterable[tuple[complex, complex, float, dic
         name, True,
         {**metrics, "worst_deviation": dev, "tolerance_at_worst": tol, "nonzero": nonzero},
     )
-
-
-class Draw:
-    """A trace-free item stream, computed once and replayed to every reader.
-
-    Readers take turns.  An item is computed when a reader first asks for
-    it, so a reader that stops early (a failing check) leaves the rest to
-    the next one, which replays what was drawn and continues the stream.
-    """
-
-    def __init__(self, items: Iterable):
-        self._items = iter(items)
-        self._drawn: list = []
-
-    def __iter__(self):
-        yield from self._drawn
-        for item in self._items:
-            self._drawn.append(item)
-            yield item
 
 
 # -- samplers ---------------------------------------------------------------
@@ -257,24 +240,20 @@ def check_corner_center(system: ProductSystem) -> CheckReport:
 # -- KMS condition -----------------------------------------------------------
 
 
-def kms_draw(system: ProductSystem, beta: float, seed: int = 7) -> Draw:
+def kms_draw(system: ProductSystem, beta: float, seed: int = 7) -> Iterator[tuple]:
     """The 200 diagonal product pairs (y1 sigma_(i beta)(y2), y2 y1) of
     check_kms_condition, on seeded samples y1, y2."""
-
-    def pairs():
-        rng = Random(seed)
-        fibers = _small_fibers(system)
-        for _ in range(200):
-            y1 = sample_element(rng, system, fibers)
-            y2 = sample_element(rng, system, fibers)
-            yield y1.product(y2.dynamics(complex(0.0, beta)), diagonal), y2.product(y1, diagonal)
-
-    return Draw(pairs())
+    rng = Random(seed)
+    fibers = _small_fibers(system)
+    for _ in range(200):
+        y1 = sample_element(rng, system, fibers)
+        y2 = sample_element(rng, system, fibers)
+        yield y1.product(y2.dynamics(complex(0.0, beta)), diagonal), y2.product(y1, diagonal)
 
 
-def check_kms_condition(ctx: KMSContext, draw: Draw) -> CheckReport:
+def check_kms_condition(ctx: KMSContext, draw: Iterable) -> CheckReport:
     """omega(y1 sigma_(i beta)(y2)) = omega(y2 y1) within summed tails, on
-    200 samples; draw is kms_draw(ctx.system, ctx.beta, seed)."""
+    200 samples; draw is (a tee branch of) kms_draw(ctx.system, ctx.beta, seed)."""
 
     def comparisons():
         for i, (left, right) in enumerate(draw):
@@ -300,7 +279,16 @@ def _core_pairs(system: ProductSystem):
     return pairs, coprime, ranked
 
 
-def core_trace_draw(system: ProductSystem, seed: int = 11) -> Draw:
+def _meet_digit(rng: Random, ng: int, match: bool, other: int) -> int:
+    """A digit on a meet of rank ng: other when match, else a draw that
+    differs from other whenever ng > 1."""
+    digit = other if match else rng.randrange(ng)
+    if not match and ng > 1 and digit == other:
+        digit = (digit + 1) % ng
+    return digit
+
+
+def core_trace_draw(system: ProductSystem, seed: int = 11) -> Iterator[tuple]:
     """The 12 rounds of check_core_trace_property: (s, r, the round's
     index pattern, u v, v u).
 
@@ -310,51 +298,39 @@ def core_trace_draw(system: ProductSystem, seed: int = 11) -> Draw:
     Indices can disagree only on a meet g with N_g > 1, so a round
     aiming at a disagreement draws its pair from those.
     """
+    rng = Random(seed)
+    sg = system.semigroup
+    pairs, coprime, ranked = _core_pairs(system)
+    for i in range(12):
+        want = _CORE_TARGETS[i % 4]
+        if i == 0:
+            s, r = coprime[0]
+        else:
+            s, r = rng.choice(pairs if all(want) else ranked)
+        g = sg.glb(s, r)
+        ng = system.basis_count(g)
+        ss, rr = sg.quotient(s, g), sg.quotient(r, g)
+        lg = rng.randrange(ng)
+        jg = rng.randrange(ng)
+        kg = _meet_digit(rng, ng, want[0], lg)
+        k = system.index_map(g, ss, kg, rng.randrange(system.basis_count(ss)))
+        mg = _meet_digit(rng, ng, want[1], jg)
+        m = system.index_map(g, rr, mg, rng.randrange(system.basis_count(rr)))
+        j = system.index_map(g, ss, jg, rng.randrange(system.basis_count(ss)))
+        l = system.index_map(g, rr, lg, rng.randrange(system.basis_count(rr)))
 
-    def rounds():
-        rng = Random(seed)
-        sg = system.semigroup
-        pairs, coprime, ranked = _core_pairs(system)
-        for i in range(12):
-            want = _CORE_TARGETS[i % 4]
-            if i == 0:
-                s, r = coprime[0]
-            else:
-                s, r = rng.choice(pairs if all(want) else ranked)
-            g = sg.glb(s, r)
-            ng = system.basis_count(g)
-            ss, rr = sg.quotient(s, g), sg.quotient(r, g)
-
-            def build_index(fiber_rest, match_digit, other_digit):
-                digit = other_digit if match_digit else rng.randrange(ng)
-                if not match_digit and ng > 1 and digit == other_digit:
-                    digit = (digit + 1) % ng
-                rest = rng.randrange(system.basis_count(fiber_rest))
-                return digit, rest
-
-            lg = rng.randrange(ng)
-            jg = rng.randrange(ng)
-            kg, krest = build_index(ss, want[0], lg)
-            mg, mrest = build_index(rr, want[1], jg)
-            k = system.index_map(g, ss, kg, krest)
-            m = system.index_map(g, rr, mg, mrest)
-            j = system.index_map(g, ss, jg, rng.randrange(system.basis_count(ss)))
-            l = system.index_map(g, rr, lg, rng.randrange(system.basis_count(rr)))
-
-            u = NTElement(system, {(s, s, k): sample_vector(rng, system, s)}) + NTElement(
-                system, {(s, s, j): sample_vector(rng, system, s)}
-            )
-            v = NTElement(system, {(r, r, m): sample_vector(rng, system, r)}) + NTElement(
-                system, {(r, r, l): sample_vector(rng, system, r)}
-            )
-            yield s, r, f"{kg == lg}/{mg == jg}", u * v, v * u
-
-    return Draw(rounds())
+        u = NTElement(system, {(s, s, k): sample_vector(rng, system, s)}) + NTElement(
+            system, {(s, s, j): sample_vector(rng, system, s)}
+        )
+        v = NTElement(system, {(r, r, m): sample_vector(rng, system, r)}) + NTElement(
+            system, {(r, r, l): sample_vector(rng, system, r)}
+        )
+        yield s, r, f"{kg == lg}/{mg == jg}", u * v, v * u
 
 
-def check_core_trace_property(ctx: KMSContext, draw: Draw) -> CheckReport:
-    """omega(uv) = omega(vu) on the core, in the 12 rounds of
-    draw = core_trace_draw(ctx.system, seed)."""
+def check_core_trace_property(ctx: KMSContext, draw: Iterable) -> CheckReport:
+    """omega(uv) = omega(vu) on the core, in the 12 rounds of draw, (a
+    tee branch of) core_trace_draw(ctx.system, seed)."""
     _, coprime, _ = _core_pairs(ctx.system)
     if not coprime:
         return CheckReport("state:core-trace", True, {"skipped": True},
@@ -673,19 +649,15 @@ def reconstruction_monomials(engine) -> list[CoefficientElement]:
     return out
 
 
-def recovery_draw(system: ProductSystem) -> Draw:
+def recovery_draw(system: ProductSystem) -> Iterator[list[NTElement]]:
     """recovery_products of each member of the reconstruction family."""
-
-    def products():
-        for a in reconstruction_monomials(system.engine):
-            yield recovery_products(system, a)
-
-    return Draw(products())
+    for a in reconstruction_monomials(system.engine):
+        yield recovery_products(system, a)
 
 
-def check_reconstruction(ctx: KMSContext, draw: Draw) -> CheckReport:
+def check_reconstruction(ctx: KMSContext, draw: Iterable) -> CheckReport:
     """Recover tau on the degree-graded monomial family, within 1e-2;
-    draw is recovery_draw(ctx.system)."""
+    draw is (a tee branch of) recovery_draw(ctx.system)."""
     system, trace = ctx.system, ctx.trace
     if not system.semigroup.is_multiplicative or system.engine.degree_dim == 0:
         return CheckReport(
@@ -706,8 +678,9 @@ def check_reconstruction(ctx: KMSContext, draw: Draw) -> CheckReport:
 
 
 # -- Fock oracle ------------------------------------------------------------------
-# The oracle's operators need a scalar engine: run_suites schedules these
-# checks only there, and they raise ValueError on any other.
+# Each check reads its system and window from the oracle it is given, whose
+# operators need a scalar engine: run_suites schedules these checks only
+# there, and they raise ValueError on any other.
 
 
 def _fock_fibers(fock: TruncatedFock) -> tuple[int, ...]:
@@ -717,11 +690,11 @@ def _fock_fibers(fock: TruncatedFock) -> tuple[int, ...]:
     return tuple(small[:4]) if len(small) > 1 else (e,)
 
 
-def check_fock_product(system: ProductSystem, seed: int = 41) -> CheckReport:
+def check_fock_product(fock: TruncatedFock, seed: int = 41) -> CheckReport:
     """Compressed products match products of compressions on interior
-    columns within 1e-12, on 100 pairs in the window up to 5, at least
+    columns within 1e-12, on 100 pairs in the oracle's window, at least
     50 of them with interior columns."""
-    fock = TruncatedFock(system, 5)
+    system = fock.system
     rng = Random(seed)
     fibers = _fock_fibers(fock)
 
@@ -737,31 +710,31 @@ def check_fock_product(system: ProductSystem, seed: int = 41) -> CheckReport:
         yield used, max(used, 50), 0.0, {"law": "informative", "floor": 50}
 
     return _compare("fock:representation-multiplicative", comparisons(),
-                    samples=100, dim=fock.dim, bound=5)
+                    samples=100, dim=fock.dim, bound=fock.trunc.bound)
 
 
-def check_fock_state(system: ProductSystem, beta: float = 3.0, seed: int = 43) -> CheckReport:
-    """The Gibbs diagonal sum over the window up to 5 equals the series
-    state within 1e-12, on 25 samples."""
-    bound = 5
-    fock = TruncatedFock(system, bound)
-    ctx = KMSContext(system, identity_trace(), beta, bound)
+def check_fock_state(fock: TruncatedFock, beta: float = 3.0, seed: int = 43) -> CheckReport:
+    """The Gibbs diagonal sum over the oracle's window equals the series
+    state on that window within 1e-12, on 25 samples, both under the
+    identity trace."""
+    system = fock.system
+    ctx = KMSContext(system, identity_trace(), beta, fock.trunc.bound)
     rng = Random(seed)
     fibers = _fock_fibers(fock)
 
     def comparisons():
         for i in range(25):
             y = sample_element(rng, system, fibers, core=(i % 2 == 0))
-            yield fock.state_value(y, beta), ctx.kms(y).value, 1e-12, {"sample": i}
+            yield fock.state_value(y, beta, ctx.trace), ctx.kms(y).value, 1e-12, {"sample": i}
 
     return _compare("fock:state-agreement", comparisons(),
-                    samples=25, dim=fock.dim, beta=beta, bound=bound)
+                    samples=25, dim=fock.dim, beta=beta, bound=ctx.bound)
 
 
-def check_fock_nica(system: ProductSystem, seed: int = 47) -> CheckReport:
+def check_fock_nica(fock: TruncatedFock, seed: int = 47) -> CheckReport:
     """Rank-one operators compose through the join fiber in the oracle
-    within 1e-12, on 20 samples in the window up to 5."""
-    fock = TruncatedFock(system, 5)
+    within 1e-12, on 20 samples in its window."""
+    system = fock.system
     rng = Random(seed)
     sg = system.semigroup
     fibers = [v for v in fock.trunc.values
@@ -822,32 +795,30 @@ def run_suites(
         tasks.append(lambda: check_projection_covariance(system))
         tasks.append(lambda: check_corner_center(system))
         if system.engine.degree_dim == 0:
-            tasks.append(lambda: check_fock_product(system, seed=seed))
-            tasks.append(lambda: check_fock_state(system, beta=max(beta, 2.0), seed=seed))
-            tasks.append(lambda: check_fock_nica(system, seed=seed))
-    # one state per trace and window, and one draw per run, read by the
-    # checks under every trace
+            fock = TruncatedFock(system, 5)
+            tasks.append(lambda: check_fock_product(fock, seed=seed))
+            tasks.append(lambda: check_fock_state(fock, beta=max(beta, 2.0), seed=seed))
+            tasks.append(lambda: check_fock_nica(fock, seed=seed))
+    # one state per trace and window, and one sample stream per run, a tee
+    # branch of which each trace's check reads
     if wanted & {"kms", "trace"}:
         contexts = [KMSContext(system, t, beta, bound) for t in traces]
     if "kms" in wanted:
-        pairs = kms_draw(system, beta, seed)
-        for ctx in contexts:
-            tasks.append(lambda ctx=ctx: check_kms_condition(ctx, pairs))
+        for ctx, pairs in zip(contexts, tee(kms_draw(system, beta, seed), len(contexts))):
+            tasks.append(lambda ctx=ctx, pairs=pairs: check_kms_condition(ctx, pairs))
             tasks.append(lambda ctx=ctx: check_scaling_identity(ctx))
     if "trace" in wanted:
-        rounds = core_trace_draw(system, seed)
-        for ctx in contexts:
-            tasks.append(lambda ctx=ctx: check_core_trace_property(ctx, rounds))
+        for ctx, rounds in zip(contexts, tee(core_trace_draw(system, seed), len(contexts))):
+            tasks.append(lambda ctx=ctx, rounds=rounds: check_core_trace_property(ctx, rounds))
     if "ground" in wanted:
         for t in traces:
             tasks.append(lambda t=t: check_ground(system, t, seed=seed))
             tasks.append(lambda t=t: check_ground_limit(system, t, bound=bound))
     if "reconstruct" in wanted:
         tasks.append(lambda: check_inclusion_exclusion(system, traces, max(beta, 4.0), bound, seed))
-        products = recovery_draw(system)
-        for t in traces:
+        for t, products in zip(traces, tee(recovery_draw(system), len(traces))):
             ctx = KMSContext(system, t, max(beta, 4.0), max(bound, 100))
-            tasks.append(lambda ctx=ctx: check_reconstruction(ctx, products))
+            tasks.append(lambda ctx=ctx, products=products: check_reconstruction(ctx, products))
     if "euler" in wanted:
         tasks.append(lambda: check_euler(system, beta=max(beta, 3.0)))
 

@@ -110,7 +110,8 @@ def test_criterion_04_the_kms_condition_holds_on_random_samples():
     start = time.perf_counter()
     ok = True
     worst = 0.0
-    draw = kms_draw(system, 3.0, seed=7)
+    # a list: the generator alone would leave the second trace nothing to read
+    draw = list(kms_draw(system, 3.0, seed=7))
     for trace in (haar_trace(system.engine), point_mass_trace(system.engine, 0.7)):
         rep = check_kms_condition(KMSContext(system, trace, 3.0, 1000), draw)
         ok = ok and rep.passed
@@ -209,8 +210,8 @@ def test_criterion_11_the_fock_oracle_agrees_with_the_symbolic_state():
     system = CuntzSystem(2)
     fock = TruncatedFock(system, 5)
     ok = fock.dim == 63
-    product = check_fock_product(system, seed=41)
-    state = check_fock_state(system, beta=3.0, seed=43)
+    product = check_fock_product(fock, seed=41)
+    state = check_fock_state(fock, beta=3.0, seed=43)
     ok = ok and product.passed and state.passed
     _gate(11, "truncated Fock matrices multiply and integrate like the algebra", ok,
           f"dim {fock.dim}, product defect {product.metrics.get('worst_deviation', math.inf):.1e},"

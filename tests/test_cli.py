@@ -641,6 +641,22 @@ def test_huge_fiber_product_evaluates_without_densifying(capsys):
     assert json.loads(out)["value"] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("argv", [
+    ("parse", "--system", "cuntz", "--expr", "alpha[30](i[1](1@0))"),
+    ("eval", "--system", "affine-toeplitz", "--expr", "alpha[3000000](i[1](1@0))"),
+    ("eval", "--system", "cuntz", "--k", "3", "--expr", "alpha[30](i[1](1@0))",
+     "--beta", "2", "--bound", "100"),
+], ids=["cuntz-2", "affine-toeplitz", "cuntz-3"])
+def test_a_huge_alpha_output_exits_two_before_it_is_built(capsys, argv):
+    # N_s terms per term: 2^30, 3 * 10^6 and 3^30, all past the cap of 2^20
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "more than 1048576 terms" in err
+
+
 def test_term_budget_lasts_for_the_call_only(capsys):
     before = get_term_budget()
     for budget, want in (("10", 3), ("1000", 0)):

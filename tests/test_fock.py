@@ -11,6 +11,7 @@ dense product; the dense definitions live here, and the parity tests
 hold the oracle to them entry for entry.
 """
 
+import time
 from pathlib import Path
 from random import Random
 
@@ -86,7 +87,8 @@ def test_oracle_matches_the_dense_definitions_exactly(k, bound, fibers):
         for z in (x, x.adjoint(), x * y, x * y - y * x):
             assert np.array_equal(fock.represent(z), dense_represent(fock, z))
         assert fock.product_defect(x, y) == dense_product_defect(fock, x, y)
-        assert fock.state_value(x * y, 3.0) == dense_state_value(fock, x * y, 3.0)
+        assert (fock.state_value(x * y, 3.0, identity_trace())
+                == dense_state_value(fock, x * y, 3.0))
 
 
 def test_creation_operators_are_cached_as_index_arrays():
@@ -104,7 +106,8 @@ def test_creation_operators_are_cached_as_index_arrays():
 def test_fock_checks_on_cuntz_3_match_the_golden_lines():
     """Recorded with the dense oracle: the floats must not move."""
     system = CuntzSystem(3)
-    lines = [check(system, seed=7).json_line() + "\n"
+    fock = TruncatedFock(system, 5)
+    lines = [check(fock, seed=7).json_line() + "\n"
              for check in (check_fock_product, check_fock_state, check_fock_nica)]
     assert "".join(lines) == (DATA / "fock-cuntz-3.jsonl").read_text()
 
@@ -131,9 +134,8 @@ def test_gibbs_sum_checks_its_trace_and_exponents():
     affine = AffineToeplitzSystem()
     fock = TruncatedFock(affine, 4)
     unit = NTElement.unit(affine)
-    # the default trace is the identity state on the scalars
     with pytest.raises(ValueError, match="trace does not belong"):
-        fock.state_value(unit, 3.0)
+        fock.state_value(unit, 3.0, identity_trace())
     assert fock.state_value(unit, 3.0, haar_trace(affine.engine)) == complex(1.0)
     huge = NTElement.embed_coeff(affine, CoefficientElement.monomial(affine.engine, (2**61, 0)))
     with pytest.raises(ValueError, match="2\\^61"):
@@ -149,6 +151,16 @@ def test_dimension_bookkeeping_and_cap():
     assert TruncatedFock(CUNTZ, 11).dim <= FOCK_DIMENSION_CAP
     with pytest.raises(ValueError, match="cap"):
         TruncatedFock(CUNTZ, 12)
+
+
+@pytest.mark.parametrize("system, bound", [(AffineToeplitzSystem(), 10**7), (CUNTZ, 10**6)],
+                         ids=["affine-toeplitz", "cuntz"])
+def test_an_oversized_window_is_refused_before_it_is_built(system, bound):
+    # at most cap + 1 fiber ranks are read, not the window's tuple
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the cap 5000"):
+        TruncatedFock(system, bound)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_creation_matrix_agrees_with_index_map():
@@ -284,8 +296,8 @@ def test_gibbs_diagonal_matches_series_state():
     for beta in (1.5, 3.0):
         ctx = KMSContext(CUNTZ, identity_trace(), beta, 5)
         # the unit is exact: numerator and normaliser are the same sum
-        assert fock.state_value(NTElement.unit(CUNTZ), beta) == complex(1.0)
+        assert fock.state_value(NTElement.unit(CUNTZ), beta, ctx.trace) == complex(1.0)
         for _ in range(8):
             y = sample_element(rng, CUNTZ, (0, 1, 2), terms=3)
-            got = fock.state_value(y, beta)
+            got = fock.state_value(y, beta, ctx.trace)
             assert abs(got - ctx.kms(y).value) <= 1e-12

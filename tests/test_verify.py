@@ -12,7 +12,7 @@ import ast
 import json
 import math
 import time
-from itertools import count, islice
+from itertools import count
 from pathlib import Path
 from random import Random
 
@@ -75,6 +75,7 @@ from ntkms.verify import (
 
 AFFINE = AffineToeplitzSystem()
 CUNTZ = CuntzSystem(2)
+DATA = Path(__file__).parent / "data"
 
 
 # -- fiber traces against omega's closed form ----------------------------------
@@ -278,7 +279,7 @@ def test_corner_center_names_the_first_bad_case():
 
 def test_fock_product_fails_on_a_corrupted_index_map():
     # the oracle builds its creation operators from the index maps
-    rep = check_fock_product(CUNTZ.corrupted(1, 1, (0, 0), (1, 0)), seed=7)
+    rep = check_fock_product(TruncatedFock(CUNTZ.corrupted(1, 1, (0, 0), (1, 0)), 5), seed=7)
     assert not rep.passed
     assert rep.metrics == {"law": "multiplicative", "sample": 2, "columns": 63,
                            "deviation": pytest.approx(2.23606797749979), "tolerance": 1e-12,
@@ -426,7 +427,7 @@ def _euler_product_high(monkeypatch):
 
 def _no_interior_columns(monkeypatch):
     monkeypatch.setattr(TruncatedFock, "interior_columns", lambda self, y: [])
-    return check_fock_product(CUNTZ)
+    return check_fock_product(TruncatedFock(CUNTZ, 5))
 
 
 GROUND = {"samples": 60, "trace": "haar"}
@@ -490,7 +491,7 @@ def _nan_euler_product(monkeypatch):
 
 def _nan_product_defect(monkeypatch):
     monkeypatch.setattr(TruncatedFock, "product_defect", lambda self, x, y: (math.nan, 31))
-    return check_fock_product(CUNTZ)
+    return check_fock_product(TruncatedFock(CUNTZ, 5))
 
 
 NAN_FAULTS = {
@@ -562,7 +563,7 @@ def test_only_compare_and_skipped_checks_build_a_check_report():
 
 def test_fock_checks_refuse_matrix_engines():
     with pytest.raises(ValueError, match="scalar coefficient engine"):
-        check_fock_product(AFFINE)
+        check_fock_product(TruncatedFock(AFFINE, 5))
 
 
 @pytest.mark.parametrize("name, d", [
@@ -653,8 +654,8 @@ def test_core_trace_fails_on_a_non_tracial_state(monkeypatch):
 def test_fock_state_fails_on_a_perturbed_oracle(monkeypatch):
     state_value = TruncatedFock.state_value
     monkeypatch.setattr(TruncatedFock, "state_value",
-                        lambda self, y, beta: state_value(self, y, beta) * (1 + 1e-9))
-    rep = check_fock_state(CUNTZ)
+                        lambda self, y, beta, trace: state_value(self, y, beta, trace) * (1 + 1e-9))
+    rep = check_fock_state(TruncatedFock(CUNTZ, 5))
     assert not rep.passed
     # samples 0 and 1 have value zero, which the relative fault leaves alone
     assert rep.metrics == {
@@ -667,7 +668,7 @@ def test_fock_nica_fails_on_a_perturbed_defect(monkeypatch):
     nica_defect = TruncatedFock.nica_defect
     monkeypatch.setattr(TruncatedFock, "nica_defect",
                         lambda self, *vectors: nica_defect(self, *vectors) + 1e-9)
-    rep = check_fock_nica(CUNTZ)
+    rep = check_fock_nica(TruncatedFock(CUNTZ, 5))
     assert not rep.passed
     assert rep.metrics == {"samples": 20, "dim": 63, "s": 2, "r": 1,
                            "deviation": pytest.approx(1e-9), "tolerance": 1e-12}
@@ -799,12 +800,58 @@ def test_the_kms_and_trace_suites_build_one_state_per_trace(monkeypatch):
     assert built == [(t.name, 3.0, 1000) for t in default_traces(AFFINE)]
 
 
-def test_a_draw_replays_what_an_early_reader_left():
-    draw = verify.kms_draw(AFFINE, 3.0)
-    head = list(islice(draw, 67))
-    whole = list(draw)
-    assert len(whole) == 200 and all(a is b for a, b in zip(head, whole))
-    assert whole == list(verify.kms_draw(AFFINE, 3.0))
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of owner.name, which keeps its behaviour."""
+    calls = []
+    method = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("suite, method, calls", [
+    ("kms", "dynamics", 200),  # one sigma_(i beta)(y2) per pair, not per trace
+    ("trace", "__mul__", 24),  # u v and v u per round
+])
+def test_the_state_suites_draw_their_products_once_per_run(monkeypatch, suite, method, calls):
+    counted = _count_calls(monkeypatch, NTElement, method)
+    reports = run_suites(AFFINE, [suite])
+    assert all(r.passed for r in reports)
+    assert len(counted) == calls
+
+
+def test_a_check_that_stops_early_leaves_the_stream_to_the_next_trace(monkeypatch):
+    # the first omega under haar is NaN, so the haar kms-condition stops at
+    # sample 0; the point-mass check still reads all 200 pairs, drawn once
+    counted = _count_calls(monkeypatch, NTElement, "dynamics")
+    omega = KMSContext.omega
+    spoiled = []
+
+    def nan_once(self, y):
+        if self.trace.name == "haar" and not spoiled:
+            spoiled.append(y)
+            return StateValue(complex(math.nan, 0.0), 0.0, self.bound)
+        return omega(self, y)
+
+    monkeypatch.setattr(KMSContext, "omega", nan_once)
+    reports = [r for r in run_suites(AFFINE, ["kms"]) if r.name == "state:kms-condition"]
+    assert [(r.passed, r.metrics.get("sample")) for r in reports] == [(False, 0), (True, None)]
+    golden = (DATA / "states-affine-toeplitz.jsonl").read_text().splitlines()
+    assert reports[1].json_line() == golden[2]
+    assert len(counted) == 200
+
+
+def test_the_structure_suite_builds_one_fock_oracle(monkeypatch):
+    built = _count_calls(monkeypatch, TruncatedFock, "__init__")
+    reports = run_suites(CUNTZ, ["structure"])
+    assert all(r.passed for r in reports)
+    assert [r.name for r in reports if r.name.startswith("fock:")] == [
+        "fock:representation-multiplicative", "fock:state-agreement", "fock:nica-covariance"]
+    assert len(built) == 1
 
 
 def test_json_line_shape():
