@@ -190,7 +190,8 @@ def _make_trace(args, config, system: ProductSystem) -> TraceSpec:
         return haar_trace(system.engine)
     if name in ("point-mass", "point_mass"):
         return point_mass_trace(system.engine, _parse_theta(theta, dim))
-    raise UsageError(f"unknown trace {name!r}; use haar, point-mass or identity")
+    raise UsageError(f"unknown trace {name!r} for {system.name}; use haar or point-mass "
+                     "(identity applies to the scalar engine of cuntz)")
 
 
 def _parse_expression(expr: str, system: ProductSystem) -> NTElement:

@@ -198,6 +198,12 @@ def _strict_json(v):
 # cells per block of a structure-law grid
 _BLOCK = 2**16
 
+# the most associativity cells, (sum of N_s over the window)^3, that
+# validate checks: lattice-dilation(2)'s 650^3 take about 2.7 s on 2 vCPUs
+# under Python 3.11, and cuntz(4)'s 5461^3, 590 times as many, would take
+# about half an hour at that rate
+STRUCTURE_CELL_CAP = 2**32
+
 
 def _ragged(sizes) -> tuple[np.ndarray, np.ndarray]:
     """(g, c) over the cells of consecutive groups of the given sizes: the
@@ -395,7 +401,9 @@ class ProductSystem:
         index_split, and the coprime law reads index_split alone.  Both
         assume the bijectivity checked before them: on a non-bijective
         index map they may name another witness or pass, and the
-        bijectivity law fails either way.
+        bijectivity law fails either way.  A window past
+        STRUCTURE_CELL_CAP associativity cells raises ValueError before
+        any grid is built.
         """
         checks: list[CheckReport] = []
         sg, eng = self.semigroup, self.engine
@@ -407,6 +415,10 @@ class ProductSystem:
         gen = np.array(self.generator_monomials(), dtype=np.int64).reshape(len(gens), -1).T
         fibers = [(s,) for s in vals]
         ranks = [n(s) for s in vals]
+        cells = sum(ranks) ** 3
+        if cells > STRUCTURE_CELL_CAP:
+            raise ValueError(f"the structure window up to {trunc.bound} has {cells} "
+                             f"associativity cells, past the cap of {STRUCTURE_CELL_CAP}")
         pairs = [(s, r, n(s), n(r)) for s in vals for r in vals]
 
         def law(name: str, witnesses: Iterable[dict], detail: str = "", **metrics) -> None:

@@ -199,10 +199,9 @@ def _small_fibers(system: ProductSystem) -> tuple[int, ...]:
 # -- structure --------------------------------------------------------------
 
 
-def structure_reports(system: ProductSystem, bound: Optional[int] = None) -> list[CheckReport]:
-    """ProductSystem.validate up to bound, by default 12 on nat-mult and 6 on nat-add."""
-    if bound is None:
-        bound = 12 if system.semigroup.is_multiplicative else 6
+def structure_reports(system: ProductSystem) -> list[CheckReport]:
+    """ProductSystem.validate up to 12 on nat-mult and up to 6 on nat-add."""
+    bound = 12 if system.semigroup.is_multiplicative else 6
     return system.validate(TruncationSet(system.semigroup, bound))
 
 

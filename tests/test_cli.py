@@ -125,11 +125,10 @@ def test_window_below_the_identity_is_a_usage_error(capsys):
 
 
 def test_eval_bad_expression_reports_the_column(capsys):
-    code, _, err = run(
-        capsys, "eval", "--system", "affine-toeplitz", "--expr", "i[2](1@9)"
-    )
-    assert code == 2
-    assert "error: column" in err
+    for command, expr in (("eval", "i[2](1@9)"), ("parse", "i[1](1e-i@0)")):
+        code, _, err = run(capsys, command, "--system", "affine-toeplitz", "--expr", expr)
+        assert code == 2
+        assert err.startswith("error: column")
 
 
 # -- parse and systems -----------------------------------------------------------
@@ -142,6 +141,13 @@ def test_parse_prints_the_canonical_normal_form(capsys):
     )
     assert code == 0
     assert out == format_element(unit_projection(AFFINE, 2)) + "\n"
+
+    # a term's leading coefficient may be a product of numbers
+    code, out, _ = run(
+        capsys, "parse", "--system", "affine-toeplitz", "--expr", "(1+i)(1-i) * i[1](1@0)",
+    )
+    assert code == 0
+    assert out == "i[1](((2+0i))@0) * adj(i[1](1@0))\n"
 
 
 def test_systems_lists_every_builtin_as_json(capsys):
@@ -327,6 +333,7 @@ def test_verify_stdout_is_deterministic_across_runs_and_threads(capsys):
 
 STRUCTURE_RUNS = {
     "affine-toeplitz": ("--system", "affine-toeplitz"),
+    "additive-toeplitz": ("--system", "additive-toeplitz"),
     "lattice-dilation": ("--system", "lattice-dilation"),
     "cuntz": ("--system", "cuntz"),
     "affine-toeplitz-corrupt": ("--system", "affine-toeplitz", "--corrupt", "2,2,0,1,1,0"),
@@ -338,13 +345,20 @@ STRUCTURE_RUNS = {
 }
 
 
+# additive-toeplitz is lattice-dilation(1) under another name, so its runs
+# must write lattice-dilation's bytes
+GOLDEN = {"additive-toeplitz": "lattice-dilation"}
+
+
 @pytest.mark.parametrize("name", STRUCTURE_RUNS)
 def test_verify_structure_stdout_matches_the_golden_lines(capsys, name):
     """The whole stdout, the floats of the fock: lines included, is
-    compared byte for byte with a recorded run."""
-    _, out, _ = run(capsys, "verify", "--seed", "7", "--suite", "structure",
-                    *STRUCTURE_RUNS[name])
-    assert out == (DATA / f"structure-{name}.jsonl").read_text()
+    compared byte for byte with a recorded run; a corrupted run exits 1,
+    a failed check, and not 4, an uncaught exception."""
+    code, out, _ = run(capsys, "verify", "--seed", "7", "--suite", "structure",
+                       *STRUCTURE_RUNS[name])
+    assert code == (1 if "--corrupt" in STRUCTURE_RUNS[name] else 0)
+    assert out == (DATA / f"structure-{GOLDEN.get(name, name)}.jsonl").read_text()
 
 
 STATE_RUNS = {
@@ -364,7 +378,7 @@ def test_verify_state_stdout_matches_the_golden_lines(capsys, name):
     code, out, _ = run(capsys, "verify", "--seed", "7", "--suite", "kms", "--suite", "trace",
                        "--suite", "reconstruct", *STATE_RUNS[name])
     assert code == 0
-    assert out == (DATA / f"states-{name}.jsonl").read_text()
+    assert out == (DATA / f"states-{GOLDEN.get(name, name)}.jsonl").read_text()
 
 
 @pytest.mark.parametrize("name", STATE_RUNS)
@@ -374,7 +388,7 @@ def test_verify_ground_stdout_matches_the_golden_lines(capsys, name):
     code, out, _ = run(capsys, "verify", "--seed", "7", "--suite", "ground", "--suite", "euler",
                        *STATE_RUNS[name])
     assert code == 0
-    assert out == (DATA / f"ground-{name}.jsonl").read_text()
+    assert out == (DATA / f"ground-{GOLDEN.get(name, name)}.jsonl").read_text()
 
 
 def test_verify_rejects_bad_thread_and_suite_requests(capsys, tmp_path):
@@ -516,16 +530,20 @@ def test_system_parameters_are_checked(capsys):
     assert code == 0 and json.loads(out)["value"] == [1.0, 0.0]
 
 
-def test_torus_rank_five_evaluates_as_in_process(capsys):
-    code, out, err = run(
-        capsys, "eval", "--system", "lattice-dilation", "--d", "5", "--trace", "point-mass",
-        "--theta", "0.1,0.2,0.3,0.4,0.5", "--expr", "i[1](z1 z5^-2@0)",
-    )
-    assert (code, err) == (0, "")
-    system = TorusDilationSystem(5)
-    trace = point_mass_trace(system.engine, (0.1, 0.2, 0.3, 0.4, 0.5))
-    sv = KMSContext(system, trace, 3.0, 1000).kms(parse_element("i[1](z1 z5^-2@0)", system))
-    assert out == json.dumps(sv.as_dict(), sort_keys=True) + "\n"
+def test_torus_ranks_four_and_five_evaluate_as_in_process(capsys):
+    # traces on a torus of any rank are built in closed form
+    for d, theta, expr in ((4, None, "i[1](z1@0)"), (4, (0.1, 0.2, 0.3, 0.4), "i[1](z1@0)"),
+                           (5, (0.1, 0.2, 0.3, 0.4, 0.5), "i[1](z1 z5^-2@0)")):
+        trace_args = () if theta is None else (
+            "--trace", "point-mass", "--theta", ",".join(map(str, theta)))
+        code, out, err = run(capsys, "eval", "--system", "lattice-dilation", "--d", str(d),
+                             *trace_args, "--expr", expr)
+        assert (code, err) == (0, "")
+        system = TorusDilationSystem(d)
+        trace = haar_trace(system.engine) if theta is None else point_mass_trace(
+            system.engine, theta)
+        sv = KMSContext(system, trace, 3.0, 1000).kms(parse_element(expr, system))
+        assert out == json.dumps(sv.as_dict(), sort_keys=True) + "\n"
 
 
 def test_trace_options_are_checked(capsys):
@@ -540,6 +558,15 @@ def test_trace_options_are_checked(capsys):
         "--expr", "i[1](1@0)",
     )
     assert code == 2 and "unknown trace 'fourier'" in err
+
+    # identity is the scalar engine's trace, so a graded engine refuses it
+    code, _, err = run(
+        capsys, "eval", "--system", "affine-toeplitz", "--trace", "identity",
+        "--expr", "i[1](1@0)",
+    )
+    assert code == 2 and err == (
+        "error: unknown trace 'identity' for affine-toeplitz; use haar or point-mass "
+        "(identity applies to the scalar engine of cuntz)\n")
 
     code, _, err = run(
         capsys, "eval", "--system", "affine-toeplitz", "--theta", "0.3",
@@ -655,6 +682,20 @@ def test_a_huge_alpha_output_exits_two_before_it_is_built(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert "more than 1048576 terms" in err
+
+
+@pytest.mark.parametrize("argv, bound, ranks", [
+    (("--system", "cuntz", "--k", "4"), 6, sum(4**n for n in range(7))),
+    (("--system", "lattice-dilation", "--d", "3"), 12, sum(s**3 for s in range(1, 13))),
+], ids=["cuntz-4", "lattice-dilation-3"])
+def test_an_oversized_structure_window_exits_two_before_it_is_built(capsys, argv, bound, ranks):
+    # (sum of N_s)^3 associativity cells, 5461^3 and 6084^3, both past 2^32
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv, "--suite", "structure")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: the structure window up to {bound} has {ranks**3} "
+                   "associativity cells, past the cap of 4294967296\n")
 
 
 def test_term_budget_lasts_for_the_call_only(capsys):

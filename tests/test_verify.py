@@ -34,6 +34,7 @@ from ntkms.product_system import (
     get_system,
 )
 from ntkms.nt import NTElement
+from ntkms.semigroup import TruncationSet
 from ntkms.states import (
     PREFIX_TERMS,
     KMSContext,
@@ -185,7 +186,7 @@ def test_reconstruction_family_shapes():
 
 def test_structure_reports_cover_the_validator():
     t0 = time.perf_counter()
-    reports = structure_reports(AFFINE, bound=8)
+    reports = AFFINE.validate(TruncationSet(AFFINE.semigroup, 8))
     wall = time.perf_counter() - t0
     names = [r.name for r in reports]
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
@@ -205,7 +206,7 @@ def test_structure_reports_cover_the_validator():
 
 def test_structure_reports_name_the_broken_law():
     bad = AFFINE.corrupted(2, 2, (0, 1), (1, 0))
-    reports = structure_reports(bad, bound=6)
+    reports = bad.validate(TruncationSet(bad.semigroup, 6))
     failed = {r.name for r in reports if not r.passed}
     assert "structure:index-map-associative" in failed
     assoc = next(r for r in reports if r.name == "structure:index-map-associative")
@@ -237,7 +238,7 @@ def test_structure_reports_name_a_non_multiplicative_scaling():
 def test_structure_reports_name_a_profile_that_misreads_the_rank(system, profile, bound, s):
     # the series would sum the profile's closed form in place of N_s
     system.profile = profile
-    reports = structure_reports(system, bound=bound)
+    reports = system.validate(TruncationSet(system.semigroup, bound))
     assert [r.name for r in reports if not r.passed] == ["structure:scaling-homomorphism"]
     rep = next(r for r in reports if r.name == "structure:scaling-homomorphism")
     assert rep.metrics == {"bound": bound, "witness": {"s": s}} and rep.detail == ""
