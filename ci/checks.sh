@@ -9,7 +9,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+# perfbench/run.py writes each run to a fixed perfbench/out/ path, where
+# the long benchmark records live; keep them and put them back on exit
+shopt -s nullglob
+records=(perfbench/out/*.json perfbench/out/*.npz)
+mkdir "$tmp/records"
+restore() {
+    local saved=("$tmp"/records/*)
+    if [ ${#saved[@]} -gt 0 ]; then cp -p "${saved[@]}" perfbench/out/; fi
+    rm -rf "$tmp"
+}
+trap restore EXIT
+if [ ${#records[@]} -gt 0 ]; then cp -p "${records[@]}" "$tmp/records/"; fi
 
 # usage_error ARGS...: ntkms ARGS exits 2 within 30 s, with nothing on
 # stdout and an error: line, but no traceback, on stderr

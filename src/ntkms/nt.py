@@ -22,11 +22,11 @@ i_r''), and
         = sum_u i_g''(1_u) i_r''(phi(zeta_(i_g)*) 1_(i_r''))*
 
 over u < N_g'' with i = m(r, g''; l, u).  Outer legs then absorb through
-the module product and the result is re-canonicalised.  A term pair
-lands in the fiber pair (s g'', h r'') whatever u is, so a product asked
-for only some fiber pairs (the diagonal for a KMS state, the identity
-corner for a ground state) skips the other term pairs before any
-reduction.  The sum runs over whichever side is smaller: the N_g'' values
+the module product, read column by column, and the result is
+re-canonicalised.  A term pair lands in the fiber pair (s g'', h r'')
+whatever u is, so a product asked for only some fiber pairs (the
+diagonal for a KMS state, the identity corner for a ground state) skips
+the other term pairs before any reduction.  The sum runs over whichever side is smaller: the N_g'' values
 of u, or the |zeta| N_r'' pairs (i_g, i_r''), sent through m(g, r''; .)
 and split by m(r, g''; .), keeping those whose first index is l.  The
 hits are taken in increasing u either way, so every output key
@@ -200,10 +200,18 @@ class NTElement:
     def product(self, other: "NTElement", keep=None) -> "NTElement":
         """self * other, restricted to the terms whose fiber pair (s, r)
         passes keep(s, r) when keep is given; the kept terms are exactly
-        those of the full product."""
+        those of the full product.
+
+        Each hit (u, i_g, i_r'') reads the left-action columns that
+        module_product would: column u of L_g''(x_j) for each entry x_j
+        of xi, then column i_r'' of L_r''(b*), b = zeta_(i_g), with the
+        same c * unit products; no basis vector is built.
+        """
         self._same(other)
         sys = self.system
         sg = sys.semigroup
+        im, col = sys.index_map, sys._column
+        unit = CoefficientElement.unit(sys.engine)
         out: dict[tuple[int, int, int], ModuleVector] = {}
         emitted = 0
         budget = _budget.get()
@@ -239,12 +247,14 @@ class NTElement:
                             f"fiber pair (r, g) = ({r}, {g}); "
                             "raise the budget or shrink the operands"
                         )
-                    left = sys.module_product(xi, sys.basis_vector(gg, u))
-                    right = sys.module_product(
-                        sys.basis_vector(h, m, coeff=b.adjoint()),
-                        sys.basis_vector(rr, irr),
-                    )
-                    for lr, c in right.entries.items():
+                    # xi 1_u and 1_m b* 1_(i_r''); m(.; j, nu) is bijective,
+                    # so no two column entries share an output index
+                    left = ModuleVector.from_sorted(sys, sgg, sorted(
+                        (im(s, gg, j, nu), c * unit) for j, x in xi.entries.items()
+                        for nu, c in col(gg, x, u).items()))
+                    right = sorted((im(h, rr, m, nu), c * unit)
+                                   for nu, c in col(rr, b.adjoint(), irr).items())
+                    for lr, c in right:
                         _accumulate(out, (sgg, hrr, lr), left.right_mul(c.adjoint()))
         return NTElement(sys, out)
 

@@ -103,6 +103,14 @@ class ModuleVector:
         self.system, self.fiber = system, fiber
         self.entries = {j: x[j] for j in keys if not x[j].is_zero()}
 
+    @classmethod
+    def from_sorted(cls, system: "ProductSystem", fiber: int, pairs) -> "ModuleVector":
+        """The canonical constructor: pairs (j, c) in ascending index
+        order, every j in range; zero coefficients are dropped."""
+        out = cls.__new__(cls)
+        out.system, out.fiber, out.entries = system, fiber, {j: c for j, c in pairs if c.terms}
+        return out
+
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -116,12 +124,13 @@ class ModuleVector:
         return ModuleVector(self.system, self.fiber, out)
 
     def scale(self, w: complex) -> "ModuleVector":
-        scaled = {j: c.scale(w) for j, c in self.entries.items()}
-        return ModuleVector(self.system, self.fiber, scaled)
+        return ModuleVector.from_sorted(
+            self.system, self.fiber, [(j, c.scale(w)) for j, c in self.entries.items()])
 
     def right_mul(self, a: CoefficientElement) -> "ModuleVector":
         """The right module action, coordinatewise on the right."""
-        return ModuleVector(self.system, self.fiber, {j: c * a for j, c in self.entries.items()})
+        return ModuleVector.from_sorted(
+            self.system, self.fiber, [(j, c * a) for j, c in self.entries.items()])
 
     def inner(self, other: "ModuleVector") -> CoefficientElement:
         """<x, y> = sum_j x_j* y_j, conjugate linear in the first slot."""

@@ -263,6 +263,8 @@ class KMSContext:
         self.trunc, self._zeta_terms, self._prefix_sum, self.zeta, self.zeta_tail = _series(
             system, self.beta, self.bound)
         self._z_cache: dict[int, float] = {}
+        # omega at mass 0: the value 0j / zeta and the tail _value gives it
+        self._zero = StateValue(0.0 + 0.0j, 0.0, self.bound)
 
     # -- series building blocks ------------------------------------------
 
@@ -300,7 +302,9 @@ class KMSContext:
     # -- evaluation ----------------------------------------------------------
 
     def omega(self, y: NTElement) -> StateValue:
-        """The state on a core element, by the degree fast path."""
+        """The state on a core element, by the degree fast path over its
+        terms in key order.  With no diagonal coefficient (mass 0) it is
+        the context's one held zero, the value and tail the sum would give."""
         if y.system is not self.system:
             raise ValueError("element is over a different product system")
         sg = self.system.semigroup
@@ -309,7 +313,8 @@ class KMSContext:
         mass = 0.0
         added = 0
         spent = 0  # the trial divisions of one evaluation share the raw-work cap
-        for (s, r, l), vec in y.sorted_terms():
+        terms = y.terms.items() if len(y.terms) < 2 else y.sorted_terms()
+        for (s, r, l), vec in terms:
             if s != r:
                 raise ValueError(
                     "omega is defined on the core; use kms() for general elements"
@@ -338,6 +343,8 @@ class KMSContext:
                 for q in divisors:
                     total += (w * self.weight_pow(sg.mul(r, q)) * self.system.weight(q)
                               * self.trace.moment(tuple(c // q for c in deg)))
+        if mass == 0.0:
+            return self._zero
         # zeta and each Z_r sum the held terms
         return self._value(total / self.zeta, mass, 2 * len(self._zeta_terms), added)
 

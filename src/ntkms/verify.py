@@ -73,7 +73,7 @@ from .coeff import (
     point_mass_trace,
 )
 from .fock import TruncatedFock
-from .nt import NTElement, diagonal, unit_projection
+from .nt import NTElement, _accumulate, diagonal, unit_projection
 from .product_system import CheckReport, ModuleVector, ProductSystem
 from .semigroup import TruncationSet
 from .states import (
@@ -146,9 +146,14 @@ def _compare(name: str, comparisons: Iterable[tuple[complex, complex, float, dic
 # -- samplers ---------------------------------------------------------------
 
 
+# choice over a range makes the one _randbelow(width) call that randint
+# makes (CPython 3.10-3.12): the samplers draw their randint forms' stream
+_GAUSS, _TOEPLITZ, _LAURENT = range(-2, 3), range(0, 4), range(-3, 4)
+
+
 def _gauss_int(rng: Random) -> complex:
-    re = rng.randint(-2, 2)
-    im = rng.randint(-2, 2)
+    re = rng.choice(_GAUSS)
+    im = rng.choice(_GAUSS)
     if re == 0 and im == 0:
         re = 1
     return complex(re, im)
@@ -156,22 +161,27 @@ def _gauss_int(rng: Random) -> complex:
 
 def _sample_monomial(rng: Random, engine) -> tuple:
     if engine.tag == "toeplitz":
-        return (rng.randint(0, 3), rng.randint(0, 3))
-    return tuple(rng.randint(-3, 3) for _ in range(engine.degree_dim))
+        return (rng.choice(_TOEPLITZ), rng.choice(_TOEPLITZ))
+    return tuple(rng.choice(_LAURENT) for _ in range(engine.degree_dim))
 
 
 def sample_coeff(rng: Random, engine, terms: int = 2) -> CoefficientElement:
-    out = CoefficientElement.zero(engine)
-    for _ in range(rng.randint(1, terms)):
-        out = out + CoefficientElement.monomial(
-            engine, _sample_monomial(rng, engine), _gauss_int(rng)
-        )
-    return out
+    """1 to ``terms`` monomials with Gaussian-integer weights, drawn from
+    the randint stream (see _GAUSS) and summed in place by the rules of
+    CoefficientElement.__add__: a repeated monomial keeps its place, one
+    that cancels leaves, and a later one re-enters at the end."""
+    out: dict[tuple, complex] = {}
+    for _ in range(rng.choice(range(1, terms + 1))):
+        mon = _sample_monomial(rng, engine)
+        out[mon] = out.get(mon, 0.0) + _gauss_int(rng)
+        if out[mon] == 0:
+            del out[mon]
+    return CoefficientElement(engine, out)
 
 
 def sample_vector(rng: Random, system: ProductSystem, fiber: int) -> ModuleVector:
     n = system.basis_count(fiber)
-    picks = rng.sample(range(n), min(n, rng.randint(1, 2)))
+    picks = rng.sample(range(n), min(n, rng.choice((1, 2))))
     return ModuleVector(system, fiber, {j: sample_coeff(rng, system.engine) for j in picks})
 
 
@@ -182,14 +192,14 @@ def sample_element(
     terms: int = 2,
     core: bool = False,
 ) -> NTElement:
-    out = NTElement.zero(system)
-    for _ in range(rng.randint(1, terms)):
+    """1 to ``terms`` sampled terms, gathered by NTElement.__add__'s rules."""
+    out: dict[tuple[int, int, int], ModuleVector] = {}
+    for _ in range(rng.choice(range(1, terms + 1))):
         s = rng.choice(fibers)
         r = s if core else rng.choice(fibers)
         l = rng.randrange(system.basis_count(r))
-        xi = sample_vector(rng, system, s)
-        out = out + NTElement(system, {(s, r, l): xi})
-    return out
+        _accumulate(out, (s, r, l), sample_vector(rng, system, s))
+    return NTElement(system, out)
 
 
 def _small_fibers(system: ProductSystem) -> tuple[int, ...]:

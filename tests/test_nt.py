@@ -392,12 +392,14 @@ def rounded_element(rng, system, terms=3):
 
 
 def recording(system, log):
-    """A copy of system that logs the (fiber, index) of every basis
-    vector it builds: the order in which a product consumes its hits."""
+    """A copy of system that logs every left-action column it reads: per
+    hit, column u of L_g''(x_j) for each entry of the left vector, then
+    column i_r'' of L_r''(b*).  The log is the order in which a product
+    consumes its hits."""
     class Recording(type(system)):
-        def basis_vector(self, s, j, coeff=None):
-            log.append((s, j))
-            return super().basis_vector(s, j, coeff)
+        def _column(self, s, a, j):
+            log.append((s, j, a))
+            return super()._column(s, a, j)
 
     rec = object.__new__(Recording)
     rec.__dict__.update(vars(system))
@@ -412,18 +414,21 @@ def test_product_matches_the_u_scan_bitwise(system):
     system = recording(system, log)
     rng = Random(151)
     branches = set()
+    columns = 0
     for _ in range(40):
         x, y = (rounded_element(rng, system) for _ in range(2))
         branches |= inverts_support(x, y)
         log.clear()
         want = product_by_u_scan(x, y)
         want_order = list(log)
+        columns += len(want_order)
         log.clear()
         got = x * y
         assert log == want_order
         assert got.terms == want.terms
         assert bits(got) == bits(want)
     assert branches == {False, True}
+    assert columns > 0
 
 
 @pytest.mark.parametrize("system", BUILTINS, ids=lambda s: s.name)

@@ -14,6 +14,7 @@ from ntkms.dsl import parse_element
 from ntkms.nt import NTElement, TermBudgetExceeded, term_budget, unit_projection
 from ntkms.product_system import (
     AffineToeplitzSystem,
+    ModuleVector,
     CuntzSystem,
     TorusDilationSystem,
     get_system,
@@ -377,6 +378,34 @@ def test_a_core_element_is_its_own_core_expectation():
         ctx.omega(mixed)
     with pytest.raises(ValueError, match="different product system"):
         ctx.omega(unit_projection(TORUS, 2))
+
+
+@pytest.mark.parametrize("system", BUILTINS.values(), ids=BUILTINS.keys())
+def test_omega_without_a_diagonal_coefficient_is_the_held_zero(system):
+    # the scaling identity's off-diagonal shapes i_s(1_j a) i_s(1_l)*, j != l,
+    # one term and several, an element whose vector misses l, and 0
+    sg = system.semigroup
+    fibers = [v for v in TruncationSet(sg, 6).values if v != sg.identity_value][:3]
+    gens = system.generator_elements()
+    gens.append(gens[0] * gens[0].adjoint())
+    shapes = [NTElement.zero(system)]
+    for a in gens:
+        off = [NTElement(system, {(s, s, l): system.basis_vector(s, j, coeff=a)})
+               for s in fibers for j in range(system.basis_count(s))
+               for l in range(system.basis_count(s)) if j != l]
+        shapes += off + [sum(off[1:], off[0])]
+        s = fibers[-1]
+        shapes.append(NTElement(system, {(s, s, 0): ModuleVector(
+            system, s, {j: a for j in range(1, system.basis_count(s))})}))
+    assert len(shapes[-2].terms) > 1
+    for trace in default_traces(system):
+        ctx = KMSContext(system, trace, 3.0, 1000)
+        for y in shapes:
+            for sv in (ctx.omega(y), ctx.kms(y)):
+                assert sv is ctx.omega(shapes[0])
+                assert sv.value.real.hex() == sv.value.imag.hex() == "0x0.0p+0"
+                assert sv.tail.hex() == "0x0.0p+0"
+                assert sv.truncation == ctx.bound == 1000
 
 
 # Coefficient words per engine: a generator, a second monomial, a

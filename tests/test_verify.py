@@ -30,6 +30,7 @@ from ntkms.fock import TruncatedFock
 from ntkms.product_system import (
     AffineToeplitzSystem,
     CuntzSystem,
+    ModuleVector,
     TorusDilationSystem,
     get_system,
 )
@@ -871,3 +872,96 @@ def test_samplers_shape():
         assert len(a.terms) <= 3
         y = sample_element(rng, AFFINE, (1, 2, 3), terms=2, core=True)
         assert all(s == r for (s, r, _), _ in y.sorted_terms())
+
+
+# The samplers as they were written with randint, kept verbatim as the
+# reference stream: the choice forms in verify must draw the same values
+# and leave the generator in the same state.
+def _randint_gauss_int(rng: Random) -> complex:
+    re = rng.randint(-2, 2)
+    im = rng.randint(-2, 2)
+    if re == 0 and im == 0:
+        re = 1
+    return complex(re, im)
+
+
+def _randint_sample_monomial(rng: Random, engine) -> tuple:
+    if engine.tag == "toeplitz":
+        return (rng.randint(0, 3), rng.randint(0, 3))
+    return tuple(rng.randint(-3, 3) for _ in range(engine.degree_dim))
+
+
+def _randint_sample_coeff(rng: Random, engine, terms: int = 2) -> CoefficientElement:
+    out = CoefficientElement.zero(engine)
+    for _ in range(rng.randint(1, terms)):
+        out = out + CoefficientElement.monomial(
+            engine, _randint_sample_monomial(rng, engine), _randint_gauss_int(rng)
+        )
+    return out
+
+
+def _randint_sample_vector(rng: Random, system, fiber: int) -> ModuleVector:
+    n = system.basis_count(fiber)
+    picks = rng.sample(range(n), min(n, rng.randint(1, 2)))
+    return ModuleVector(system, fiber, {j: _randint_sample_coeff(rng, system.engine) for j in picks})
+
+
+def _randint_sample_element(rng, system, fibers, terms=2, core=False) -> NTElement:
+    out = NTElement.zero(system)
+    for _ in range(rng.randint(1, terms)):
+        s = rng.choice(fibers)
+        r = s if core else rng.choice(fibers)
+        l = rng.randrange(system.basis_count(r))
+        xi = _randint_sample_vector(rng, system, s)
+        out = out + NTElement(system, {(s, r, l): xi})
+    return out
+
+
+def _ordered_bits(y: NTElement) -> list:
+    """Every key, index, monomial and float hex of y, in dict order."""
+    return [(key, [(j, [(mon, w.real.hex(), w.imag.hex()) for mon, w in a.terms.items()])
+                   for j, a in vec.entries.items()])
+            for key, vec in y.terms.items()]
+
+
+@pytest.mark.parametrize("system", [get_system("affine-toeplitz"),
+                                    get_system("additive-toeplitz"),
+                                    get_system("lattice-dilation", d=2),
+                                    CUNTZ], ids=lambda s: s.name)
+@pytest.mark.parametrize("core", [False, True])
+def test_samplers_draw_the_randint_stream(system, core):
+    fibers = TruncationSet(system.semigroup, 4).values[:4]
+    for seed in range(1, 6):
+        old, new = Random(seed), Random(seed)
+        for _ in range(200):
+            want = _randint_sample_element(old, system, fibers, core=core)
+            got = sample_element(new, system, fibers, core=core)
+            assert _ordered_bits(got) == _ordered_bits(want)
+        assert new.getstate() == old.getstate()
+
+
+class _Scripted(Random):
+    """A generator whose every draw _randbelow(n) is the next scripted value."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = iter(values)
+
+    def _randbelow(self, n):
+        v = next(self.values)
+        assert v < n
+        return v
+
+
+def test_sample_coeff_keeps_the_order_of_a_sum():
+    # monomials A, B, A, A: a repeated one keeps its place, and one whose
+    # weight cancels leaves the sum and comes back at the end
+    a, b = (1, 1), (2, 0)
+    for signs, order in (((1, 1, 1, 1), [a, b]), ((1, 1, -1, 1), [b, a])):
+        script = [3]  # four terms
+        for mon, sign in zip((a, b, a, a), signs):
+            script += [*mon, 2 + sign, 2]  # the weight sign + 0i
+        old = _randint_sample_coeff(_Scripted(script), AFFINE.engine, terms=4)
+        new = sample_coeff(_Scripted(script), AFFINE.engine, terms=4)
+        assert list(new.terms.items()) == list(old.terms.items())
+        assert list(new.terms) == order
