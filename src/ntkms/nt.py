@@ -26,15 +26,15 @@ the module product, read column by column, and the result is
 re-canonicalised.  A term pair lands in the fiber pair (s g'', h r'')
 whatever u is, so a product asked for only some fiber pairs (the
 diagonal for a KMS state, the identity corner for a ground state) skips
-the other term pairs before any reduction.  The sum runs over whichever side is smaller: the N_g'' values
-of u, or the |zeta| N_r'' pairs (i_g, i_r''), sent through m(g, r''; .)
-and split by m(r, g''; .), keeping those whose first index is l.  The
-hits are taken in increasing u either way, so every output key
-accumulates in the same order and the floats agree bitwise.  Raw work
-is capped: the number of raw terms emitted during a product, and the
-trial divisions made by the divisor scans of one state evaluation, may
-not cross the term budget, and crossing it raises TermBudgetExceeded
-rather than grinding on.
+the other term pairs before any reduction.  The sum runs over whichever
+side is smaller: the N_g'' values of u, or the |zeta| N_r'' pairs (i_g,
+i_r''), sent through m(g, r''; .) and split by m(r, g''; .), keeping
+those whose first index is l.  The hits are taken in increasing u either
+way, so every output key accumulates in the same order and the floats
+agree bitwise.  Raw work is capped: the number of raw terms emitted
+during a product, and the trial divisions made by the divisor scans of
+one state evaluation, may not cross the term budget, and crossing it
+raises TermBudgetExceeded rather than grinding on.
 """
 
 from __future__ import annotations
