@@ -59,6 +59,8 @@ same_bytes --system cuntz --k 3 --seed 11 "${states[@]}"
 # the rank s^2 and 3^n structure suites pass under wall-clock bounds
 timeout 12 python3 -m ntkms verify --system lattice-dilation --d 2 --seed 7 --suite structure > /dev/null
 timeout 11 python3 -m ntkms verify --system cuntz --k 3 --seed 7 --suite structure > /dev/null
+# the scaling identity compares once per basis index, so the rank s^4 kms suite ends
+timeout 10 python3 -m ntkms verify --system lattice-dilation --d 4 --seed 7 --suite kms > /dev/null
 
 # windows past the associativity cell cap are refused before any grid is built
 usage_error verify --system cuntz --k 4 --suite structure

@@ -84,9 +84,6 @@ class TruncatedFock:
         self._creation: dict[tuple[int, int], np.ndarray] = {}
         self._adjoint: dict[tuple[int, int], np.ndarray] = {}
 
-    def basis_index(self, s: int, j: int) -> int:
-        return self.offsets[s] + j
-
     def image(self, s: int, j: int) -> np.ndarray:
         """The row of l(1_j) e_c for every column c of the window, -1 where
         raising by s leaves it.  A last slot, for the zero vector, holds -1
@@ -171,11 +168,6 @@ class TruncatedFock:
         w = xi.fiber
         return [(self.image(w, a)[self._coimage(w, b)], _scalar(x) * _scalar(y).conjugate())
                 for a, x in xi.entries.items() for b, y in eta.entries.items()]
-
-    def rank_one_matrix(self, xi: ModuleVector, eta: ModuleVector) -> np.ndarray:
-        """The operator theta_(xi,eta) on the fiber at s, lifted to every
-        window fiber above s."""
-        return self._matrix(self._rank_one(xi, eta))
 
     def _lift(self, w: int, block: np.ndarray) -> list:
         # entry (a, b) of the block acts as block[a, b] l(1_a) l(1_b)*

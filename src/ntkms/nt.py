@@ -23,7 +23,10 @@ i_r''), and
 
 over u < N_g'' with i = m(r, g''; l, u).  Outer legs then absorb through
 the module product, read column by column, and the result is
-re-canonicalised.  A term pair lands in the fiber pair (s g'', h r'')
+re-canonicalised.  That reduction runs on the coefficients' monomial
+dicts, with the engine's monomial mul and adjoint and the float
+operations of CoefficientElement, and builds one coefficient object per
+output entry at the end.  A term pair lands in the fiber pair (s g'', h r'')
 whatever u is, so a product asked for only some fiber pairs (the
 diagonal for a KMS state, the identity corner for a ground state) skips
 the other term pairs before any reduction.  The sum runs over whichever
@@ -204,15 +207,19 @@ class NTElement:
 
         Each hit (u, i_g, i_r'') reads the left-action columns that
         module_product would: column u of L_g''(x_j) for each entry x_j
-        of xi, then column i_r'' of L_r''(b*), b = zeta_(i_g), with the
-        same c * unit products; no basis vector is built.
+        of xi, then column i_r'' of L_r''(b*), b = zeta_(i_g), with b*
+        taken once per term pair and index.  No basis vector is built:
+        the right module action and the sums run on the coefficients'
+        monomial dicts, with the float operations and the insertion order
+        of CoefficientElement's product, adjoint and sum, and each output
+        entry becomes one CoefficientElement at the end.
         """
         self._same(other)
         sys = self.system
         sg = sys.semigroup
         im, col = sys.index_map, sys._column
-        unit = CoefficientElement.unit(sys.engine)
-        out: dict[tuple[int, int, int], ModuleVector] = {}
+        mul, star = sys.engine.mul, sys.engine.adjoint
+        out: dict[tuple[int, int, int], dict[int, dict]] = {}
         emitted = 0
         budget = _budget.get()
         for (s, r, l), xi in self.terms.items():
@@ -235,6 +242,7 @@ class NTElement:
                 else:
                     hits = ((u, *sys.index_split(g, rr, sys.index_map(r, gg, l, u)))
                             for u in range(n_gg))
+                adjoints: dict[int, CoefficientElement] = {}
                 for u, ig, irr in hits:
                     b = zeta.entries.get(ig)
                     if b is None:
@@ -249,14 +257,31 @@ class NTElement:
                         )
                     # xi 1_u and 1_m b* 1_(i_r''); m(.; j, nu) is bijective,
                     # so no two column entries share an output index
-                    left = ModuleVector.from_sorted(sys, sgg, sorted(
-                        (im(s, gg, j, nu), c * unit) for j, x in xi.entries.items()
-                        for nu, c in col(gg, x, u).items()))
-                    right = sorted((im(h, rr, m, nu), c * unit)
-                                   for nu, c in col(rr, b.adjoint(), irr).items())
+                    left = sorted((im(s, gg, j, nu), c) for j, x in xi.entries.items()
+                                  for nu, c in col(gg, x, u).items())
+                    bstar = adjoints.get(ig)
+                    if bstar is None:
+                        bstar = adjoints[ig] = b.adjoint()
+                    right = sorted((im(h, rr, m, nu), c)
+                                   for nu, c in col(rr, bstar, irr).items())
                     for lr, c in right:
-                        _accumulate(out, (sgg, hrr, lr), left.right_mul(c.adjoint()))
-        return NTElement(sys, out)
+                        cstar = [(star(mon), 0.0 + v.conjugate()) for mon, v in c.items()]
+                        vec = {}
+                        for j, x in left:
+                            p = {}
+                            for m1, w1 in x.items():
+                                for m2, w2 in cstar:
+                                    mon = mul(m1, m2)
+                                    p[mon] = p.get(mon, 0.0) + w1 * w2
+                            p = {mon: v for mon, v in p.items() if v}
+                            if p:
+                                vec[j] = p
+                        _accumulate_terms(out, (sgg, hrr, lr), vec)
+        eng = sys.engine
+        return NTElement(sys, {
+            key: ModuleVector.from_sorted(
+                sys, key[0], [(j, CoefficientElement(eng, p)) for j, p in vec.items()])
+            for key, vec in out.items()})
 
     # -- structure maps -------------------------------------------------------
 
@@ -348,6 +373,35 @@ def _accumulate(store: dict, key: tuple[int, int, int], vec: ModuleVector) -> No
         del store[key]
     else:
         store[key] = tot
+
+
+def _accumulate_terms(store: dict, key: tuple[int, int, int], vec: dict[int, dict]) -> None:
+    """_accumulate on plain {j: {monomial: weight}} vectors: each entry
+    sums as CoefficientElement.__add__ does, zeros dropped after the whole
+    sum, and the entries stay in ascending index order."""
+    cur = store.get(key)
+    if cur is None:
+        if vec:
+            store[key] = vec
+        return
+    fresh = False
+    for j, c in vec.items():
+        p = cur.get(j)
+        if p is None:
+            cur[j] = {mon: 0.0 + v for mon, v in c.items()}
+            fresh = True
+            continue
+        for mon, v in c.items():
+            p[mon] = p.get(mon, 0.0) + v
+        p = {mon: v for mon, v in p.items() if v}
+        if p:
+            cur[j] = p
+        else:
+            del cur[j]
+    if not cur:
+        del store[key]
+    elif fresh:
+        store[key] = dict(sorted(cur.items()))
 
 
 def diagonal(s: int, r: int) -> bool:

@@ -316,34 +316,38 @@ class ProductSystem:
     def identity_fiber(self) -> int:
         return self.semigroup.identity_value
 
-    def _column(self, s: int, a: CoefficientElement, j: int) -> dict[int, CoefficientElement]:
-        """Column j of L_s(a) as {nu: entry}, nonzero entries only.
+    def _column(self, s: int, a: CoefficientElement, j: int) -> dict[int, dict[tuple, complex]]:
+        """Column j of L_s(a) as {nu: {monomial: weight}}, nonzero entries
+        only.
 
-        Each entry sums monomial.scale(w) over the monomials of a in
-        order; a sum that cancels to zero is absent, so a later monomial
-        starts it afresh.
+        Each entry sums the weights w * 1 of the monomials of a in order,
+        as CoefficientElement sums monomial(...).scale(w): a sum that
+        cancels to zero drops its monomial, and an entry that cancels to
+        zero is absent, so a later monomial starts it afresh.
         """
-        cells: dict[int, CoefficientElement] = {}
+        check, one = self.engine.check, complex(1.0)
+        cells: dict[int, dict[tuple, complex]] = {}
         for mon, w in a.terms.items():
             col = self.left_column(s, mon, j)
             if col is not None:
-                v = CoefficientElement.monomial(self.engine, col[1]).scale(w)
+                m, v = check(col[1]), w * one
                 c = cells.get(col[0])
-                cells[col[0]] = v if c is None or c.is_zero() else c + v
-        return {nu: c for nu, c in cells.items() if not c.is_zero()}
+                if not c:
+                    cells[col[0]] = {m: v}
+                    continue
+                v = c.get(m, 0.0) + v
+                if v:
+                    c[m] = v
+                else:
+                    c.pop(m, None)
+        return {nu: c for nu, c in cells.items() if c}
 
     def left_matrix(self, s: int,
                     a: CoefficientElement) -> dict[tuple[int, int], CoefficientElement]:
         """L_s(a) as a plain {(nu, j): entry} dict of its nonzero entries,
         assembled column by column in O(N_s) per monomial."""
-        return {(nu, j): c for j in range(self.basis_count(s))
+        return {(nu, j): CoefficientElement(self.engine, c) for j in range(self.basis_count(s))
                 for nu, c in self._column(s, a, j).items()}
-
-    def left_act(self, s: int, a: CoefficientElement, xi: ModuleVector) -> ModuleVector:
-        """a . xi, the module product of a in the identity fiber with xi."""
-        if xi.fiber != s:
-            raise ValueError("vector not in the requested fiber")
-        return self.module_product(self.basis_vector(self.identity_fiber(), 0, a), xi)
 
     def basis_vector(self, s: int, j: int, coeff: CoefficientElement | None = None) -> ModuleVector:
         """coeff (default the unit) at basis index j of the fiber at s."""
@@ -362,7 +366,8 @@ class ProductSystem:
         out: dict[int, CoefficientElement] = {}
         for j, xc in xi.entries.items():
             for k, y in eta.entries.items():
-                for nu, c in self._column(r, xc, k).items():
+                for nu, t in self._column(r, xc, k).items():
+                    c = CoefficientElement(self.engine, t)
                     i = self.index_map(s, r, j, nu)
                     out[i] = out[i] + c * y if i in out else c * y
         return ModuleVector(self, self.semigroup.mul(s, r), out)
@@ -625,10 +630,6 @@ class ProductSystem:
         return f"<product system {self.name}>"
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 class AffineToeplitzSystem(ProductSystem):
     """nat-mult acting on the Toeplitz algebra by power endomorphisms.
 
@@ -653,12 +654,6 @@ class AffineToeplitzSystem(ProductSystem):
 
     def index_split(self, s, r, i):
         return (i % s, i // s)
-
-    def transfer_monomial(self, s, mon):
-        a, b = mon
-        if (a - b) % s != 0:
-            return None
-        return (_ceil_div(a, s), _ceil_div(b, s))
 
     def left_column(self, s, mon, j):
         # S*^nu (S^m S*^n) S^j = S^a S*^b, b = max(n + max(nu - m, 0) - j, 0): this nu

@@ -47,7 +47,7 @@ when the first branch asks for it, so its time lands on the first
 report, and later branches get the same objects: every trace compares
 the same floats as a run of its own, and a check that stops early
 leaves the rest to the next branch.  scaling-identity has no samples
-and rebuilds its basis vectors per trace.  The fock: checks share the
+and builds its weighted vectors per trace.  The fock: checks share the
 run's one TruncatedFock and read the system and window from it.
 state:ground keeps its own generator: its samples skip an rng draw on
 a zero corner value, which depends on the trace, so they differ from
@@ -462,10 +462,16 @@ def check_ground_limit(system: ProductSystem, trace: TraceSpec, bound: int = 100
 
 
 def check_scaling_identity(ctx: KMSContext) -> CheckReport:
-    """omega(i_s(1_j a) i_s(1_l)*) = delta_(jl) N(s)^(-beta) omega(i_e(a)),
-    exhaustively over the fibers up to 6, exactly zero off the diagonal.
-    a runs over the generators and g g* of the first one, S S* or 1, whose
-    haar moment is nonzero where those of the generators vanish."""
+    """omega(i_s(1_j a) i_s(1_l)*) = delta_(jl) N(s)^(-beta) omega(i_e(a))
+    over the fibers up to 6, in Freivalds' form (Freivalds, Probabilistic
+    machines can use less running time, IFIP 1977): the matrix identity
+    is checked through its product with one vector.  For each (a, s) the
+    vector xi = sum_k w_k 1_k a with w_k = (k + 1) + i gives, by
+    linearity, omega(i_s(xi) i_s(1_l)*) = w_l N(s)^(-beta) omega(i_e(a))
+    for each l; the weights are distinct, so a state that reads any
+    entry but l fails where omega(i_e(a)) is nonzero.  a runs over the
+    generators and g g* of the first one, S S* or 1, whose haar moment
+    is nonzero where those of the generators vanish."""
     system, beta = ctx.system, ctx.beta
     sg = system.semigroup
     vals = [v for v in TruncationSet(sg, 6).values if v != sg.identity_value]
@@ -481,20 +487,16 @@ def check_scaling_identity(ctx: KMSContext) -> CheckReport:
             corner = ctx.omega(NTElement.embed_coeff(system, a).core_expectation())
             for s in vals:
                 scale = system.weight(s) ** (-beta)
-                for j in range(system.basis_count(s)):
-                    vec = system.basis_vector(s, j, coeff=a)
-                    for l in range(system.basis_count(s)):
-                        y = NTElement(system, {(s, s, l): vec})
-                        got = ctx.omega(y)
-                        where = {"s": s, "j": j, "l": l}
-                        if j != l:
-                            yield got.value, 0.0, 0.0, where
-                        else:
-                            yield (got.value, scale * corner.value,
-                                   got.tail + scale * corner.tail + 1e-12, where)
+                weights = [complex(k + 1, 1) for k in range(system.basis_count(s))]
+                xi = ModuleVector.from_sorted(system, s,
+                                              [(k, a.scale(w)) for k, w in enumerate(weights)])
+                for l, w in enumerate(weights):
+                    got = ctx.omega(NTElement(system, {(s, s, l): xi}))
+                    yield (got.value, w * scale * corner.value,
+                           got.tail + abs(w) * scale * corner.tail + 1e-12, {"s": s, "l": l})
 
     return _compare("state:scaling-identity", comparisons(),
-                    cases=len(gens) * sum(system.basis_count(s) ** 2 for s in vals),
+                    cases=len(gens) * sum(system.basis_count(s) for s in vals),
                     beta=beta, trace=ctx.trace.name)
 
 

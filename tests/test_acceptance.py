@@ -144,8 +144,10 @@ def test_criterion_06_the_scaling_identity_is_exhaustive_to_fiber_six():
         ok = ok and rep.passed
         cases += rep.metrics.get("cases", 0)
         worst = max(worst, rep.metrics.get("worst_deviation", math.inf))
-    _gate(6, "omega(i_s(1_j a) i_s(1_l)*) = delta_jl N(s)^-beta omega(i_e(a)), s <= 6",
-          ok, f"{cases} cases x 2 traces, worst deviation {worst:.2e}, off-diagonal exact")
+    _gate(6, "omega(i_s(xi a) i_s(1_l)*) = w_l N(s)^-beta omega(i_e(a)), "
+          "xi = sum_k w_k 1_k, s <= 6",
+          ok, f"{cases} cases x 2 traces, worst deviation {worst:.2e}, "
+          "distinct weights w_k = k + 1 + i")
 
 
 def test_criterion_07_the_normalising_series_matches_known_values():

@@ -38,6 +38,17 @@ DATA = Path(__file__).parent / "data"
 # -- the dense definitions ------------------------------------------------------
 
 
+def basis_index(fock, s, j):
+    """The window column of 1_j in the fiber at s."""
+    return fock.offsets[s] + j
+
+
+def rank_one_matrix(fock, xi, eta):
+    """theta_(xi,eta) on the fiber at s, lifted to every window fiber above
+    s: the dense sum of the rank-one maps that nica_defect composes."""
+    return fock._matrix(fock._rank_one(xi, eta))
+
+
 def dense_creation_vector(fock, xi):
     out = np.zeros((fock.dim, fock.dim), dtype=complex)
     for j, c in xi.entries.items():
@@ -124,7 +135,7 @@ def test_needs_scalar_coefficients():
     shift = NTElement.embed_coeff(affine, CoefficientElement.monomial(affine.engine, (1, 0)))
     xi = affine.basis_vector(2, 0)
     calls = (lambda: fock.represent(shift), lambda: fock.product_defect(shift, shift),
-             lambda: fock.rank_one_matrix(xi, xi), lambda: fock.nica_defect(xi, xi, xi, xi))
+             lambda: rank_one_matrix(fock, xi, xi), lambda: fock.nica_defect(xi, xi, xi, xi))
     for call in calls:
         with pytest.raises(ValueError, match="^the Fock operators need a scalar coefficient engine$"):
             call()
@@ -147,7 +158,7 @@ def test_dimension_bookkeeping_and_cap():
     # the window {0, ..., 5} stacks fibers of size 2^n
     assert fock.dim == 63
     assert [fock.offsets[s] for s in range(6)] == [0, 1, 3, 7, 15, 31]
-    assert fock.basis_index(3, 5) == 12
+    assert basis_index(fock, 3, 5) == 12
     assert TruncatedFock(CUNTZ, 11).dim <= FOCK_DIMENSION_CAP
     with pytest.raises(ValueError, match="cap"):
         TruncatedFock(CUNTZ, 12)
@@ -170,12 +181,12 @@ def test_creation_matrix_agrees_with_index_map():
     assert set(np.unique(mat)) <= {0, 1}
     for r in range(3):
         for k in range(CUNTZ.basis_count(r)):
-            col = mat[:, fock.basis_index(r, k)]
-            assert col[fock.basis_index(s + r, CUNTZ.index_map(s, r, j, k))] == 1
+            col = mat[:, basis_index(fock, r, k)]
+            assert col[basis_index(fock, s + r, CUNTZ.index_map(s, r, j, k))] == 1
             assert np.count_nonzero(col) == 1
     # raising past the window clips to zero
     for k in range(CUNTZ.basis_count(3)):
-        assert not mat[:, fock.basis_index(3, k)].any()
+        assert not mat[:, basis_index(fock, 3, k)].any()
 
 
 def image_by_fiber(fock, s, j):
@@ -227,7 +238,7 @@ def test_represent_matches_rank_one_lift():
             eta = sample_vector(rng, CUNTZ, s)
             y = NTElement.embed(CUNTZ, s, xi) * NTElement.embed(CUNTZ, s, eta).adjoint()
             got = fock.represent(y)
-            assert np.abs(got - fock.rank_one_matrix(xi, eta)).max() <= 1e-12
+            assert np.abs(got - rank_one_matrix(fock, xi, eta)).max() <= 1e-12
 
 
 def test_adjoint_is_conjugate_transpose():
@@ -280,7 +291,7 @@ def test_nica_defect_needs_the_join_inside():
 def test_rank_one_data_must_share_a_fiber():
     fock = TruncatedFock(CUNTZ, 3)
     with pytest.raises(ValueError, match="fiber"):
-        fock.rank_one_matrix(CUNTZ.basis_vector(1, 0), CUNTZ.basis_vector(2, 0))
+        rank_one_matrix(fock, CUNTZ.basis_vector(1, 0), CUNTZ.basis_vector(2, 0))
 
 
 def test_represent_rejects_foreign_elements():

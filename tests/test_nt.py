@@ -1,3 +1,4 @@
+import math
 import threading
 from random import Random
 
@@ -23,6 +24,7 @@ from ntkms.product_system import (
 )
 from ntkms.states import ground_state
 from ntkms.verify import sample_element
+from test_product_system import left_act
 
 AFFINE = AffineToeplitzSystem()
 TORUS = TorusDilationSystem(1)
@@ -137,7 +139,7 @@ def test_coefficients_act_on_both_sides(system):
         xi = sample_vector(rng, system, s)
         a = sample_coeff(rng, system.engine)
         left = NTElement.embed_coeff(system, a) * NTElement.embed(system, s, xi)
-        assert left == NTElement.embed(system, s, system.left_act(s, a, xi))
+        assert left == NTElement.embed(system, s, left_act(system, s, a, xi))
         right = NTElement.embed(system, s, xi) * NTElement.embed_coeff(system, a)
         assert right == NTElement.embed(system, s, xi.right_mul(a))
 
@@ -431,6 +433,34 @@ def test_product_matches_the_u_scan_bitwise(system):
     assert columns > 0
 
 
+def layout(x):
+    """The normal form as iterated: its keys, each vector's entries and
+    each coefficient's monomials, in order."""
+    return [(key, [(j, list(a.terms)) for j, a in vec.entries.items()])
+            for key, vec in x.terms.items()]
+
+
+@pytest.mark.parametrize("system", BUILTINS, ids=lambda s: s.name)
+def test_product_lists_its_terms_in_the_u_scan_order(system):
+    # keys in the order they first survive, entries in ascending index
+    # order, and monomials in the order the sums first meet them
+    rng = Random(153)
+    for _ in range(40):
+        x, y = (rounded_element(rng, system) for _ in range(2))
+        assert layout(x * y) == layout(product_by_u_scan(x, y))
+
+
+def test_a_coefficient_product_that_cancels_leaves_no_entry():
+    # (1 - S S*) S S* = 0: the two monomial products cancel in one entry
+    eng = AFFINE.engine
+    p = CoefficientElement.monomial(eng, (1, 1))
+    a = CoefficientElement.unit(eng) - p
+    assert (NTElement.embed_coeff(AFFINE, a) * NTElement.embed_coeff(AFFINE, p)).is_zero()
+    x = NTElement.embed(AFFINE, 2, AFFINE.basis_vector(2, 1, a))
+    y = NTElement.embed(AFFINE, 2, AFFINE.basis_vector(2, 1, p.adjoint()))
+    assert (x * y.adjoint()).is_zero()
+
+
 @pytest.mark.parametrize("system", BUILTINS, ids=lambda s: s.name)
 def test_filtered_products_are_the_kept_part_of_the_full_product(system):
     e = system.identity_fiber()
@@ -444,6 +474,36 @@ def test_filtered_products_are_the_kept_part_of_the_full_product(system):
         assert bits(core) == bits(full.core_expectation())
         corner = x.product(y, lambda s, r: s == e == r)
         assert ground_state(system, trace, corner) == ground_state(system, trace, full)
+
+
+def only_weight(x):
+    """The one weight of an element with one term, entry and monomial."""
+    (vec,) = x.terms.values()
+    (a,) = vec.entries.values()
+    (w,) = a.terms.values()
+    return w
+
+
+@pytest.mark.parametrize("system", [AFFINE, CUNTZ, TorusDilationSystem(2)], ids=lambda s: s.name)
+def test_a_product_with_an_infinite_weight_gives_nan_entries(system):
+    # the DSL refuses a number that overflows a float, so the weights are
+    # built through the API; inf * 0 is nan in the complex products, so an
+    # infinite weight leaves nan + nan i, and a finite product that
+    # overflows leaves inf where the other part stays exact
+    s = 2 if system.semigroup.is_multiplicative else 1
+
+    def embed(j, w):
+        return NTElement.embed(system, s, system.basis_vector(
+            s, j, CoefficientElement.unit(system.engine, w)))
+
+    x, y = embed(0, float("inf")), embed(1, 1.0)
+    for p in (x * x, x * y, x.adjoint() * x, x * x.adjoint()):
+        w = only_weight(p)
+        assert math.isnan(w.real) and math.isnan(w.imag)
+    assert (y.adjoint() * x).is_zero()
+    big = embed(0, 1e200)
+    assert only_weight(big * big) == complex(float("inf"), 0.0)
+    assert only_weight(big.adjoint() * big) == complex(float("inf"), 0.0)
 
 
 def test_a_long_word_reduces_through_the_right_support():

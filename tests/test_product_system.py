@@ -125,6 +125,22 @@ def test_index_map_associative(system):
 # -- left actions against the symbolic transfer oracle -------------------------
 
 
+def transfer_monomial(s, mon):
+    """The affine transfer: S^a S*^b to S^ceil(a/s) S*^ceil(b/s) when
+    a == b mod s, else None (the zero coefficient)."""
+    a, b = mon
+    if (a - b) % s != 0:
+        return None
+    return (-(-a // s), -(-b // s))
+
+
+def left_act(system, s, a, xi):
+    """a . xi, the module product of a in the identity fiber with xi."""
+    if xi.fiber != s:
+        raise ValueError("vector not in the requested fiber")
+    return system.module_product(system.basis_vector(system.identity_fiber(), 0, a), xi)
+
+
 def left_cell(system, s, mon, nu, j):
     """L_s(mon)[nu, j] read off column j, as a monomial or None."""
     col = system.left_column(s, mon, j)
@@ -154,11 +170,11 @@ def test_affine_left_action_matches_symbolic_reduction():
 
 
 def test_affine_transfer_oracle_small_cases():
-    assert AFFINE.transfer_monomial(2, (2, 0)) == (1, 0)
-    assert AFFINE.transfer_monomial(2, (3, 1)) == (2, 1)
-    assert AFFINE.transfer_monomial(2, (1, 0)) is None
-    assert AFFINE.transfer_monomial(3, (4, 1)) == (2, 1)
-    assert AFFINE.transfer_monomial(5, (0, 0)) == (0, 0)
+    assert transfer_monomial(2, (2, 0)) == (1, 0)
+    assert transfer_monomial(2, (3, 1)) == (2, 1)
+    assert transfer_monomial(2, (1, 0)) is None
+    assert transfer_monomial(3, (4, 1)) == (2, 1)
+    assert transfer_monomial(5, (0, 0)) == (0, 0)
 
 
 def test_torus_left_action_is_translation_of_digits():
@@ -188,7 +204,7 @@ def left_entry_by_reduction(system, s, mon, nu, j):
     system = getattr(system, "base", system)
     if isinstance(system, AffineToeplitzSystem):
         eng = system.engine
-        return system.transfer_monomial(s, eng.mul(eng.mul((0, nu), mon), (j, 0)))
+        return transfer_monomial(s, eng.mul(eng.mul((0, nu), mon), (j, 0)))
     if isinstance(system, TorusDilationSystem):
         gj, gn = system._digits(s, j), system._digits(s, nu)
         shifted = tuple(g + a - b for g, a, b in zip(mon, gj, gn))
@@ -231,6 +247,46 @@ def random_coeff(rng, system, terms=3):
     return out
 
 
+def column_by_elements(system, s, a, j):
+    """Column j of L_s(a) summed as CoefficientElements: each entry adds
+    monomial(...).scale(w) over the monomials of a in order, and a later
+    monomial starts a cancelled entry afresh."""
+    cells = {}
+    for mon, w in a.terms.items():
+        col = system.left_column(s, mon, j)
+        if col is not None:
+            v = CoefficientElement.monomial(system.engine, col[1]).scale(w)
+            c = cells.get(col[0])
+            cells[col[0]] = v if c is None or c.is_zero() else c + v
+    return {nu: c.terms for nu, c in cells.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("system", ALL, ids=lambda s: s.name)
+def test_columns_sum_the_scaled_monomials_bitwise(system):
+    # the affine transfer merges monomials: S^m S*^m all land in one cell
+    # of a column, so its entries sum, cancel and start afresh; weights of
+    # both signs, signed zeros and inexact parts included
+    rng = Random(31)
+    weights = [1, -1, 0.5, -0.5, complex(-0.0, 1), complex(-2, -0.0), complex(1, -1)]
+    mons = system.generator_monomials() + [system.engine.unit()] + sample_monomials(rng, system)
+    cases = []
+    if system is AFFINE:
+        mons += [(m, m) for m in range(6)] + [(m, n) for m in range(4) for n in range(4)]
+        # S S* and S^2 S*^2 cancel in column 0 of L_2, and 1 starts it afresh
+        cases.append(({(1, 1): 1, (2, 2): -1, (0, 0): complex(-2, -0.0)}, 2, 0))
+    for _ in range(400):
+        s = rng.choice(small_fibers(system))
+        terms = {rng.choice(mons): rng.choice(weights + [complex(rng.uniform(-1, 1), 0.5)])
+                 for _ in range(5)}
+        cases.append((terms, s, rng.randrange(system.basis_count(s))))
+    for terms, s, j in cases:
+        a = CoefficientElement(system.engine, terms)
+        got, want = system._column(s, a, j), column_by_elements(system, s, a, j)
+        assert [(nu, list(c)) for nu, c in got.items()] == [(nu, list(c)) for nu, c in want.items()]
+        assert [[(v.real.hex(), v.imag.hex()) for v in c.values()] for c in got.values()] == \
+            [[(v.real.hex(), v.imag.hex()) for v in c.values()] for c in want.values()]
+
+
 @pytest.mark.parametrize("system", ALL, ids=lambda s: s.name)
 def test_module_product_matches_the_dense_left_matrix(system):
     """(xi eta)[m(j, v)] = sum_k L_r(x_j)[v, k] y_k, with the sum over the
@@ -252,7 +308,7 @@ def test_module_product_matches_the_dense_left_matrix(system):
                         want[i] = want[i] + y if i in want else y
             assert system.module_product(xi, eta) == ModuleVector(system, sg.mul(s, r), want)
             if s == sg.identity_value and xi.entries:
-                assert system.left_act(r, xi.entries[0], eta) == system.module_product(xi, eta)
+                assert left_act(system, r, xi.entries[0], eta) == system.module_product(xi, eta)
 
 
 @pytest.mark.parametrize("system", ALL, ids=lambda s: s.name)

@@ -30,6 +30,7 @@ from ntkms.states import (
     zeta_series,
 )
 from ntkms.verify import default_traces, sample_element
+from test_product_system import left_act
 
 AFFINE = AffineToeplitzSystem()
 TORUS = TorusDilationSystem(1)
@@ -612,7 +613,7 @@ def test_scaling_identity_spot():
     corner = ctx.omega(NTElement.embed_coeff(AFFINE, a))
     for s in (2, 3):
         for j in range(s):
-            xi = AFFINE.left_act(s, a, AFFINE.basis_vector(s, j))
+            xi = left_act(AFFINE, s, a, AFFINE.basis_vector(s, j))
             y = NTElement.from_monomial(AFFINE, s, xi, s, AFFINE.basis_vector(s, j))
             got = ctx.omega(y)
             want = ctx.weight_pow(s) * corner.value

@@ -615,18 +615,58 @@ def test_kms_condition_fails_on_skewed_weights(skewed_weights):
 
 
 @pytest.mark.parametrize("trace, deviation", [
-    (POINT, 7.60371e-4),
+    (POINT, 1.07533e-3),
     # only the coefficient S S* has a nonzero haar moment
-    (haar_trace(AFFINE.engine), 1.17332e-3),
+    (haar_trace(AFFINE.engine), 1.65932e-3),
 ], ids=["point-mass", "haar"])
 def test_scaling_identity_fails_on_skewed_weights(skewed_weights, trace, deviation):
+    # the first comparison reads entry 0 of the weighted vector, weight 1 + i
     rep = check_scaling_identity(KMSContext(AFFINE, trace, 3.0, 1000))
     assert not rep.passed
     assert rep.metrics == {
-        "cases": 270, "beta": 3.0, "trace": trace.name, "s": 2, "j": 0, "l": 0,
+        "cases": 60, "beta": 3.0, "trace": trace.name, "s": 2, "l": 0,
         "deviation": pytest.approx(deviation, rel=1e-5),
-        "tolerance": pytest.approx(6.84334e-4, rel=1e-5),
+        "tolerance": pytest.approx(9.67794e-4, rel=1e-5),
     }
+
+
+def _omega_reading(index):
+    """KMSContext.omega reading entry index(l, N_s) of each term's vector
+    (s, s, l) where it should read entry l."""
+    omega = KMSContext.omega
+
+    def mutant(self, y):
+        system = y.system
+        moved = {}
+        for (s, r, l), vec in y.terms.items():
+            a = vec.entries.get(index(l, system.basis_count(s)))
+            if a is not None:
+                moved[(s, r, l)] = ModuleVector(system, s, {l: a})
+        return omega(self, NTElement(system, moved))
+
+    return mutant
+
+
+@pytest.mark.parametrize("index, l", [
+    (lambda l, n: 0, 1),
+    (lambda l, n: (l + 1) % n, 0),
+], ids=["entry-0", "entry-l+1"])
+@pytest.mark.parametrize("system", [AFFINE, get_system("lattice-dilation", d=2), CUNTZ],
+                         ids=lambda s: s.name)
+def test_scaling_identity_fails_when_omega_reads_another_entry(monkeypatch, system, index, l):
+    # the weights w_k = k + 1 + i are distinct, so reading entry 0 or
+    # entry l + 1 for entry l fails on the first fiber, at the first l
+    # whose read entry differs
+    first = 2 if system.semigroup.is_multiplicative else 1
+    traces = default_traces(system)
+    for trace in traces:
+        assert check_scaling_identity(KMSContext(system, trace, 3.0, 1000)).passed
+    monkeypatch.setattr(KMSContext, "omega", _omega_reading(index))
+    for trace in traces:
+        rep = check_scaling_identity(KMSContext(system, trace, 3.0, 1000))
+        assert not rep.passed
+        assert (rep.metrics["s"], rep.metrics["l"]) == (first, l)
+        assert rep.metrics["deviation"] > rep.metrics["tolerance"]
 
 
 def test_core_trace_fails_on_a_non_tracial_state(monkeypatch):
